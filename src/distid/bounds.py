@@ -216,9 +216,13 @@ class GrowthRule:
     def size_at(self, n: int) -> int:
         if self.kind == "constant":
             return int(self.param)
-        if self.kind == "polynomial":
-            return math.ceil(n ** self.param)
-        return math.ceil(math.exp(self.param * n))
+        try:
+            if self.kind == "polynomial":
+                return math.ceil(n ** self.param)
+            return math.ceil(math.exp(self.param * n))
+        except OverflowError:
+            raise ValueError(f"{self.kind} growth overflows the family size "
+                             f"at n={n}") from None
 
 
 def _instantiate_template(template, size: int) -> DistributionFamily:

@@ -30,6 +30,52 @@ EXHAUSTIVE_MAX_SIZE = 10
 # the lexicographic refinement re-solves to check it exactly.
 _TIE_GATE_REL = 1e-9
 
+# The identity screen works on sub-chunks of about this many matrix entries,
+# so each float64 (chunk, A, A) working array stays near 256 KiB at any A.
+_SCREEN_CHUNK_ENTRIES = 2**15
+
+
+def certify_identity(scores: np.ndarray) -> np.ndarray:
+    """Trials of a (B, A, A) score block whose ML decode is surely the identity.
+
+    The identity is the lexicographically smallest permutation, so it is
+    the decoder's answer exactly when no other permutation scores at
+    least as high; equivalently, when every cycle of the gain graph with
+    arc weights S[i,j] - S[i,i] has negative total gain (the optimality
+    condition behind cycle-cancelling for the assignment LP).  A batched
+    max-plus Floyd-Warshall finds the best cycle gain through each node.
+    A trial is certified only when its diagonal is finite and its best
+    cycle gain is below -A * _TIE_GATE_REL * max(1, max|finite S|), a
+    margin far above the rounding of either this screen or ml_decode.
+    Errors, exact ties and near-ties are left uncertified.  The result is
+    a boolean array of length B.
+    """
+    scores = np.asarray(scores, dtype=np.float64)
+    trials, size = scores.shape[0], scores.shape[1]
+    certified = np.zeros(trials, dtype=bool)
+    diag_idx = np.arange(size)
+    chunk = max(1, _SCREEN_CHUNK_ENTRIES // (size * size))
+    for lo in range(0, trials, chunk):
+        block = scores[lo:lo + chunk]
+        diag = block[:, diag_idx, diag_idx]
+        # a -inf diagonal, NaN or +inf is left to ml_decode
+        keep = np.flatnonzero(np.isfinite(diag).all(axis=1)
+                              & (block < np.inf).all(axis=(1, 2)))
+        scale = np.abs(block).max(axis=(1, 2), where=block > -np.inf, initial=0.0)
+        margin = size * _TIE_GATE_REL * np.maximum(1.0, scale[keep])
+        gain = block[keep] - diag[keep, :, None]
+        gain[:, diag_idx, diag_idx] = -np.inf
+        # every 2-cycle is a cycle: this cheap check drops most errors and
+        # ties before the O(A^3) pass
+        two = (gain + gain.transpose(0, 2, 1)).max(axis=(1, 2)) < -margin
+        keep, gain, margin = keep[two], gain[two], margin[two]
+        if not len(keep):
+            continue
+        for k in range(size):
+            np.maximum(gain, gain[:, :, k, None] + gain[:, None, k, :], out=gain)
+        certified[lo + keep] = gain[:, diag_idx, diag_idx].max(axis=1) < -margin
+    return certified
+
 
 class NoFeasibleAssignmentError(ValueError):
     """Every permutation hits a zero-probability (-inf) score."""

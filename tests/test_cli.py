@@ -219,6 +219,20 @@ class TestRunCommands:
         code, _ = run_command(tmp_path, "bounds", text)
         assert code == 3
 
+    @pytest.mark.parametrize("growth", ['growth.kind = "exponential"\ngrowth.rate = 5.0\n',
+                                        'growth.kind = "polynomial"\ngrowth.degree = 400.0\n'])
+    def test_overflowing_growth_exits_3(self, tmp_path, capsys, growth):
+        cfg_path = tmp_path / "sweep.cfg"
+        cfg_path.write_text('family.kind = "binary-grid"\n'
+                            "family.theta_min = 0.2\nfamily.theta_max = 0.8\n"
+                            + growth + "n_grid = [10, 200]\n")
+        code = main(["sweep", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "sweep.csv")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_io_failure_exits_4(self, tmp_path):
         cfg = build_config("bounds", parse_config(PAIR_CFG),
                            overrides={"out": str(tmp_path / "no" / "dir.csv")})

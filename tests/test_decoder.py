@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from distid import (
     make_family,
     ml_decode,
 )
+from distid.decoder import certify_identity, loglik_from_counts
 from distid.distributions import philox_stream
 
 INF = math.inf
@@ -177,3 +179,84 @@ class TestOracleEquivalence:
                     ml_decode(scores)
                 continue
             assert np.array_equal(ml_decode(scores), expected)
+
+
+def count_scores(family, n, trials, seed):
+    """(trials, A, A) scores from multinomial counts, row i drawn from member i."""
+    rng = philox_stream(seed, n)
+    counts = np.stack([rng.multinomial(n, m.probs, size=trials) for m in family],
+                      axis=1)
+    return counts, loglik_from_counts(counts, family)
+
+
+class TestCertifyIdentity:
+    @pytest.mark.parametrize("kind", ["binary-grid", "random-simplex"])
+    def test_certified_trials_decode_to_identity(self, kind):
+        # exhaustive_decode is the oracle: it never goes through ml_decode
+        certified = 0
+        for size in range(2, 8):
+            spec = ({"kind": kind, "size": size, "theta_min": 0.0, "theta_max": 1.0}
+                    if kind == "binary-grid" else
+                    {"kind": kind, "size": size, "alphabet": 3, "seed": size})
+            family = make_family(spec)
+            for n in (1, 2, 3, 5, 10):
+                _, scores = count_scores(family, n, 1024 if size < 7 else 256,
+                                         seed=50 + size)
+                for t in np.flatnonzero(certify_identity(scores)):
+                    assert exhaustive_decode(scores[t]).tolist() == list(range(size))
+                    certified += 1
+        assert certified > 5000
+
+    def test_identical_count_rows_are_never_certified(self):
+        family = make_family({"kind": "random-simplex", "size": 5,
+                              "alphabet": 3, "seed": 3})
+        rng = philox_stream(51)
+        for n in (2, 10, 40):
+            counts, _ = count_scores(family, n, 256, seed=52)
+            for t in range(len(counts)):
+                i, j = rng.choice(5, size=2, replace=False)
+                counts[t, j] = counts[t, i]
+            assert not certify_identity(loglik_from_counts(counts, family)).any()
+
+    def test_exact_and_near_ties_are_never_certified(self):
+        ties = [
+            np.zeros((3, 3)),
+            # only the 3-cycle (0 2 1) ties; every 2-cycle loses by 1
+            [[1.0, 0.0, 1.0], [1.0, 1.0, 0.0], [0.0, 1.0, 1.0]],
+            [[-2.0, -INF, -2.0], [-2.0, -2.0, -INF], [-INF, -2.0, -2.0]],
+            [[-5.0, -5.0 - 1e-13], [-7.0, -7.0 + 1e-13]],
+            [[0.0, -1e-12, -1.0], [0.0, 0.0, -1.0], [-1.0, -1.0, 0.0]],
+            [[0.0, -1.0, -1e-12], [0.0, 0.0, -1.0], [-1.0, 0.0, 0.0]],
+        ]
+        for matrix in ties:
+            assert not certify_identity(np.asarray(matrix)[None]).any()
+
+    def test_infeasible_or_invalid_diagonal_is_left_to_the_decoder(self):
+        block = np.array([[[-INF, -1.0], [-1.0, 0.0]],
+                          [[0.0, INF], [-1.0, 0.0]],
+                          [[0.0, np.nan], [-1.0, 0.0]],
+                          [[0.0, -INF], [-INF, 0.0]],
+                          [[0.0, -1.0], [-1.0, 0.0]]])
+        assert certify_identity(block).tolist() == [False, False, False, True, True]
+
+    def test_clear_winners_are_certified(self):
+        rng = philox_stream(53)
+        scores = -rng.random((300, 6, 6)) - 1.0
+        scores[:, np.arange(6), np.arange(6)] = 0.0
+        assert certify_identity(scores).all()
+
+    def test_peak_memory_is_bounded_by_the_sub_chunks(self):
+        # every trial passes the 2-cycle check, so the O(A^3) pass runs on
+        # the whole block; unchunked, a single (1024, 32, 32) temporary
+        # would already take 8 MiB
+        rng = philox_stream(54)
+        scores = -rng.random((1024, 32, 32)) - 1.0
+        scores[:, np.arange(32), np.arange(32)] = 0.0
+        tracemalloc.start()
+        try:
+            certified = certify_identity(scores)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert certified.all()
+        assert peak < 2 * 2**20

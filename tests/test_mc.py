@@ -10,7 +10,9 @@ from distid import (
     pairwise_error_exponent,
     permutation_cycles,
 )
+from distid.decoder import loglik_from_counts, ml_decode
 from distid.distributions import philox_stream
+from distid.mc import TRIALS_PER_BLOCK
 
 from oracles import exact_pair_error_prob, exact_swap_event_prob
 
@@ -51,6 +53,30 @@ class TestPermutationCycles:
             for perm in itertools.permutations(range(size)):
                 if sum(p != i for i, p in enumerate(perm)) == 2:
                     assert len(permutation_cycles(list(perm))) == 1
+
+
+def unscreened_estimate(family, n, trials, seed):
+    """(errors, r_histogram, single-cycle errors) with ml_decode on every trial.
+
+    Draws the same (seed, block) counts as estimate_error_prob but runs
+    no identity screen.
+    """
+    size = len(family)
+    errors, hist, single = 0, {}, 0
+    for block, lo in enumerate(range(0, trials, TRIALS_PER_BLOCK)):
+        block_size = min(TRIALS_PER_BLOCK, trials - lo)
+        rng = philox_stream(seed, block)
+        counts = np.stack([rng.multinomial(n, m.probs, size=block_size)
+                           for m in family], axis=1)
+        scores = loglik_from_counts(counts, family)
+        for t in range(block_size):
+            decoded = ml_decode(scores[t])
+            wrong = int((decoded != np.arange(size)).sum())
+            if wrong:
+                errors += 1
+                hist[wrong] = hist.get(wrong, 0) + 1
+                single += len(permutation_cycles(decoded)) == 1
+    return errors, hist, single
 
 
 class TestEstimateErrorProb:
@@ -100,6 +126,18 @@ class TestEstimateErrorProb:
         assert est.p_hat == 0.37225  # frozen for this generator
         tie_mass = math.comb(10, 5) / 4**5
         assert abs(est.p_hat - (1 - tie_mass) / 2) < 3 * est.stderr
+
+    @pytest.mark.parametrize("size,n_values,trials", [(4, (10, 40), 6000),
+                                                      (8, (10, 40), 4500)])
+    def test_screen_leaves_estimates_unchanged(self, size, n_values, trials):
+        fam = make_family({"kind": "binary-grid", "size": size,
+                           "theta_min": 0.1, "theta_max": 0.9})
+        for n in n_values:
+            est = estimate_error_prob(fam, n, trials, seed=21)
+            errors, hist, single = unscreened_estimate(fam, n, trials, seed=21)
+            assert 0 < est.errors < trials
+            assert (est.errors, est.r_histogram) == (errors, hist)
+            assert est.single_cycle_fraction == single / errors
 
     def test_matches_exact_enumeration(self):
         est = estimate_error_prob(PAIR, 12, 20_000, seed=8)
