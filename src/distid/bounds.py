@@ -136,8 +136,16 @@ def count_ratio_within_power_bound(k: int, r: int) -> bool:
     return count * count <= 16**r * n_edges**r
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def _cell(value) -> str:
+    """One CSV cell: None is nan, bools are true/false, floats keep 17
+    significant digits so they parse back exactly, anything else is str."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -172,9 +180,8 @@ class BoundReport:
         return ["n", "A", "S", "log_S", "upper", "upper_applicable", "lower"]
 
     def csv_row(self) -> list[str]:
-        return [str(self.n), str(self.family_size), _fmt(self.s), _fmt(self.log_s),
-                "nan" if self.upper is None else _fmt(self.upper),
-                "true" if self.upper_applicable else "false", _fmt(self.lower)]
+        return [_cell(v) for v in (self.n, self.family_size, self.s, self.log_s,
+                                   self.upper, self.upper_applicable, self.lower)]
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "A": self.family_size, "S": self.s,
@@ -300,9 +307,9 @@ class TrendReport:
         return ["n", "A", "S", "log_S", "slope", "verdict"]
 
     def csv_rows(self) -> list[list[str]]:
-        slope = "nan" if self.slope is None else _fmt(self.slope)
-        return [[str(p.n), str(p.family_size), _fmt(p.s), _fmt(p.log_s),
-                 slope, self.verdict] for p in self.points]
+        return [[_cell(v) for v in (p.n, p.family_size, p.s, p.log_s,
+                                    self.slope, self.verdict)]
+                for p in self.points]
 
     def to_json_dict(self) -> dict:
         return {"points": [{"n": p.n, "A": p.family_size, "S": p.s,

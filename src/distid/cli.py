@@ -51,6 +51,7 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import graphs, mc
+from .bounds import _cell
 from .distributions import make_family, philox_stream
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
@@ -69,9 +70,7 @@ _KEYS_BY_COMMAND = {
     "simulate": _COMMON_KEYS | _FAMILY_KEYS | {"n", "n_grid", "trials"},
     "lemma": _COMMON_KEYS | {"k", "r", "trials"},
     "exponent": _COMMON_KEYS | _FAMILY_KEYS | {"n_grid", "trials"},
-    "sweep": _COMMON_KEYS | _FAMILY_KEYS | {"growth.kind", "growth.size",
-                                            "growth.degree", "growth.rate",
-                                            "n_grid", "pairs_budget"},
+    "sweep": _COMMON_KEYS | _FAMILY_KEYS | _GROWTH_KEYS | {"n_grid", "pairs_budget"},
 }
 
 
@@ -251,28 +250,12 @@ def _growth_rule(growth: dict) -> bounds_mod.GrowthRule:
     return bounds_mod.GrowthRule(kind=kind, param=float(value))
 
 
-def _write_csv(path: str, header: list[str], rows: list[list[str]]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
-
-
-def _write_json(path: str, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                          encoding="ascii", newline="\n")
-
-
 def _run_bounds(cfg: RunConfig):
     family = make_family(cfg.family)
     grid = cfg.n_grid if cfg.n_grid is not None else (cfg.n,)
     reports = [bounds_mod.BoundReport.from_family(family, n) for n in grid]
-    if cfg.format == "csv":
-        _write_csv(cfg.out, bounds_mod.BoundReport.csv_header(),
-                   [r.csv_row() for r in reports])
-    else:
-        _write_json(cfg.out, {"command": "bounds",
-                              "reports": [r.to_json_dict() for r in reports]})
-    return len(reports)
+    return (bounds_mod.BoundReport.csv_header(), [r.csv_row() for r in reports],
+            {"command": "bounds", "reports": [r.to_json_dict() for r in reports]})
 
 
 def _run_simulate(cfg: RunConfig):
@@ -283,20 +266,12 @@ def _run_simulate(cfg: RunConfig):
         estimates.append(mc.estimate_error_prob(
             family, n, cfg.trials, cfg.seed, workers=cfg.workers))
         reports.append(bounds_mod.BoundReport.from_family(family, n))
-    if cfg.format == "csv":
-        header = (mc.McEstimate.csv_header(len(family))
-                  + ["S", "log_S", "upper", "upper_applicable", "lower"])
-        rows = []
-        for est, rep in zip(estimates, reports):
-            bound_cols = rep.csv_row()[2:]  # drop the duplicated n, A columns
-            rows.append(est.csv_row() + bound_cols)
-        _write_csv(cfg.out, header, rows)
-    else:
-        _write_json(cfg.out, {
-            "command": "simulate",
-            "estimates": [e.to_json_dict() for e in estimates],
-            "bounds": [r.to_json_dict() for r in reports]})
-    return len(estimates)
+    header = (mc.McEstimate.csv_header(len(family))
+              + bounds_mod.BoundReport.csv_header()[2:])  # n, A are already there
+    rows = [est.csv_row() + rep.csv_row()[2:] for est, rep in zip(estimates, reports)]
+    return header, rows, {"command": "simulate",
+                          "estimates": [e.to_json_dict() for e in estimates],
+                          "bounds": [r.to_json_dict() for r in reports]}
 
 
 def _run_lemma(cfg: RunConfig):
@@ -315,31 +290,24 @@ def _run_lemma(cfg: RunConfig):
             graph = graphs.WeightedCompleteGraph(k, weights)
             res = graphs.check_mean_gain_bound(graph, r)
             checks.append((trial, res))
-            rows.append(["mean-gain", str(k), str(r), str(trial),
-                         "%.17g" % res.lhs, "%.17g" % res.rhs,
-                         "true" if res.holds else "false"])
+            rows.append([_cell(v) for v in ("mean-gain", k, r, trial,
+                                             res.lhs, res.rhs, res.holds)])
         if r % 2 == 0 and k <= 6:
             exp_res = graphs.check_expansion_identities(k, r, seed=cfg.seed)
             expansions.append(exp_res)
-            rows.append(["expansion", str(k), str(r), "0",
-                         "%.17g" % exp_res.total_elements,
-                         "%.17g" % (exp_res.incidence
-                                    * exp_res.num_edges ** (r // 2)),
-                         "true" if exp_res.ok else "false"])
-    if cfg.format == "csv":
-        _write_csv(cfg.out, header, rows)
-    else:
-        _write_json(cfg.out, {
-            "command": "lemma",
-            "mean_gain": [{"k": res.k, "r": res.r, "trial": trial,
-                           "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds}
-                          for trial, res in checks],
-            "expansion": [{"k": e.k, "r": e.r, "incidence": e.incidence,
-                           "total_elements": e.total_elements,
-                           "degree_per_edge": e.degree_per_edge,
-                           "group_size": e.group_size, "ok": e.ok}
-                          for e in expansions]})
-    return len(rows)
+            rhs = exp_res.incidence * exp_res.num_edges ** (r // 2)
+            rows.append([_cell(v) for v in ("expansion", k, r, 0,
+                                             exp_res.total_elements, rhs, exp_res.ok)])
+    return header, rows, {
+        "command": "lemma",
+        "mean_gain": [{"k": res.k, "r": res.r, "trial": trial,
+                       "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds}
+                      for trial, res in checks],
+        "expansion": [{"k": e.k, "r": e.r, "incidence": e.incidence,
+                       "total_elements": e.total_elements,
+                       "degree_per_edge": e.degree_per_edge,
+                       "group_size": e.group_size, "ok": e.ok}
+                      for e in expansions]}
 
 
 def _run_exponent(cfg: RunConfig):
@@ -349,25 +317,20 @@ def _run_exponent(cfg: RunConfig):
             f"exponent needs a family of exactly 2 members, got {len(family)}")
     fit = mc.pairwise_error_exponent(family[0], family[1], cfg.n_grid,
                                      cfg.trials, cfg.seed, workers=cfg.workers)
-    if cfg.format == "csv":
-        _write_csv(cfg.out, mc.ExponentFit.csv_header(), fit.csv_rows())
-    else:
-        _write_json(cfg.out, {"command": "exponent", "fit": fit.to_json_dict()})
-    return len(fit.n_grid)
+    return (mc.ExponentFit.csv_header(), fit.csv_rows(),
+            {"command": "exponent", "fit": fit.to_json_dict()})
 
 
 def _run_sweep(cfg: RunConfig):
     spec = bounds_mod.FamilySequenceSpec(
         growth=_growth_rule(cfg.growth), template=cfg.family, n_grid=cfg.n_grid)
     report = bounds_mod.identifiability_trend(spec, pairs_budget=cfg.pairs_budget)
-    if cfg.format == "csv":
-        _write_csv(cfg.out, bounds_mod.TrendReport.csv_header(), report.csv_rows())
-    else:
-        _write_json(cfg.out, {"command": "sweep", "trend": report.to_json_dict()})
     print(f"verdict: {report.verdict}")
-    return len(report.points)
+    return (bounds_mod.TrendReport.csv_header(), report.csv_rows(),
+            {"command": "sweep", "trend": report.to_json_dict()})
 
 
+# Each runner returns (CSV header, CSV rows, JSON payload); `run` writes one.
 _RUNNERS = {
     "bounds": _run_bounds,
     "simulate": _run_simulate,
@@ -380,7 +343,12 @@ _RUNNERS = {
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        rows = _RUNNERS[cfg.command](cfg)
+        header, rows, payload = _RUNNERS[cfg.command](cfg)
+        if cfg.format == "csv":
+            text = "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+        else:
+            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        Path(cfg.out).write_text(text, encoding="ascii", newline="\n")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -390,7 +358,7 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    print(f"{cfg.command}: wrote {rows} row(s) to {cfg.out}")
+    print(f"{cfg.command}: wrote {len(rows)} row(s) to {cfg.out}")
     return 0
 
 

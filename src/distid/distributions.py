@@ -132,13 +132,15 @@ class DistributionFamily:
         for p in mem[1:]:
             if p.alphabet_size != m:
                 raise ValueError("family members must share one alphabet size")
-        for i in range(len(mem)):
-            for j in range(i + 1, len(mem)):
-                gap = float(np.max(np.abs(mem[i].probs - mem[j].probs)))
-                if gap <= DISTINCT_TOL:
-                    raise ValueError(
-                        f"members {i} and {j} are not distinct "
-                        f"(sup-norm gap {gap!r} <= {DISTINCT_TOL})")
+        probs = np.stack([p.probs for p in mem])
+        for i in range(len(mem) - 1):
+            gaps = np.abs(probs[i + 1:] - probs[i]).max(axis=1)
+            close = np.flatnonzero(gaps <= DISTINCT_TOL)
+            if close.size:
+                j = i + 1 + int(close[0])
+                raise ValueError(
+                    f"members {i} and {j} are not distinct "
+                    f"(sup-norm gap {float(gaps[close[0]])!r} <= {DISTINCT_TOL})")
         self._members = mem
 
     @property
@@ -215,30 +217,47 @@ class ObservationBatch:
                          for row in self._sequences])
 
 
+def _bhattacharyya_row(p: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """B(p, q) for every row q of probs.
+
+    Where the coefficient BC = sum sqrt(p q) is below 1/2 the distance is
+    -log BC, which keeps its relative accuracy as BC -> 0 (+inf exactly
+    when the supports are disjoint).  Elsewhere it is the Hellinger form
+    -log1p(-h) with h = 1/2 ||sqrt p - sqrt q||^2 and sqrt p - sqrt q
+    taken as (p - q) / (sqrt p + sqrt q), so close pmfs keep full
+    relative accuracy instead of cancelling to 0.
+    """
+    root_p, roots = np.sqrt(p), np.sqrt(probs)
+    coeff = (roots * root_p).sum(axis=1)
+    denom = roots + root_p
+    diff = np.divide(probs - p, denom, out=np.zeros_like(probs), where=denom > 0)
+    half_sq = 0.5 * (diff * diff).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(coeff < 0.5, -np.log(coeff), -np.log1p(-half_sq))
+
+
 def bhattacharyya(p: FinitePmf, q: FinitePmf) -> float:
     """Bhattacharyya distance -log sum_x sqrt(p(x) q(x)).
 
     Symmetric and nonnegative; +inf exactly when the supports are
-    disjoint.  The coefficient is clipped at 1 so that near-identical
-    pmfs cannot produce a negative distance through rounding.
+    disjoint.  Same kernel as `distance_matrix`.
     """
     if p.alphabet_size != q.alphabet_size:
         raise ValueError(
             f"alphabet sizes differ: {p.alphabet_size} vs {q.alphabet_size}")
-    coeff = float(np.sqrt(p.probs * q.probs).sum())
-    if coeff <= 0.0:
-        return math.inf
-    return max(0.0, -math.log(min(coeff, 1.0)))
+    return float(_bhattacharyya_row(p.probs, q.probs[None, :])[0])
 
 
 def distance_matrix(family: DistributionFamily) -> np.ndarray:
-    """All pairwise Bhattacharyya distances, shape (A, A); +inf off-support."""
-    roots = np.sqrt(family.prob_matrix())
-    coeff = roots @ roots.T
-    np.clip(coeff, 0.0, 1.0, out=coeff)
-    with np.errstate(divide="ignore"):
-        dist = -np.log(coeff)
-    np.fill_diagonal(dist, 0.0)
+    """All pairwise Bhattacharyya distances, shape (A, A); +inf off-support.
+
+    Filled one row (and its mirror column) at a time, so no temporary is
+    larger than (A, m) and the result is exactly symmetric.
+    """
+    probs = family.prob_matrix()
+    dist = np.empty((len(probs), len(probs)))
+    for i, p in enumerate(probs):
+        dist[i, i:] = dist[i:, i] = _bhattacharyya_row(p, probs[i:])
     return dist
 
 

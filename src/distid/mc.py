@@ -33,6 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .bounds import _cell, _ls_slope
 from .decoder import certify_identity, loglik_from_counts, ml_decode
 from .distributions import DistributionFamily, FinitePmf, bhattacharyya, philox_stream
 
@@ -52,10 +53,6 @@ _TASK_WINDOW = 256
 # Grid points with fewer observed errors than this are excluded from the
 # exponent fit; -log p_hat is severely biased at low counts.
 MIN_ERRORS_FOR_FIT = 50
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def permutation_cycles(perm) -> list[list[int]]:
@@ -114,12 +111,10 @@ class McEstimate:
         return base
 
     def csv_row(self) -> list[str]:
-        row = [str(self.n), str(self.family_size), str(self.trials),
-               str(self.errors), _fmt(self.p_hat), _fmt(self.stderr)]
-        row += [str(self.r_histogram.get(r, 0))
-                for r in range(2, self.family_size + 1)]
-        row.append(_fmt(self.single_cycle_fraction))
-        return row
+        hist = [self.r_histogram.get(r, 0) for r in range(2, self.family_size + 1)]
+        return [_cell(v) for v in (self.n, self.family_size, self.trials, self.errors,
+                                   self.p_hat, self.stderr, *hist,
+                                   self.single_cycle_fraction)]
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "A": self.family_size, "trials": self.trials,
@@ -244,8 +239,7 @@ class ExponentFit:
         return ["n", "trials", "errors", "p_hat", "used_in_fit", "slope", "target"]
 
     def csv_rows(self) -> list[list[str]]:
-        return [[str(n), str(self.trials), str(e), _fmt(p),
-                 "true" if u else "false", _fmt(self.slope), _fmt(self.target)]
+        return [[_cell(v) for v in (n, self.trials, e, p, u, self.slope, self.target)]
                 for n, e, p, u in zip(self.n_grid, self.errors,
                                       self.p_hats, self.used)]
 
@@ -333,10 +327,6 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
         raise ValueError(
             f"too few grid points with >= {MIN_ERRORS_FOR_FIT} events to fit "
             f"a slope (got {len(xs)}); raise trials or shrink the blocklengths")
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    xc = x - x.mean()
-    slope = float((xc * (y - y.mean())).sum() / (xc * xc).sum())
     return ExponentFit(n_grid=grid, trials=trials, errors=tuple(errors),
-                       p_hats=p_hats, used=used, slope=slope,
+                       p_hats=p_hats, used=used, slope=_ls_slope(xs, ys),
                        target=2.0 * dist)

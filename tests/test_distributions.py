@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -13,12 +15,31 @@ from distid import (
     sample_sequence,
     tilted_midpoint,
 )
-from distid.distributions import distance_matrix, philox_stream
+from distid.distributions import DISTINCT_TOL, distance_matrix, philox_stream
 
 
 def random_pmf(rng, m):
     w = rng.exponential(1.0, size=m)
     return FinitePmf(w / w.sum())
+
+
+def decimal_bhattacharyya(p: FinitePmf, q: FinitePmf) -> float:
+    """-ln sum sqrt(p q) in 60-digit decimal arithmetic on the stored doubles."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        coeff = sum((Decimal(float(a)) * Decimal(float(b))).sqrt()
+                    for a, b in zip(p.probs, q.probs))
+        return float(-coeff.ln())
+
+
+def close_pair(delta: float) -> tuple[FinitePmf, FinitePmf]:
+    """(1/2, 1/2) and (1/2 + delta, 1/2 - delta).
+
+    The second entry is 1 - x, which is exact for x in [1/2, 1], so both
+    pmfs sum to exactly 1 and -ln BC is the distance of the stored values.
+    """
+    x = 0.5 + delta
+    return FinitePmf([0.5, 0.5]), FinitePmf([x, 1.0 - x])
 
 
 class TestFinitePmf:
@@ -66,6 +87,11 @@ class TestDistributionFamily:
         with pytest.raises(ValueError, match="not distinct"):
             DistributionFamily([FinitePmf([0.5, 0.5]),
                                 FinitePmf([0.5 + eps, 0.5 - eps])])
+
+    def test_error_names_first_duplicate_pair(self):
+        rows = [[0.5, 0.5], [0.1, 0.9], [0.2, 0.8], [0.1, 0.9], [0.2, 0.8]]
+        with pytest.raises(ValueError, match="members 1 and 3 are not distinct"):
+            DistributionFamily([FinitePmf(r) for r in rows])
 
     def test_rejects_mixed_alphabets(self):
         with pytest.raises(ValueError, match="alphabet"):
@@ -117,6 +143,58 @@ class TestBhattacharyya:
             for j in range(6):
                 expected = 0.0 if i == j else bhattacharyya(fam[i], fam[j])
                 assert dist[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-7, 1e-8, 2e-9])
+    def test_close_pairs_keep_relative_accuracy(self, delta):
+        p, q = close_pair(delta)
+        want = decimal_bhattacharyya(p, q)
+        assert want > 0.0
+        dist = distance_matrix(DistributionFamily([p, q]))
+        for got in (bhattacharyya(p, q), dist[0, 1], dist[1, 0]):
+            assert abs(got - want) <= 1e-6 * want
+
+    @pytest.mark.parametrize("p, q", [
+        ([1 - 1e-12, 1e-12], [1e-12, 1 - 1e-12]),
+        ([1.0, 1e-300], [1e-300, 1.0]),
+        ([0.6, 0.4, 0.0], [0.0, 1e-10, 1 - 1e-10]),
+        ([0.25, 0.25, 0.5 - 1e-14, 1e-14], [1e-14, 1e-14, 0.0, 1 - 2e-14]),
+    ])
+    def test_near_disjoint_pairs_keep_relative_accuracy(self, p, q):
+        p, q = FinitePmf(p), FinitePmf(q)
+        want = decimal_bhattacharyya(p, q)
+        dist = distance_matrix(DistributionFamily([p, q]))
+        for got in (bhattacharyya(p, q), dist[0, 1], dist[1, 0]):
+            assert abs(got - want) <= 1e-12 * want
+
+    def test_gap_just_above_distinct_tol_is_positive(self):
+        p, q = close_pair(1.5 * DISTINCT_TOL)
+        dist = distance_matrix(DistributionFamily([p, q]))
+        assert bhattacharyya(p, q) > 0.0
+        assert dist[0, 1] > 0.0 and dist[1, 0] > 0.0
+
+    def test_distance_matrix_exact_properties(self):
+        fam = make_family([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0],
+                           [0.2, 0.3, 0.5], [0.0, 0.4, 0.6]])
+        dist = distance_matrix(fam)
+        assert (np.diag(dist) == 0.0).all() and not np.signbit(dist).any()
+        assert (dist == dist.T).all()
+        assert dist[0, 1] == math.inf and dist[0, 4] == math.inf
+        assert np.isfinite(dist[2:, 2:]).all() and np.isfinite(dist[0, 2:4]).all()
+        big = distance_matrix(make_family({"kind": "random-simplex", "size": 200,
+                                           "alphabet": 5, "seed": 8}))
+        assert (np.diag(big) == 0.0).all() and (big == big.T).all()
+        assert (big[~np.eye(200, dtype=bool)] > 0.0).all()
+
+    def test_distance_matrix_memory_is_one_output_array(self):
+        fam = make_family({"kind": "random-simplex", "size": 1000,
+                           "alphabet": 8, "seed": 7})
+        tracemalloc.start()
+        try:
+            distance_matrix(fam)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 1000 * 1000 * 8
 
 
 class TestTiltedMidpoint:
