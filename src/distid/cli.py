@@ -362,6 +362,13 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
+def _seed_flag(text: str) -> int:
+    try:
+        return int(text, 0)  # decimal or 0x-prefixed, as in a config file
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="distid",
@@ -378,7 +385,7 @@ def main(argv=None) -> int:
             ("sweep", "identifiability trend along a family sequence")]:
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", required=True, help="path to a key=value config file")
-        cmd.add_argument("--seed", type=int, default=None,
+        cmd.add_argument("--seed", type=_seed_flag, default=None,
                          help=f"64-bit seed (default {DEFAULT_SEED})")
         cmd.add_argument("--out", default=None, help="output path")
         cmd.add_argument("--format", choices=("csv", "json"), default=None)

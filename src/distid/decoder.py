@@ -2,14 +2,18 @@
 
 Each observed row is scored against each candidate distribution; the
 decoder returns the permutation maximizing the total log-likelihood.
-`ml_decode` solves this with an O(A^3) augmenting-path assignment on
-negated scores; `exhaustive_decode` enumerates all A! permutations and
-serves as the independent oracle.  Both resolve score ties by returning
-the lexicographically smallest mapping vector.
+A mapping's score is a correctly rounded sum (math.fsum), so it does not
+depend on row order and rows with identical scores tie exactly.
+`ml_decode` makes one O(A^3) augmenting-path assignment solve on negated
+scores, then settles ties by a cheapest-cycle search over tight edges
+(zero reduced cost under that solve's duals); `exhaustive_decode`
+enumerates all A! permutations and serves as the oracle.  Both resolve
+score ties by returning the lexicographically smallest mapping vector.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 
@@ -26,8 +30,9 @@ __all__ = [
 
 EXHAUSTIVE_MAX_SIZE = 10
 
-# Reduced-cost slack below which an edge is treated as potentially tied and
-# the lexicographic refinement re-solves to check it exactly.
+# Reduced-cost slack below which an edge counts as tight: the lexicographic
+# refinement moves rows only along the cheapest cycle of tight edges and
+# confirms each move by an exact score comparison.
 _TIE_GATE_REL = 1e-9
 
 # The identity screen works on sub-chunks of about this many matrix entries,
@@ -126,12 +131,9 @@ def _validate_matrix(matrix) -> np.ndarray:
 
 
 def _mapping_score(rows: list[list[float]], mapping) -> float:
-    # left-fold in row order; shared by solver and oracle so tie
-    # comparisons have identical float semantics
-    s = 0.0
-    for i, j in enumerate(mapping):
-        s += rows[i][j]
-    return s
+    # correctly rounded, so independent of row order: rows with identical
+    # scores tie exactly; shared by solver and oracle
+    return math.fsum(map(list.__getitem__, rows, mapping))
 
 
 def _solve_min_cost(cost: list[list[float]]):
@@ -186,81 +188,73 @@ def _solve_min_cost(cost: list[list[float]]):
     return row_to_col, u[:n], v[:n]
 
 
-def _column_sccs(rows, mapping, reduced, gate, size):
-    """Strongly connected components of the tight-edge column digraph.
-
-    Arc mapping[i] -> j exists when row i could move to column j at zero
-    reduced cost; an unmatched edge can appear in some optimal assignment
-    only if it closes a directed cycle, i.e. both columns share a
-    component.  Used purely as a screen: candidates still get confirmed
-    by an exact re-solve.
-    """
-    adj = [[] for _ in range(size)]
-    for i in range(size):
-        src = mapping[i]
-        row = rows[i]
-        red = reduced[i]
-        for j in range(size):
-            if j != src and row[j] != -math.inf and red[j] <= gate:
-                adj[src].append(j)
-    # Kosaraju, iterative
-    order = []
-    seen = [False] * size
-    for start in range(size):
-        if seen[start]:
-            continue
-        stack = [(start, 0)]
-        seen[start] = True
-        while stack:
-            node, idx = stack[-1]
-            if idx < len(adj[node]):
-                stack[-1] = (node, idx + 1)
-                nxt = adj[node][idx]
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, 0))
-            else:
-                order.append(node)
-                stack.pop()
-    radj = [[] for _ in range(size)]
-    for u in range(size):
-        for v in adj[u]:
-            radj[v].append(u)
-    comp = [-1] * size
-    label = 0
-    for start in reversed(order):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = label
-        while stack:
-            node = stack.pop()
-            for nxt in radj[node]:
-                if comp[nxt] == -1:
-                    comp[nxt] = label
-                    stack.append(nxt)
-        label += 1
-    return comp
-
-
 def _solve_max_score(rows: list[list[float]], size: int):
     """Max-score assignment with -inf entries mapped to a forbidden cost.
 
-    Returns (mapping, reduced_costs, scale) or raises
-    NoFeasibleAssignmentError when the optimum would use a forbidden edge.
+    Returns (mapping, tight, gate) or raises NoFeasibleAssignmentError
+    when the optimum would use a forbidden edge.  tight[i] maps, in
+    increasing column order, each finite column of row i whose reduced
+    cost under the solver's duals is at most gate to that reduced cost;
+    every optimal assignment uses only these edges.
     """
     finite = [abs(x) for row in rows for x in row if x > -math.inf]
     if not finite:
         raise NoFeasibleAssignmentError("all scores are -inf")
     scale = max(finite)
-    forbidden = size * scale + 2.0  # strictly above size * max|score| + 1
+    # a feasible assignment costs at most size * scale, one with a
+    # forbidden edge at least forbidden - (size - 1) * scale
+    forbidden = 2.0 * size * scale + 2.0
     cost = [[forbidden if x == -math.inf else -x for x in row] for row in rows]
     mapping, u, v = _solve_min_cost(cost)
     if any(rows[i][mapping[i]] == -math.inf for i in range(size)):
         raise NoFeasibleAssignmentError(
             "no permutation avoids zero-probability scores")
-    reduced = [[cost[i][j] - u[i] - v[j] for j in range(size)] for i in range(size)]
-    return mapping, reduced, scale
+    gate = _TIE_GATE_REL * max(1.0, scale)
+    tight = [{j: c - u[i] - v[j] for j, c in enumerate(cost[i])
+              if rows[i][j] > -math.inf and c - u[i] - v[j] <= gate}
+             for i in range(size)]
+    return mapping, tight, gate
+
+
+def _tight_path(tight, mapping, owner, row, start, gate):
+    """Cheapest tight-edge moves that let row take column start.
+
+    Dijkstra over columns, from start back to mapping[row]: the owner k of
+    a reached column may move to any tight column c at the cost
+    tight[k][c] - tight[k][mapping[k]], and only columns owned by rows
+    after row are entered.  The duals cancel around the closed cycle, so
+    its cost is the score the moves give up, and the cheapest cycle gives
+    the best assignment with row on start and the earlier rows fixed.
+    Returns its moves as (row, column) pairs, or None when every cycle
+    costs more than gate.
+    """
+    target = mapping[row]
+    first = tight[row][start] - tight[row][target]
+    dist = {start: first}
+    prev = {}
+    heap = [(first, start)]
+    done = set()
+    while heap:
+        cost, col = heapq.heappop(heap)
+        if col in done:
+            continue
+        if col == target:
+            moves = [(row, start)]
+            while col != start:
+                moves.append((owner[prev[col]], col))
+                col = prev[col]
+            return moves
+        done.add(col)
+        edges = tight[owner[col]]
+        base = cost - edges[mapping[owner[col]]]
+        for nxt, slack in edges.items():
+            step = base + slack
+            if (step <= gate and step < dist.get(nxt, math.inf) and nxt not in done
+                    and (nxt == target or owner[nxt] > row)):
+                dist[nxt] = step
+                prev[nxt] = col
+                heapq.heappush(heap, (step, nxt))
+    return None
 
 
 def ml_decode(matrix) -> np.ndarray:
@@ -273,42 +267,36 @@ def ml_decode(matrix) -> np.ndarray:
     arr = _validate_matrix(matrix)
     size = arr.shape[0]
     rows = arr.tolist()
-    mapping, reduced, scale = _solve_max_score(rows, size)
+    mapping, tight, gate = _solve_max_score(rows, size)
     best_score = _mapping_score(rows, mapping)
 
-    # Lexicographic refinement: an edge can join an optimal assignment only
-    # if its reduced cost is (numerically) zero and it closes an alternating
-    # cycle, so candidate columns below the current choice are screened by
-    # slack plus the component test and confirmed by an exact re-solve.
-    # Generic matrices have no such alternatives and skip straight through.
-    gate = _TIE_GATE_REL * max(1.0, scale)
-    comp = _column_sccs(rows, mapping, reduced, gate, size)
-    taken: list[int] = []
-    free_cols = sorted(range(size))
+    # Lexicographic refinement: row i can take a smaller free column j
+    # exactly when an alternating cycle of tight edges through the later
+    # rows closes from j back to mapping[i] at no loss; the cheapest such
+    # cycle is confirmed by an exact score comparison.  Moves run along
+    # tight edges only, so the duals and the tight lists stay valid.
+    # Generic matrices have no tight alternatives and skip straight through.
+    owner = [0] * size
+    for i, j in enumerate(mapping):
+        owner[j] = i
     for i in range(size - 1):
         current = mapping[i]
-        chosen = current
-        for j in free_cols:
+        for j in tight[i]:
             if j >= current:
                 break
-            if (rows[i][j] == -math.inf or reduced[i][j] > gate
-                    or comp[j] != comp[current]):
+            if owner[j] < i:
                 continue
-            sub_rows = list(range(i + 1, size))
-            sub_cols = [c for c in free_cols if c != j]
-            sub = [[rows[r][c] for c in sub_cols] for r in sub_rows]
-            try:
-                sub_map, _, _ = _solve_max_score(sub, len(sub_rows))
-            except NoFeasibleAssignmentError:
+            moves = _tight_path(tight, mapping, owner, i, j, gate)
+            if moves is None:
                 continue
-            candidate = taken + [j] + [sub_cols[c] for c in sub_map]
-            score = _mapping_score(rows, candidate)
-            if score == best_score:
-                chosen = j
+            candidate = mapping.copy()
+            for row, col in moves:
+                candidate[row] = col
+            if _mapping_score(rows, candidate) == best_score:
                 mapping = candidate
+                for row, col in moves:
+                    owner[col] = row
                 break
-        taken.append(chosen)
-        free_cols.remove(chosen)
     return np.asarray(mapping, dtype=np.int64)
 
 

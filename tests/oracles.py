@@ -4,7 +4,9 @@ These deliberately avoid the library's summation and enumeration paths:
 probabilities come from exact binomial enumeration and cycle counts from
 first-principles combinatorics, so the oracles stay independent of the
 code they check.  The exact error probability shares only the decoder,
-which guarantees identical tie handling between simulation and oracle.
+which guarantees identical tie handling between simulation and oracle;
+the decoder itself is checked against an fsum brute-force enumeration in
+test_decoder.py that shares no code with it.
 """
 
 from __future__ import annotations

@@ -251,6 +251,27 @@ class TestMain:
     def test_missing_config_exits_4(self, tmp_path):
         assert main(["bounds", "--config", str(tmp_path / "absent.cfg")]) == 4
 
+    def test_seed_flag_accepts_hex(self, tmp_path):
+        cfg_path = tmp_path / "sim.cfg"
+        cfg_path.write_text(PAIR_CFG + "trials = 500\n")
+        written = {}
+        for seed in ("0x5EED", "24301", "0x10", "16"):
+            out = tmp_path / f"sim_{seed}.csv"
+            assert main(["simulate", "--config", str(cfg_path), "--seed", seed,
+                         "--out", str(out)]) == 0
+            written[seed] = out.read_bytes()
+        assert written["0x5EED"] == written["24301"]
+        assert written["0x10"] == written["16"]
+        assert written["16"] != written["24301"]
+
+    def test_malformed_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(PAIR_CFG)
+        with pytest.raises(SystemExit) as exc:
+            main(["bounds", "--config", str(cfg_path), "--seed", "abc"])
+        assert exc.value.code == 2
+        assert "invalid seed 'abc'" in capsys.readouterr().err
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(PAIR_CFG + "trails = 7\n")

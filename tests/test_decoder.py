@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from distid import (
     make_family,
     ml_decode,
 )
+from distid import decoder
 from distid.decoder import certify_identity, loglik_from_counts
 from distid.distributions import philox_stream
 
@@ -66,6 +68,29 @@ class TestMlDecode:
     def test_all_equal_breaks_to_identity(self):
         assert ml_decode([[0.0, 0.0], [0.0, 0.0]]).tolist() == [0, 1]
         assert ml_decode(np.zeros((4, 4))).tolist() == [0, 1, 2, 3]
+
+    def test_near_tie_inside_the_gate_is_not_a_tie(self):
+        # the identity's edges are tight, but it loses by 1e-12
+        assert ml_decode([[-1e-12, 0.0], [0.0, 0.0]]).tolist() == [1, 0]
+        assert ml_decode([[1.0, 1.0, 0.0], [1.0, 1.0 - 1e-12, 0.0],
+                          [0.0, 0.0, 1.0]]).tolist() == [1, 0, 2]
+
+    def test_near_tie_beside_an_exact_tie(self):
+        # [2, 0, 1] and [0, 1, 2] tie exactly; [0, 2, 1] loses by 1e-12
+        # though all its edges are tight, so row 0's move to column 0 must
+        # take the exact cycle, not the first tight one
+        scores = np.array([[0.0, -5.0, 1.0], [0.0, 0.0, 1.0 - 1e-12],
+                           [-5.0, 0.0, 1.0]])
+        assert ml_decode(scores).tolist() == [0, 1, 2]
+        for rows in itertools.permutations(range(3)):
+            for cols in itertools.permutations(range(3)):
+                permuted = scores[list(rows)][:, list(cols)]
+                assert ml_decode(permuted).tolist() == brute_force_decode(permuted)
+
+    def test_forbidden_edge_never_looks_cheaper(self):
+        # the only finite permutation scores -20, below the -inf-using
+        # identity's finite part 5
+        assert ml_decode([[5.0, -10.0], [-10.0, -INF]]).tolist() == [1, 0]
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -181,6 +206,14 @@ class TestOracleEquivalence:
             assert np.array_equal(ml_decode(scores), expected)
 
 
+def tie_prone_family(kind, size):
+    """Binary grid on [0, 1] (with -inf scores) or a random simplex on m = 3."""
+    if kind == "binary-grid":
+        return make_family({"kind": kind, "size": size,
+                            "theta_min": 0.0, "theta_max": 1.0})
+    return make_family({"kind": kind, "size": size, "alphabet": 3, "seed": size})
+
+
 def count_scores(family, n, trials, seed):
     """(trials, A, A) scores from multinomial counts, row i drawn from member i."""
     rng = philox_stream(seed, n)
@@ -189,16 +222,57 @@ def count_scores(family, n, trials, seed):
     return counts, loglik_from_counts(counts, family)
 
 
+def brute_force_decode(scores):
+    """Lexicographically smallest maximizer, by enumeration and fsum.
+
+    Written here rather than taken from exhaustive_decode, which shares
+    its score sum with ml_decode.
+    """
+    rows = np.asarray(scores).tolist()
+    best, best_perm = -INF, None
+    for perm in itertools.permutations(range(len(rows))):
+        total = math.fsum([row[j] for row, j in zip(rows, perm)])
+        if total > best:  # permutations come in lexicographic order
+            best, best_perm = total, list(perm)
+    return best_perm
+
+
+class TestCountDerivedScores:
+    @pytest.mark.parametrize("decode", [ml_decode, exhaustive_decode])
+    @pytest.mark.parametrize("kind", ["binary-grid", "random-simplex"])
+    def test_matches_brute_force_oracle(self, kind, decode):
+        # identical count rows tie exactly; which tied mapping wins must
+        # not depend on the order the scores are summed in
+        for size in range(2, 8):
+            family = tie_prone_family(kind, size)
+            for n in (1, 2, 3, 5):
+                _, scores = count_scores(family, n, 128 if size < 7 else 32,
+                                         seed=70 + size)
+                for matrix in scores:
+                    assert decode(matrix).tolist() == brute_force_decode(matrix)
+
+    def test_one_assignment_solve_per_decode(self, monkeypatch):
+        family = make_family({"kind": "binary-grid", "size": 32,
+                              "theta_min": 0.1, "theta_max": 0.9})
+        counts, scores = count_scores(family, 40, 48, seed=80)
+        # every trial has rows with identical counts
+        assert all(len(np.unique(c, axis=0)) < 32 for c in counts)
+        solves = []
+        solve = decoder._solve_min_cost
+        monkeypatch.setattr(decoder, "_solve_min_cost",
+                            lambda cost: solves.append(1) or solve(cost))
+        for matrix in scores:
+            assert sorted(ml_decode(matrix).tolist()) == list(range(32))
+        assert len(solves) == len(scores)
+
+
 class TestCertifyIdentity:
     @pytest.mark.parametrize("kind", ["binary-grid", "random-simplex"])
     def test_certified_trials_decode_to_identity(self, kind):
         # exhaustive_decode is the oracle: it never goes through ml_decode
         certified = 0
         for size in range(2, 8):
-            spec = ({"kind": kind, "size": size, "theta_min": 0.0, "theta_max": 1.0}
-                    if kind == "binary-grid" else
-                    {"kind": kind, "size": size, "alphabet": 3, "seed": size})
-            family = make_family(spec)
+            family = tie_prone_family(kind, size)
             for n in (1, 2, 3, 5, 10):
                 _, scores = count_scores(family, n, 1024 if size < 7 else 256,
                                          seed=50 + size)
