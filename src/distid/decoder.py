@@ -4,11 +4,15 @@ Each observed row is scored against each candidate distribution; the
 decoder returns the permutation maximizing the total log-likelihood.
 A mapping's score is a correctly rounded sum (math.fsum), so it does not
 depend on row order and rows with identical scores tie exactly.
-`ml_decode` makes one O(A^3) augmenting-path assignment solve on negated
-scores, then settles ties by a cheapest-cycle search over tight edges
-(zero reduced cost under that solve's duals); `exhaustive_decode`
-enumerates all A! permutations and serves as the oracle.  Both resolve
-score ties by returning the lexicographically smallest mapping vector.
+`ml_decode` takes one (A, A) score matrix or a (B, A, A) stack and makes
+one assignment solve per call: Jonker-Volgenant shortest augmenting
+paths on negated scores, run in numpy in lockstep over the stack, with
+the per-matrix float operations of the one-matrix algorithm.  It then
+settles ties by a cheapest-cycle search over tight edges (zero reduced
+cost under that solve's duals), in Python and only for the matrices
+that have a tight alternative.  `exhaustive_decode` enumerates all A!
+permutations and serves as the oracle.  Both resolve score ties by
+returning the lexicographically smallest mapping vector.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ _TIE_GATE_REL = 1e-9
 # The identity screen works on sub-chunks of about this many matrix entries,
 # so each float64 (chunk, A, A) working array stays near 256 KiB at any A.
 _SCREEN_CHUNK_ENTRIES = 2**15
+
+# Monte Carlo scores a block in sub-chunks of about this many matrix
+# entries, so scoring temporaries stay near 128 KiB each at any A.
+_SCORE_CHUNK_ENTRIES = 2**14
 
 
 def certify_identity(scores: np.ndarray) -> np.ndarray:
@@ -117,103 +125,109 @@ def log_likelihood_matrix(batch: ObservationBatch,
     return loglik_from_counts(batch.symbol_counts()[None], family)[0]
 
 
-def _validate_matrix(matrix) -> np.ndarray:
-    arr = np.asarray(matrix, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+def _validate_scores(scores, stacked: bool) -> np.ndarray:
+    """Scores as float64: one (A, A) matrix, or with stacked also a (B, A, A) stack."""
+    arr = np.asarray(scores, dtype=np.float64)
+    if arr.ndim not in ((2, 3) if stacked else (2,)) or arr.shape[-1] != arr.shape[-2]:
         raise ValueError(f"score matrix must be square, got shape {arr.shape}")
-    if arr.shape[0] < 2:
+    if arr.shape[-1] < 2:
         raise ValueError("score matrix must be at least 2x2")
     if np.isnan(arr).any():
         raise ValueError("score matrix contains NaN")
-    if np.isposinf(arr).any():
+    if (arr == np.inf).any():
         raise ValueError("score matrix contains +inf")
     return arr
 
 
 def _mapping_score(rows: list[list[float]], mapping) -> float:
     # correctly rounded, so independent of row order: rows with identical
-    # scores tie exactly; shared by solver and oracle
+    # scores tie exactly; _refine sums its mappings the same way
     return math.fsum(map(list.__getitem__, rows, mapping))
 
 
-def _solve_min_cost(cost: list[list[float]]):
-    """Jonker-Volgenant style shortest-augmenting-path assignment.
+def _solve_lockstep(scores: np.ndarray, forbidden: np.ndarray):
+    """Jonker-Volgenant shortest augmenting paths over a stack, in lockstep.
 
-    Returns (row_to_col, row_potentials, col_potentials) minimizing the
-    total cost of a perfect matching.  Costs must be finite.
+    Minimizes the cost -S over the perfect matchings of each (A, A) trial
+    of scores, with a -inf score costing forbidden[b].  Rows are added one
+    at a time; for row i each step scans one cost row of every trial still
+    searching, gathered from the stack (no cost copy is built), and a
+    trial leaves the step loop once its path reaches a free column.  Each
+    trial sees the float operations of the one-matrix loop in its order:
+    slack (c - u[row]) - v[j], strict < updates, the first column of least
+    slack, u += delta on the rows of visited columns, v -= delta on the
+    visited columns and min_slack -= delta on the others.  So its mapping
+    and duals do not depend on the rest of the stack.  Returns (mapping,
+    u, v), each of shape (B, A).
     """
-    n = len(cost)
-    inf = math.inf
-    u = [0.0] * (n + 1)          # row potentials (u[n] is scratch)
-    v = [0.0] * (n + 1)          # column potentials (v[n] is the virtual column)
-    match = [n] * (n + 1)        # match[j] = row assigned to column j, n = free
-    for i in range(n):
-        match[n] = i
-        j_cur = n
-        min_slack = [inf] * (n + 1)
-        origin = [n] * (n + 1)
-        visited = [False] * (n + 1)
+    trials, size = scores.shape[:2]
+    u = np.zeros((trials, size))
+    v = np.zeros((trials, size))
+    match = np.full((trials, size + 1), size)   # row on each column; size = free
+
+    def cost_rows(trial, row):
+        s = scores[trial, row]
+        return np.where(s == -np.inf, forbidden[trial, None], -s)
+
+    every = np.arange(trials)
+    for i in range(size):
+        match[:, size] = i                      # the virtual column holds row i
+        # first step, from the virtual column: only row i is in the tree
+        min_slack = (cost_rows(every, i) - u[:, i, None]) - v
+        j_cur = min_slack.argmin(axis=1)
+        delta = min_slack[every, j_cur]
+        u[:, i] += delta
+        min_slack -= delta[:, None]
+        done = match[every, j_cur] == size
+        match[every[done], j_cur[done]] = i
+        idx = np.flatnonzero(~done)
+        if not len(idx):
+            continue
+        # the trials still searching, and their state in the same order;
+        # a visited column's min_slack is -inf, so no update reaches it
+        lu, lv, lm = u[idx], v[idx], match[idx]
+        j_cur, min_slack = j_cur[idx], min_slack[idx]
+        origin = np.full((len(idx), size), size)
+        visited = np.zeros((len(idx), size), dtype=bool)
+        in_tree = np.zeros((len(idx), size), dtype=bool)   # rows of visited columns
+        in_tree[:, i] = True
         while True:
-            visited[j_cur] = True
-            row = match[j_cur]
-            delta = inf
-            j_next = -1
-            crow = cost[row]
-            urow = u[row]
-            for j in range(n):
-                if not visited[j]:
-                    slack = crow[j] - urow - v[j]
-                    if slack < min_slack[j]:
-                        min_slack[j] = slack
-                        origin[j] = j_cur
-                    if min_slack[j] < delta:
-                        delta = min_slack[j]
-                        j_next = j
-            for j in range(n + 1):
-                if visited[j]:
-                    u[match[j]] += delta
-                    v[j] -= delta
-                else:
-                    min_slack[j] -= delta
-            j_cur = j_next
-            if match[j_cur] == n:
+            pos = np.arange(len(idx))
+            row = lm[pos, j_cur]
+            visited[pos, j_cur] = True
+            in_tree[pos, row] = True
+            min_slack[pos, j_cur] = -np.inf
+            slack = (cost_rows(idx, row) - lu[pos, row][:, None]) - lv
+            better = slack < min_slack
+            np.copyto(min_slack, slack, where=better)
+            np.copyto(origin, j_cur[:, None], where=better)
+            masked = np.where(visited, np.inf, min_slack)
+            j_cur = masked.argmin(axis=1)
+            delta = masked[pos, j_cur][:, None]
+            np.add(lu, delta, out=lu, where=in_tree)
+            np.subtract(lv, delta, out=lv, where=visited)
+            min_slack -= delta
+            done = lm[pos, j_cur] == size
+            if not done.any():
+                continue
+            # augment along the path back to the virtual column
+            walk = np.flatnonzero(done)
+            col = j_cur[walk]
+            while len(walk):
+                prev = origin[walk, col]
+                lm[walk, col] = lm[walk, prev]
+                more = prev != size
+                walk, col = walk[more], prev[more]
+            u[idx[done]], v[idx[done]], match[idx[done]] = lu[done], lv[done], lm[done]
+            left = ~done
+            if not left.any():
                 break
-        while j_cur != n:
-            j_prev = origin[j_cur]
-            match[j_cur] = match[j_prev]
-            j_cur = j_prev
-    row_to_col = [0] * n
-    for j in range(n):
-        row_to_col[match[j]] = j
-    return row_to_col, u[:n], v[:n]
-
-
-def _solve_max_score(rows: list[list[float]], size: int):
-    """Max-score assignment with -inf entries mapped to a forbidden cost.
-
-    Returns (mapping, tight, gate) or raises NoFeasibleAssignmentError
-    when the optimum would use a forbidden edge.  tight[i] maps, in
-    increasing column order, each finite column of row i whose reduced
-    cost under the solver's duals is at most gate to that reduced cost;
-    every optimal assignment uses only these edges.
-    """
-    finite = [abs(x) for row in rows for x in row if x > -math.inf]
-    if not finite:
-        raise NoFeasibleAssignmentError("all scores are -inf")
-    scale = max(finite)
-    # a feasible assignment costs at most size * scale, one with a
-    # forbidden edge at least forbidden - (size - 1) * scale
-    forbidden = 2.0 * size * scale + 2.0
-    cost = [[forbidden if x == -math.inf else -x for x in row] for row in rows]
-    mapping, u, v = _solve_min_cost(cost)
-    if any(rows[i][mapping[i]] == -math.inf for i in range(size)):
-        raise NoFeasibleAssignmentError(
-            "no permutation avoids zero-probability scores")
-    gate = _TIE_GATE_REL * max(1.0, scale)
-    tight = [{j: c - u[i] - v[j] for j, c in enumerate(cost[i])
-              if rows[i][j] > -math.inf and c - u[i] - v[j] <= gate}
-             for i in range(size)]
-    return mapping, tight, gate
+            idx, lu, lv, lm = idx[left], lu[left], lv[left], lm[left]
+            j_cur, min_slack, origin = j_cur[left], min_slack[left], origin[left]
+            visited, in_tree = visited[left], in_tree[left]
+    mapping = np.empty((trials, size), dtype=np.int64)
+    mapping[every[:, None], match[:, :size]] = np.arange(size)
+    return mapping, u, v
 
 
 def _tight_path(tight, mapping, owner, row, start, gate):
@@ -257,29 +271,22 @@ def _tight_path(tight, mapping, owner, row, start, gate):
     return None
 
 
-def ml_decode(matrix) -> np.ndarray:
-    """Permutation maximizing sum_i entry[i][mapping[i]].
+def _refine(matrix: np.ndarray, mapping: list[int], tight, gate: float) -> list[int]:
+    """The lexicographically smallest optimum reachable from mapping.
 
-    Among maximizers the lexicographically smallest mapping vector is
-    returned.  Raises NoFeasibleAssignmentError when every permutation
-    has score -inf.
+    Row i can take a smaller free column j exactly when an alternating
+    cycle of tight edges through the later rows closes from j back to
+    mapping[i] at no loss; the cheapest such cycle is confirmed by an
+    exact score comparison.  Moves run along tight edges only, so the
+    duals and the tight lists (tight[i] maps each tight column of row i,
+    in increasing order, to its reduced cost) stay valid.
     """
-    arr = _validate_matrix(matrix)
-    size = arr.shape[0]
-    rows = arr.tolist()
-    mapping, tight, gate = _solve_max_score(rows, size)
-    best_score = _mapping_score(rows, mapping)
-
-    # Lexicographic refinement: row i can take a smaller free column j
-    # exactly when an alternating cycle of tight edges through the later
-    # rows closes from j back to mapping[i] at no loss; the cheapest such
-    # cycle is confirmed by an exact score comparison.  Moves run along
-    # tight edges only, so the duals and the tight lists stay valid.
-    # Generic matrices have no tight alternatives and skip straight through.
-    owner = [0] * size
+    rows = np.arange(len(mapping))
+    best_score = math.fsum(matrix[rows, mapping].tolist())
+    owner = [0] * len(mapping)
     for i, j in enumerate(mapping):
         owner[j] = i
-    for i in range(size - 1):
+    for i in range(len(mapping) - 1):
         current = mapping[i]
         for j in tight[i]:
             if j >= current:
@@ -292,12 +299,65 @@ def ml_decode(matrix) -> np.ndarray:
             candidate = mapping.copy()
             for row, col in moves:
                 candidate[row] = col
-            if _mapping_score(rows, candidate) == best_score:
+            if math.fsum(matrix[rows, candidate].tolist()) == best_score:
                 mapping = candidate
                 for row, col in moves:
                     owner[col] = row
                 break
-    return np.asarray(mapping, dtype=np.int64)
+    return mapping
+
+
+def ml_decode(scores) -> np.ndarray:
+    """Permutation maximizing sum_i entry[i][mapping[i]], for each matrix.
+
+    scores is one (A, A) matrix, giving an (A,) mapping, or a (B, A, A)
+    stack, giving (B, A) mappings; each matrix is decoded on its own.
+    Among maximizers the lexicographically smallest mapping vector is
+    returned.  Raises NoFeasibleAssignmentError when every permutation
+    of some matrix has score -inf.
+    """
+    arr = _validate_scores(scores, stacked=True)
+    stack = arr if arr.ndim == 3 else arr[None]
+    trials, size = stack.shape[:2]
+    finite = stack > -np.inf
+    if not finite.any(axis=(1, 2)).all():
+        raise NoFeasibleAssignmentError("all scores are -inf")
+    # largest |finite score| of each matrix, with no (B, A, A) temporary
+    scale = np.maximum(stack.max(axis=(1, 2), where=finite, initial=0.0),
+                       -stack.min(axis=(1, 2), where=finite, initial=0.0))
+    del finite
+    # a feasible assignment costs at most size * scale, one with a
+    # forbidden edge at least forbidden - (size - 1) * scale
+    forbidden = 2.0 * size * scale + 2.0
+    mapping, u, v = _solve_lockstep(stack, forbidden)
+    trial_idx = np.arange(trials)[:, None]
+    if (stack[trial_idx, np.arange(size), mapping] == -np.inf).any():
+        raise NoFeasibleAssignmentError(
+            "no permutation avoids zero-probability scores")
+
+    # An edge is tight when its reduced cost under the solve's duals is
+    # within the gate; every optimal assignment uses only tight edges.  A
+    # trial needs the lexicographic refinement only if some row i has a
+    # tight column j < mapping[i] owned by a later row: without one, the
+    # refinement makes no move.
+    gate = _TIE_GATE_REL * np.maximum(1.0, scale)
+    cols = np.arange(size)
+    owner = np.empty_like(mapping)
+    owner[trial_idx, mapping] = cols
+    tight = np.empty(stack.shape, dtype=bool)
+    refine = np.zeros(trials, dtype=bool)
+    for i in range(size):
+        # a -inf score gives +inf and is never tight
+        tight[:, i] = ((-stack[:, i] - u[:, i, None]) - v) <= gate[:, None]
+        refine |= (tight[:, i] & (cols < mapping[:, i, None]) & (owner > i)).any(axis=1)
+    for t in np.flatnonzero(refine).tolist():
+        i, j = np.nonzero(tight[t])
+        reduced = ((-stack[t, i, j] - u[t, i]) - v[t, j]).tolist()
+        edges = [{} for _ in range(size)]
+        for row, col, slack in zip(i.tolist(), j.tolist(), reduced):
+            edges[row][col] = slack
+        mapping[t] = _refine(stack[t], mapping[t].tolist(), edges, float(gate[t]))
+    return mapping if arr.ndim == 3 else mapping[0]
 
 
 def exhaustive_decode(matrix) -> np.ndarray:
@@ -306,7 +366,7 @@ def exhaustive_decode(matrix) -> np.ndarray:
     Same contract as ml_decode, including the lexicographic tie rule.
     Guarded to matrices of size <= 10.
     """
-    arr = _validate_matrix(matrix)
+    arr = _validate_scores(matrix, stacked=False)
     size = arr.shape[0]
     if size > EXHAUSTIVE_MAX_SIZE:
         raise ValueError(

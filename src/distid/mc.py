@@ -12,15 +12,17 @@ Only the symbol counts are drawn (one multinomial per row): the decoder
 and every error statistic depend on the observations through the counts
 alone.
 
-Each block is screened before it is decoded: `certify_identity` proves,
-in batched numpy, which trials decode to the identity, and only the
-others (errors, ties and near-ties) go through the pure-Python O(A^3)
-`ml_decode`.  Where the error probability is small, as in the regime the
-bounds are tested in, most trials skip the solver; the estimates are the
-same as with `ml_decode` on every trial.  Blocks run on threads when
-workers > 1.  The screen and the solver hold the GIL for most of a
-block, so threads barely speed up `estimate_error_prob`; the swap-event
-blocks of `pairwise_error_exponent` are numpy throughout and gain more.
+Each block is scored and screened in sub-chunks: `certify_identity`
+proves, in batched numpy, which trials decode to the identity, and the
+others (errors, ties and near-ties) are decoded together by one
+`ml_decode` call on their score stack.  Where the error probability is
+small, as in the regime the bounds are tested in, most trials skip the
+solver; the estimates are the same as with `ml_decode` on every trial.
+Blocks run on threads when workers > 1.  The decode of a block is many
+small numpy steps plus a Python tie search, which hold the GIL for most
+of the block, so threads do not speed up `estimate_error_prob`; the
+swap-event blocks of `pairwise_error_exponent` are a few large numpy
+operations and gain more.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bounds import _cell, _ls_slope
-from .decoder import certify_identity, loglik_from_counts, ml_decode
+from .decoder import _SCORE_CHUNK_ENTRIES, certify_identity, loglik_from_counts, ml_decode
 from .distributions import DistributionFamily, FinitePmf, bhattacharyya, philox_stream
 
 __all__ = [
@@ -159,22 +161,24 @@ def _run_error_block(family: DistributionFamily, n: int, seed: int,
     counts = np.empty((block_size, size, family.alphabet_size), dtype=np.int64)
     for i, member in enumerate(family):
         counts[:, i, :] = rng.multinomial(n, member.probs, size=block_size)
-    scores = loglik_from_counts(counts, family)
-    errors = 0
-    hist: dict[int, int] = {}
-    single = 0
-    identity = np.arange(size)
-    # certified trials decode to the identity, so only the rest need solving
-    for t in np.flatnonzero(~certify_identity(scores)):
-        decoded = ml_decode(scores[t])
-        wrong = int((decoded != identity).sum())
-        if wrong == 0:
-            continue
-        errors += 1
-        hist[wrong] = hist.get(wrong, 0) + 1
-        if len(permutation_cycles(decoded)) == 1:
-            single += 1
-    return errors, hist, single
+    # score and screen in sub-chunks; certified trials decode to the
+    # identity, so only the rest are kept, and decoded in one call
+    undecided = np.empty((block_size, size, size))
+    kept = 0
+    chunk = max(1, _SCORE_CHUNK_ENTRIES // (size * size))
+    for lo in range(0, block_size, chunk):
+        scores = loglik_from_counts(counts[lo:lo + chunk], family)
+        rest = ~certify_identity(scores)
+        count = int(rest.sum())
+        np.compress(rest, scores, axis=0, out=undecided[kept:kept + count])
+        kept += count
+    del counts, scores   # the decode below needs neither
+    decoded = ml_decode(undecided[:kept])
+    wrong = (decoded != np.arange(size)).sum(axis=1)
+    errors = np.flatnonzero(wrong)
+    hist = {int(r): int(c) for r, c in zip(*np.unique(wrong[errors], return_counts=True))}
+    single = sum(len(permutation_cycles(decoded[t])) == 1 for t in errors)
+    return len(errors), hist, single
 
 
 def estimate_error_prob(family: DistributionFamily, n: int, trials: int,

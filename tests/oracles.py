@@ -1,50 +1,99 @@
 """Independent brute-force oracles used by the test suite.
 
-These deliberately avoid the library's summation and enumeration paths:
-probabilities come from exact binomial enumeration and cycle counts from
-first-principles combinatorics, so the oracles stay independent of the
-code they check.  The exact error probability shares only the decoder,
-which guarantees identical tie handling between simulation and oracle;
-the decoder itself is checked against an fsum brute-force enumeration in
-test_decoder.py that shares no code with it.
+These deliberately avoid the library's summation, enumeration and
+decoding paths: probabilities come from exact binomial enumeration, ML
+decisions of small binary families from 50-digit decimal scores with
+ties settled by exact reasoning, and cycle counts from first-principles
+combinatorics, so the oracles stay independent of the code they check.
+The decoder itself is also checked against an fsum brute-force
+enumeration in test_decoder.py that shares no code with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from decimal import Decimal, localcontext
 from math import comb
 
 import numpy as np
 
-from distid import DistributionFamily, ml_decode
-from distid.decoder import loglik_from_counts
+from distid import DistributionFamily
 
 
 def binomial_pmf(n: int, p: float) -> list[float]:
     return [comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
 
 
+def _row_score(n: int, k: int, probs) -> Decimal | None:
+    """(n - k) ln P(0) + k ln P(1) in decimal; None when a positive count
+    meets a zero-probability symbol."""
+    score = Decimal(0)
+    for count, p in zip((n - k, k), probs):
+        if count:
+            if p == 0.0:
+                return None
+            score += count * Decimal(p).ln()
+    return score
+
+
+def _ml_permutation(ks: tuple, table: list[list]):
+    """ML permutation of one count tuple, or None when every one scores -inf.
+
+    Rows with identical counts are interchangeable, so two permutations
+    that give each count the same multiset of members tie exactly, and
+    the lexicographically smaller one wins.  Any other two scores are
+    compared as decimals; an exact decimal tie between them is beyond
+    this oracle and fails loudly.
+    """
+    best = best_score = best_key = None
+    for perm in itertools.permutations(range(len(ks))):   # lexicographic order
+        terms = [table[k][j] for k, j in zip(ks, perm)]
+        if None in terms:
+            continue
+        score = sum(terms)
+        key = sorted(zip(ks, perm))
+        if best is None or (key != best_key and score > best_score):
+            best, best_score, best_key = perm, score, key
+        elif key != best_key:
+            assert score != best_score, f"tie the oracle cannot settle at counts {ks}"
+    return best
+
+
+def exact_decodes(family: DistributionFamily, n: int):
+    """Every count tuple of a small binary family, its probability and ML decode.
+
+    Row i holds the number of ones among n draws from member i, so the
+    tuple ks has probability prod_i Binomial(n, P_i(1))(ks[i]).  Yields
+    (ks, probability, permutation) for all (n + 1)^A tuples, in
+    lexicographic order of ks; the permutation is None when infeasible.
+    Decided in 50-digit decimal without the library's decoder.
+    """
+    assert family.alphabet_size == 2 and len(family) <= 4
+    with localcontext() as ctx:
+        ctx.prec = 50
+        # table[k][j]: row with k ones scored against member j
+        table = [[_row_score(n, k, member.probs.tolist()) for member in family]
+                 for k in range(n + 1)]
+        decodes = {ks: _ml_permutation(ks, table)
+                   for ks in itertools.product(range(n + 1), repeat=len(family))}
+    pmfs = [binomial_pmf(n, float(member.probs[1])) for member in family]
+    for ks, perm in decodes.items():
+        weight = 1.0
+        for pmf, k in zip(pmfs, ks):
+            weight *= pmf[k]
+        yield ks, weight, perm
+
+
 def exact_pair_error_prob(family: DistributionFamily, n: int) -> float:
     """Exact decoder error probability for a 2-member binary-alphabet family.
 
-    Sums over the joint space of per-row symbol counts with binomial
-    weights, decoding each count pair with the production decoder, so
-    ties break exactly as in simulation.
+    Sums the binomial weights of the count pairs whose ML decode is the
+    swap; a tie (equal counts) goes to the identity.
     """
-    assert len(family) == 2 and family.alphabet_size == 2
-    p1 = float(family[0].probs[1])
-    p2 = float(family[1].probs[1])
-    b1 = binomial_pmf(n, p1)
-    b2 = binomial_pmf(n, p2)
-    total = 0.0
-    identity = np.array([0, 1])
-    for k1 in range(n + 1):
-        for k2 in range(n + 1):
-            counts = np.array([[n - k1, k1], [n - k2, k2]], dtype=np.int64)
-            scores = loglik_from_counts(counts[None], family)[0]
-            if not np.array_equal(ml_decode(scores), identity):
-                total += b1[k1] * b2[k2]
-    return total
+    assert len(family) == 2
+    return sum(weight for _, weight, perm in exact_decodes(family, n)
+               if perm != (0, 1))
 
 
 def exact_swap_event_prob(p_one: float, q_one: float, n: int) -> float:

@@ -127,9 +127,8 @@ def test_criterion_5_decoder_oracle_equivalence():
     mismatches = 0
     for size in range(2, 8):
         rng = philox_stream(105, size)
-        for _ in range(1000):
-            scores = rng.normal(size=(size, size)) * 10.0
-            fast = ml_decode(scores)
+        stack = np.array([rng.normal(size=(size, size)) * 10.0 for _ in range(1000)])
+        for scores, fast in zip(stack, ml_decode(stack)):
             brute = exhaustive_decode(scores)
             rows = scores.tolist()
             fast_score = sum(rows[i][fast[i]] for i in range(size))

@@ -17,6 +17,8 @@ from distid import decoder
 from distid.decoder import certify_identity, loglik_from_counts
 from distid.distributions import philox_stream
 
+from oracles import exact_decodes
+
 INF = math.inf
 
 
@@ -111,32 +113,28 @@ class TestMlDecode:
 
     def test_never_uses_minus_inf_when_finite_exists(self):
         rng = philox_stream(31)
-        for _ in range(200):
-            size = int(rng.integers(2, 6))
-            scores = rng.normal(size=(size, size)) * 10.0
+        for size in range(2, 6):
+            scores = rng.normal(size=(50, size, size)) * 10.0
             # plant -inf on a random half of the entries, keep identity finite
-            mask = rng.random((size, size)) < 0.5
-            np.fill_diagonal(mask, False)
+            mask = rng.random(scores.shape) < 0.5
+            mask[:, np.arange(size), np.arange(size)] = False
             scores[mask] = -INF
             decoded = ml_decode(scores)
-            assert all(scores[i, decoded[i]] > -INF for i in range(size))
+            assert (np.take_along_axis(scores, decoded[:, :, None], axis=2) > -INF).all()
 
     def test_row_and_column_shift_invariance(self):
         rng = philox_stream(32)
-        for _ in range(50):
-            size = int(rng.integers(2, 6))
-            scores = rng.normal(size=(size, size))
-            base = ml_decode(scores)
-            shifted = (scores + rng.normal(size=(size, 1))
-                       + rng.normal(size=(1, size)))
-            assert np.array_equal(ml_decode(shifted), base)
+        for size in range(2, 6):
+            scores = rng.normal(size=(12, size, size))
+            shifted = (scores + rng.normal(size=(12, size, 1))
+                       + rng.normal(size=(12, 1, size)))
+            assert np.array_equal(ml_decode(shifted), ml_decode(scores))
 
     def test_output_is_permutation(self):
         rng = philox_stream(33)
-        for _ in range(100):
-            size = int(rng.integers(2, 9))
-            decoded = ml_decode(rng.normal(size=(size, size)))
-            assert sorted(decoded.tolist()) == list(range(size))
+        for size in range(2, 9):
+            decoded = ml_decode(rng.normal(size=(15, size, size)))
+            assert (np.sort(decoded, axis=1) == np.arange(size)).all()
 
 
 class TestExhaustiveDecode:
@@ -153,57 +151,50 @@ class TestExhaustiveDecode:
             exhaustive_decode([[-INF, -INF], [-INF, -INF]])
 
 
+def assert_matches_exhaustive(stack):
+    """ml_decode on the feasible matrices of a stack, as one stack, equals
+    exhaustive_decode on each; each infeasible matrix raises on its own."""
+    expected, feasible = [], []
+    for matrix in stack:
+        try:
+            expected.append(exhaustive_decode(matrix).tolist())
+            feasible.append(matrix)
+        except NoFeasibleAssignmentError:
+            with pytest.raises(NoFeasibleAssignmentError):
+                ml_decode(matrix)
+    assert ml_decode(np.array(feasible)).tolist() == expected
+
+
 class TestOracleEquivalence:
     @pytest.mark.parametrize("size", [2, 3, 4, 5])
     def test_random_matrices(self, size):
         rng = philox_stream(40, size)
-        for _ in range(150):
-            scores = rng.normal(size=(size, size)) * 5.0
-            assert np.array_equal(ml_decode(scores), exhaustive_decode(scores))
+        assert_matches_exhaustive(rng.normal(size=(150, size, size)) * 5.0)
 
     def test_random_5x5_matches_oracle(self):
         rng = philox_stream(41)
-        for _ in range(100):
-            scores = rng.normal(size=(5, 5))
-            assert np.array_equal(ml_decode(scores), exhaustive_decode(scores))
+        assert_matches_exhaustive(rng.normal(size=(100, 5, 5)))
 
     @pytest.mark.parametrize("size", [2, 3, 4, 5])
     def test_integer_matrices_with_ties(self, size):
         # small integer ranges force frequent exact score ties
         rng = philox_stream(42, size)
-        for _ in range(300):
-            scores = rng.integers(0, 3, size=(size, size)).astype(float)
-            assert np.array_equal(ml_decode(scores), exhaustive_decode(scores))
+        assert_matches_exhaustive(
+            rng.integers(0, 3, size=(300, size, size)).astype(float))
 
     @pytest.mark.parametrize("size", [3, 4, 5])
     def test_matrices_with_infeasible_entries(self, size):
         rng = philox_stream(43, size)
-        for _ in range(200):
-            scores = rng.normal(size=(size, size))
-            mask = rng.random((size, size)) < 0.3
-            scores[mask] = -INF
-            try:
-                expected = exhaustive_decode(scores)
-            except NoFeasibleAssignmentError:
-                with pytest.raises(NoFeasibleAssignmentError):
-                    ml_decode(scores)
-                continue
-            assert np.array_equal(ml_decode(scores), expected)
+        scores = rng.normal(size=(200, size, size))
+        scores[rng.random(scores.shape) < 0.3] = -INF
+        assert_matches_exhaustive(scores)
 
     def test_tied_integer_matrices_with_infeasible_entries(self):
         rng = philox_stream(44)
-        for _ in range(300):
-            size = int(rng.integers(2, 6))
-            scores = rng.integers(0, 2, size=(size, size)).astype(float)
-            mask = rng.random((size, size)) < 0.25
-            scores[mask] = -INF
-            try:
-                expected = exhaustive_decode(scores)
-            except NoFeasibleAssignmentError:
-                with pytest.raises(NoFeasibleAssignmentError):
-                    ml_decode(scores)
-                continue
-            assert np.array_equal(ml_decode(scores), expected)
+        for size in range(2, 6):
+            scores = rng.integers(0, 2, size=(75, size, size)).astype(float)
+            scores[rng.random(scores.shape) < 0.25] = -INF
+            assert_matches_exhaustive(scores)
 
 
 def tie_prone_family(kind, size):
@@ -248,8 +239,11 @@ class TestCountDerivedScores:
             for n in (1, 2, 3, 5):
                 _, scores = count_scores(family, n, 128 if size < 7 else 32,
                                          seed=70 + size)
-                for matrix in scores:
-                    assert decode(matrix).tolist() == brute_force_decode(matrix)
+                expected = [brute_force_decode(matrix) for matrix in scores]
+                if decode is ml_decode:
+                    assert decode(scores).tolist() == expected
+                else:
+                    assert [decode(matrix).tolist() for matrix in scores] == expected
 
     def test_one_assignment_solve_per_decode(self, monkeypatch):
         family = make_family({"kind": "binary-grid", "size": 32,
@@ -258,12 +252,133 @@ class TestCountDerivedScores:
         # every trial has rows with identical counts
         assert all(len(np.unique(c, axis=0)) < 32 for c in counts)
         solves = []
-        solve = decoder._solve_min_cost
-        monkeypatch.setattr(decoder, "_solve_min_cost",
-                            lambda cost: solves.append(1) or solve(cost))
-        for matrix in scores:
-            assert sorted(ml_decode(matrix).tolist()) == list(range(32))
-        assert len(solves) == len(scores)
+        solve = decoder._solve_lockstep
+        monkeypatch.setattr(decoder, "_solve_lockstep",
+                            lambda *args: solves.append(1) or solve(*args))
+        decoded = ml_decode(scores)
+        assert all(sorted(d) == list(range(32)) for d in decoded.tolist())
+        assert len(solves) == 1
+
+
+def one_matrix_solve(cost):
+    """Shortest-augmenting-path assignment on one finite cost matrix (lists).
+
+    The textbook loop that decoder._solve_lockstep runs in lockstep over a
+    stack; returns (row_to_col, u, v).
+    """
+    n = len(cost)
+    u, v, match = [0.0] * (n + 1), [0.0] * (n + 1), [n] * (n + 1)
+    for i in range(n):
+        match[n], j_cur = i, n
+        min_slack, origin, visited = [INF] * (n + 1), [n] * (n + 1), [False] * (n + 1)
+        while True:
+            visited[j_cur] = True
+            row, delta, j_next = match[j_cur], INF, -1
+            for j in range(n):
+                if not visited[j]:
+                    slack = cost[row][j] - u[row] - v[j]
+                    if slack < min_slack[j]:
+                        min_slack[j], origin[j] = slack, j_cur
+                    if min_slack[j] < delta:
+                        delta, j_next = min_slack[j], j
+            for j in range(n + 1):
+                if visited[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    min_slack[j] -= delta
+            j_cur = j_next
+            if match[j_cur] == n:
+                break
+        while j_cur != n:
+            match[j_cur] = match[origin[j_cur]]
+            j_cur = origin[j_cur]
+    row_to_col = [0] * n
+    for j in range(n):
+        row_to_col[match[j]] = j
+    return row_to_col, u[:n], v[:n]
+
+
+class TestStackContract:
+    def mixed_stack(self, size):
+        """Tied integer, -inf and generic matrices, interleaved."""
+        rng = philox_stream(45, size)
+        tied = rng.integers(0, 2, size=(20, size, size)).astype(float)
+        with_inf = rng.normal(size=(20, size, size))
+        with_inf[rng.random(with_inf.shape) < 0.2] = -INF
+        with_inf[:, np.arange(size), np.arange(size)] = 0.0   # keep each feasible
+        generic = rng.normal(size=(20, size, size))
+        return np.stack([tied, with_inf, generic], axis=1).reshape(-1, size, size)
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 9])
+    def test_stack_decodes_each_matrix_on_its_own(self, size):
+        stack = self.mixed_stack(size)
+        decoded = ml_decode(stack)
+        assert decoded.shape == (len(stack), size) and decoded.dtype == np.int64
+        for matrix, mapping in zip(stack, decoded):
+            assert np.array_equal(ml_decode(matrix), mapping)
+        # a matrix's mapping does not depend on its neighbours in the stack
+        assert np.array_equal(ml_decode(stack[::-1]), decoded[::-1])
+
+    @pytest.mark.parametrize("size", [2, 5, 12])
+    def test_lockstep_solve_matches_the_one_matrix_loop(self, size):
+        # same mapping and bit-identical duals: ties in slack, -inf entries
+        # at their forbidden cost, and trials leaving the lockstep at
+        # different steps must not change any trial's float operations
+        stack = self.mixed_stack(size)
+        _, scores = count_scores(tie_prone_family("binary-grid", size), 3, 60, seed=46)
+        stack = np.concatenate([stack, scores])
+        scale = np.abs(np.where(np.isinf(stack), 0.0, stack)).max(axis=(1, 2))
+        forbidden = 2.0 * size * scale + 2.0
+        mapping, u, v = decoder._solve_lockstep(stack, forbidden)
+        for b, matrix in enumerate(stack.tolist()):
+            cost = [[forbidden[b] if x == -INF else -x for x in row] for row in matrix]
+            expected = one_matrix_solve(cost)
+            assert mapping[b].tolist() == expected[0]
+            assert u[b].tobytes() == np.array(expected[1]).tobytes()
+            assert v[b].tobytes() == np.array(expected[2]).tobytes()
+
+    def test_shapes(self):
+        assert ml_decode(np.zeros((3, 3))).shape == (3,)
+        assert ml_decode(np.zeros((1, 3, 3))).shape == (1, 3)
+        assert ml_decode(np.zeros((0, 3, 3))).shape == (0, 3)
+        with pytest.raises(ValueError, match="square"):
+            ml_decode(np.zeros((2, 3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            ml_decode(np.zeros((1, 2, 3, 3)))
+        with pytest.raises(ValueError, match="square"):
+            exhaustive_decode(np.zeros((1, 3, 3)))
+
+    def test_one_infeasible_trial_raises(self):
+        stack = self.mixed_stack(4)
+        stack[7] = [[-INF, 0.0, -INF, -INF], [-INF, 0.0, -INF, -INF],
+                    [0.0, 1.0, 2.0, 3.0], [0.0, 1.0, 2.0, 3.0]]
+        with pytest.raises(NoFeasibleAssignmentError):
+            ml_decode(stack)
+        stack[7] = -INF
+        with pytest.raises(NoFeasibleAssignmentError):
+            ml_decode(stack)
+
+
+class TestExactTripleOracle:
+    @pytest.mark.parametrize("theta", [(0.1, 0.9), (0.0, 1.0)])
+    def test_binary_triples_match_the_exact_oracle(self, theta):
+        # every count triple, decided in 50-digit decimal by an oracle that
+        # shares no code with the decoder; at theta in [0, 1] most triples
+        # are infeasible (a zero-probability symbol on every permutation)
+        family = make_family({"kind": "binary-grid", "size": 3,
+                              "theta_min": theta[0], "theta_max": theta[1]})
+        for n in (1, 2, 3, 5, 8):
+            decodes = [(ks, perm) for ks, _, perm in exact_decodes(family, n)]
+            assert len(decodes) == (n + 1) ** 3
+            counts = np.array([[[n - k, k] for k in ks] for ks, _ in decodes])
+            scores = loglik_from_counts(counts, family)
+            feasible = [perm is not None for _, perm in decodes]
+            assert ml_decode(scores[feasible]).tolist() == [
+                list(perm) for _, perm in decodes if perm is not None]
+            for matrix in scores[np.logical_not(feasible)][:5]:
+                with pytest.raises(NoFeasibleAssignmentError):
+                    ml_decode(matrix)
 
 
 class TestCertifyIdentity:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ from distid import (
     pairwise_error_exponent,
     permutation_cycles,
 )
-from distid.decoder import loglik_from_counts, ml_decode
+from distid.decoder import exhaustive_decode, loglik_from_counts
 from distid.distributions import philox_stream
-from distid.mc import TRIALS_PER_BLOCK
+from distid.mc import TRIALS_PER_BLOCK, _run_error_block
 
 from oracles import exact_pair_error_prob, exact_swap_event_prob
 
@@ -55,11 +56,30 @@ class TestPermutationCycles:
                     assert len(permutation_cycles(list(perm))) == 1
 
 
-def unscreened_estimate(family, n, trials, seed):
-    """(errors, r_histogram, single-cycle errors) with ml_decode on every trial.
+def sorted_decode(counts):
+    """ML decodes of binary-grid count matrices, (B, A, 2) -> (B, A).
 
-    Draws the same (seed, block) counts as estimate_error_prob but runs
-    no identity screen.
+    Members are in increasing order of P(symbol 0), and the score
+    c0 log t + (n - c0) log(1 - t) is strictly supermodular in (c0, t),
+    so the ML assignment ranks rows by their symbol-0 count; rows with
+    equal counts are interchangeable and take increasing columns under
+    the lexicographic tie rule, which a stable sort gives.
+    """
+    order = np.argsort(counts[:, :, 0], axis=1, kind="stable")
+    mapping = np.empty_like(order)
+    np.put_along_axis(mapping, order, np.arange(counts.shape[1]), axis=1)
+    return mapping
+
+
+def unscreened_estimate(family, n, trials, seed):
+    """(errors, r_histogram, single-cycle errors), decoding every trial.
+
+    Draws the same (seed, block) counts as estimate_error_prob and decodes
+    every trial of a binary-grid family with sorted_decode, so neither the
+    identity screen, the sub-chunks nor ml_decode are involved.  On the
+    first trials of each block the result is checked against
+    exhaustive_decode; enumerating all A! mappings of every trial would
+    take minutes at A = 8.
     """
     size = len(family)
     errors, hist, single = 0, {}, 0
@@ -68,14 +88,16 @@ def unscreened_estimate(family, n, trials, seed):
         rng = philox_stream(seed, block)
         counts = np.stack([rng.multinomial(n, m.probs, size=block_size)
                            for m in family], axis=1)
-        scores = loglik_from_counts(counts, family)
-        for t in range(block_size):
-            decoded = ml_decode(scores[t])
-            wrong = int((decoded != np.arange(size)).sum())
+        decoded = sorted_decode(counts)
+        scores = loglik_from_counts(counts[:8], family)
+        for matrix, mapping in zip(scores, decoded):
+            assert np.array_equal(exhaustive_decode(matrix), mapping)
+        for mapping in decoded:
+            wrong = int((mapping != np.arange(size)).sum())
             if wrong:
                 errors += 1
                 hist[wrong] = hist.get(wrong, 0) + 1
-                single += len(permutation_cycles(decoded)) == 1
+                single += len(permutation_cycles(mapping)) == 1
     return errors, hist, single
 
 
@@ -138,6 +160,33 @@ class TestEstimateErrorProb:
             assert 0 < est.errors < trials
             assert (est.errors, est.r_histogram) == (errors, hist)
             assert est.single_cycle_fraction == single / errors
+
+    def test_tie_heavy_large_family_is_pinned(self):
+        # binary-grid A = 32 at n = 40: every trial is an error, with many
+        # identical count rows; a change to the assignment solve or the tie
+        # rule that moves any mapping shows here
+        fam = make_family({"kind": "binary-grid", "size": 32,
+                           "theta_min": 0.1, "theta_max": 0.9})
+        est = estimate_error_prob(fam, 40, 256, seed=0x5EED)
+        assert est.errors == 256 and est.single_cycle_fraction == 0.0
+        assert est.r_histogram == {16: 1, 17: 2, 18: 3, 19: 8, 20: 5, 21: 10,
+                                   22: 22, 23: 25, 24: 34, 25: 40, 26: 30,
+                                   27: 37, 28: 22, 29: 11, 30: 5, 32: 1}
+
+    def test_block_memory_is_bounded_by_the_sub_chunks(self):
+        # scoring and decoding one (1024, 32, 32) block: the undecided
+        # stack is 8 MiB; scoring the whole block at once would peak near
+        # 27 MiB
+        fam = make_family({"kind": "random-simplex", "size": 32, "alphabet": 8,
+                           "seed": 3})
+        tracemalloc.start()
+        try:
+            errors, _, _ = _run_error_block(fam, 20, 7, 0, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert errors > 512
+        assert peak < 16 * 2**20
 
     def test_matches_exact_enumeration(self):
         est = estimate_error_prob(PAIR, 12, 20_000, seed=8)
