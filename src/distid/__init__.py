@@ -14,7 +14,6 @@ from .bounds import (
     FamilySequenceSpec,
     GrowthRule,
     TrendReport,
-    count_ratio_within_power_bound,
     cycle_count_ratio,
     cycle_sum_bound,
     identifiability_trend,
@@ -25,17 +24,13 @@ from .bounds import (
 from .decoder import (
     NoFeasibleAssignmentError,
     exhaustive_decode,
-    log_likelihood_matrix,
     ml_decode,
 )
 from .distributions import (
     DistributionFamily,
     FinitePmf,
-    ObservationBatch,
     bhattacharyya,
-    kl_divergence,
     make_family,
-    sample_sequence,
     tilted_midpoint,
 )
 from .graphs import (
@@ -67,13 +62,11 @@ __all__ = [
     "GrowthRule",
     "McEstimate",
     "NoFeasibleAssignmentError",
-    "ObservationBatch",
     "TrendReport",
     "WeightedCompleteGraph",
     "bhattacharyya",
     "check_expansion_identities",
     "check_mean_gain_bound",
-    "count_ratio_within_power_bound",
     "cycle_count",
     "cycle_count_ratio",
     "cycle_gain",
@@ -84,15 +77,12 @@ __all__ = [
     "exhaustive_decode",
     "formula_cycle_count",
     "identifiability_trend",
-    "kl_divergence",
-    "log_likelihood_matrix",
     "lower_bound",
     "make_family",
     "ml_decode",
     "pairwise_error_exponent",
     "pairwise_sum",
     "permutation_cycles",
-    "sample_sequence",
     "tilted_midpoint",
     "upper_bound",
 ]

@@ -31,7 +31,6 @@ __all__ = [
     "lower_bound",
     "cycle_sum_bound",
     "cycle_count_ratio",
-    "count_ratio_within_power_bound",
     "BoundReport",
     "GrowthRule",
     "FamilySequenceSpec",
@@ -124,16 +123,6 @@ def cycle_count_ratio(k: int, r: int) -> float:
     count = graphs.formula_cycle_count(k, r)  # validates 2 <= r <= k
     n_edges = math.comb(k, 2)
     return float(count) / n_edges ** (r / 2.0)
-
-
-def count_ratio_within_power_bound(k: int, r: int) -> bool:
-    """Exact-arithmetic check that cycle_count_ratio(k, r) <= 4^r.
-
-    Squaring both sides keeps everything rational: count^2 <= 16^r * n^r.
-    """
-    count = graphs.formula_cycle_count(k, r)
-    n_edges = math.comb(k, 2)
-    return count * count <= 16**r * n_edges**r
 
 
 def _cell(value) -> str:

@@ -25,7 +25,7 @@ Keys
                    random-simplex: family.size, family.alphabet, family.seed
   bounds:          family.*, and n = INT or n_grid = [INT, ...]
   simulate:        family.*, n or n_grid, trials
-  lemma:           k, r (INT or "all"), trials (random graphs per (k, r))
+  lemma:           k (2..10), r (INT or "all"), trials (random graphs per (k, r))
   exponent:        family.* (exactly 2 members), n_grid, trials
   sweep:           family.* as the template (explicit templates are truncated
                    to the first A_n members; parametric ones are rebuilt per n;
@@ -64,6 +64,16 @@ _COMMON_KEYS = {"seed", "out", "format", "workers"}
 _FAMILY_KEYS = {"family.kind", "family.pmfs", "family.size", "family.theta_min",
                 "family.theta_max", "family.alphabet", "family.seed"}
 _GROWTH_KEYS = {"growth.kind", "growth.size", "growth.degree", "growth.rate"}
+
+# Types of the scalar family.* keys; make_family checks their values.
+_FAMILY_TYPES = {
+    "family.kind": (str, "a string"),
+    "family.size": (int, "an integer"),
+    "family.alphabet": (int, "an integer"),
+    "family.seed": (int, "an integer"),
+    "family.theta_min": ((int, float), "a number"),
+    "family.theta_max": ((int, float), "a number"),
+}
 
 _KEYS_BY_COMMAND = {
     "bounds": _COMMON_KEYS | _FAMILY_KEYS | {"n", "n_grid"},
@@ -111,6 +121,10 @@ def _expect(raw: dict, key: str, types, what: str):
     if not isinstance(value, types) or isinstance(value, bool):
         raise ConfigError(f"key {key!r} must be {what}, got {value!r}")
     return value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _int_list(raw: dict, key: str) -> tuple[int, ...]:
@@ -177,6 +191,16 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
 
     family_keys = {k: v for k, v in raw.items() if k.startswith("family.")}
     if family_keys:
+        for key, (types, what) in _FAMILY_TYPES.items():
+            if key in raw:
+                _expect(raw, key, types, what)
+        if "family.pmfs" in raw:
+            pmfs = raw["family.pmfs"]
+            if (not isinstance(pmfs, (list, tuple)) or not pmfs
+                    or not all(isinstance(row, (list, tuple)) and all(map(_is_number, row))
+                               for row in pmfs)):
+                raise ConfigError("key 'family.pmfs' must be a non-empty list of "
+                                  f"lists of numbers, got {pmfs!r}")
         cfg.family = {k.split(".", 1)[1]: v for k, v in family_keys.items()}
 
     if "n" in raw:
@@ -201,6 +225,9 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
         if "k" not in raw:
             raise ConfigError("lemma needs k")
         cfg.k = _expect(raw, "k", int, "an integer")
+        if not 2 <= cfg.k <= graphs.ENUMERATION_MAX_VERTICES:
+            raise ConfigError(f"k must be in 2..{graphs.ENUMERATION_MAX_VERTICES}, "
+                              f"got {cfg.k}")
         r = raw.get("r", "all")
         if r != "all" and (not isinstance(r, int) or isinstance(r, bool)):
             raise ConfigError(f"key 'r' must be an integer or 'all', got {r!r}")
@@ -224,6 +251,7 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
         growth_keys = {k: v for k, v in raw.items() if k.startswith("growth.")}
         if "growth.kind" not in growth_keys:
             raise ConfigError("sweep needs growth.kind")
+        _expect(raw, "growth.kind", str, "a string")
         cfg.growth = {k.split(".", 1)[1]: v for k, v in growth_keys.items()}
         if "pairs_budget" in raw:
             cfg.pairs_budget = _expect(raw, "pairs_budget", int, "an integer")
@@ -245,7 +273,7 @@ def _growth_rule(growth: dict) -> bounds_mod.GrowthRule:
     if param_key not in growth:
         raise ConfigError(f"{kind} growth needs growth.{param_key}")
     value = growth[param_key]
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_number(value):
         raise ConfigError(f"growth.{param_key} must be a number, got {value!r}")
     return bounds_mod.GrowthRule(kind=kind, param=float(value))
 

@@ -1,7 +1,9 @@
 """Maximum-likelihood permutation decoding as a max-weight assignment.
 
-Each observed row is scored against each candidate distribution; the
-decoder returns the permutation maximizing the total log-likelihood.
+Observations enter only through their per-row symbol counts:
+`loglik_from_counts` scores each row against each candidate
+distribution, and the decoder returns the permutation maximizing the
+total log-likelihood.
 A mapping's score is a correctly rounded sum (math.fsum), so it does not
 depend on row order and rows with identical scores tie exactly.
 `ml_decode` takes one (A, A) score matrix or a (B, A, A) stack and makes
@@ -13,6 +15,8 @@ cost under that solve's duals), in Python and only for the matrices
 that have a tight alternative.  `exhaustive_decode` enumerates all A!
 permutations and serves as the oracle.  Both resolve score ties by
 returning the lexicographically smallest mapping vector.
+`certify_identity` is a batched screen that proves which matrices of a
+stack decode to the identity, so Monte Carlo can skip their solve.
 """
 
 from __future__ import annotations
@@ -23,11 +27,10 @@ import math
 
 import numpy as np
 
-from .distributions import DistributionFamily, ObservationBatch
+from .distributions import DistributionFamily
 
 __all__ = [
     "NoFeasibleAssignmentError",
-    "log_likelihood_matrix",
     "ml_decode",
     "exhaustive_decode",
 ]
@@ -39,13 +42,18 @@ EXHAUSTIVE_MAX_SIZE = 10
 # confirms each move by an exact score comparison.
 _TIE_GATE_REL = 1e-9
 
-# The identity screen works on sub-chunks of about this many matrix entries,
-# so each float64 (chunk, A, A) working array stays near 256 KiB at any A.
-_SCREEN_CHUNK_ENTRIES = 2**15
-
-# Monte Carlo scores a block in sub-chunks of about this many matrix
-# entries, so scoring temporaries stay near 128 KiB each at any A.
+# Monte Carlo scores and screens a block in sub-chunks of about this many
+# matrix entries, so each float64 (chunk, A, A) temporary of scoring and of
+# certify_identity stays near 128 KiB at any A.
 _SCORE_CHUNK_ENTRIES = 2**14
+
+
+def _score_scale(stack: np.ndarray) -> np.ndarray:
+    """Largest |finite score| of each matrix of a stack (0 if none), with no
+    (B, A, A) temporary beyond the finite mask."""
+    finite = stack > -np.inf
+    return np.maximum(stack.max(axis=(1, 2), where=finite, initial=0.0),
+                      -stack.min(axis=(1, 2), where=finite, initial=0.0))
 
 
 def certify_identity(scores: np.ndarray) -> np.ndarray:
@@ -61,32 +69,30 @@ def certify_identity(scores: np.ndarray) -> np.ndarray:
     cycle gain is below -A * _TIE_GATE_REL * max(1, max|finite S|), a
     margin far above the rounding of either this screen or ml_decode.
     Errors, exact ties and near-ties are left uncertified.  The result is
-    a boolean array of length B.
+    a boolean array of length B.  The working arrays are as large as
+    scores, so callers bound memory by the stacks they pass: Monte Carlo
+    passes sub-chunks of _SCORE_CHUNK_ENTRIES entries.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    trials, size = scores.shape[0], scores.shape[1]
-    certified = np.zeros(trials, dtype=bool)
+    size = scores.shape[1]
     diag_idx = np.arange(size)
-    chunk = max(1, _SCREEN_CHUNK_ENTRIES // (size * size))
-    for lo in range(0, trials, chunk):
-        block = scores[lo:lo + chunk]
-        diag = block[:, diag_idx, diag_idx]
-        # a -inf diagonal, NaN or +inf is left to ml_decode
-        keep = np.flatnonzero(np.isfinite(diag).all(axis=1)
-                              & (block < np.inf).all(axis=(1, 2)))
-        scale = np.abs(block).max(axis=(1, 2), where=block > -np.inf, initial=0.0)
-        margin = size * _TIE_GATE_REL * np.maximum(1.0, scale[keep])
-        gain = block[keep] - diag[keep, :, None]
-        gain[:, diag_idx, diag_idx] = -np.inf
-        # every 2-cycle is a cycle: this cheap check drops most errors and
-        # ties before the O(A^3) pass
-        two = (gain + gain.transpose(0, 2, 1)).max(axis=(1, 2)) < -margin
-        keep, gain, margin = keep[two], gain[two], margin[two]
-        if not len(keep):
-            continue
-        for k in range(size):
-            np.maximum(gain, gain[:, :, k, None] + gain[:, None, k, :], out=gain)
-        certified[lo + keep] = gain[:, diag_idx, diag_idx].max(axis=1) < -margin
+    diag = scores[:, diag_idx, diag_idx]
+    # a -inf diagonal, NaN or +inf is left to ml_decode
+    keep = np.flatnonzero(np.isfinite(diag).all(axis=1)
+                          & (scores < np.inf).all(axis=(1, 2)))
+    margin = size * _TIE_GATE_REL * np.maximum(1.0, _score_scale(scores)[keep])
+    gain = scores[keep] - diag[keep, :, None]
+    gain[:, diag_idx, diag_idx] = -np.inf
+    # every 2-cycle is a cycle: this cheap check drops most errors and
+    # ties before the O(A^3) pass
+    two = (gain + gain.transpose(0, 2, 1)).max(axis=(1, 2)) < -margin
+    keep, gain, margin = keep[two], gain[two], margin[two]
+    certified = np.zeros(len(scores), dtype=bool)
+    if not len(keep):
+        return certified
+    for k in range(size):
+        np.maximum(gain, gain[:, :, k, None] + gain[:, None, k, :], out=gain)
+    certified[keep] = gain[:, diag_idx, diag_idx].max(axis=1) < -margin
     return certified
 
 
@@ -110,19 +116,6 @@ def loglik_from_counts(counts: np.ndarray, family: DistributionFamily) -> np.nda
     base = np.einsum("...im,jm->...ij", counts, logp)
     hits = np.einsum("...im,jm->...ij", counts, zero.astype(np.float64))
     return np.where(hits > 0, -np.inf, base)
-
-
-def log_likelihood_matrix(batch: ObservationBatch,
-                          family: DistributionFamily) -> np.ndarray:
-    """Score matrix entry[i][j] = log-likelihood of row i under member j."""
-    if batch.alphabet_size != family.alphabet_size:
-        raise ValueError(
-            f"batch alphabet size {batch.alphabet_size} != family "
-            f"alphabet size {family.alphabet_size}")
-    if batch.num_rows != len(family):
-        raise ValueError(
-            f"batch has {batch.num_rows} rows but family has {len(family)} members")
-    return loglik_from_counts(batch.symbol_counts()[None], family)[0]
 
 
 def _validate_scores(scores, stacked: bool) -> np.ndarray:
@@ -319,13 +312,9 @@ def ml_decode(scores) -> np.ndarray:
     arr = _validate_scores(scores, stacked=True)
     stack = arr if arr.ndim == 3 else arr[None]
     trials, size = stack.shape[:2]
-    finite = stack > -np.inf
-    if not finite.any(axis=(1, 2)).all():
+    if (stack.max(axis=(1, 2)) == -np.inf).any():
         raise NoFeasibleAssignmentError("all scores are -inf")
-    # largest |finite score| of each matrix, with no (B, A, A) temporary
-    scale = np.maximum(stack.max(axis=(1, 2), where=finite, initial=0.0),
-                       -stack.min(axis=(1, 2), where=finite, initial=0.0))
-    del finite
+    scale = _score_scale(stack)
     # a feasible assignment costs at most size * scale, one with a
     # forbidden edge at least forbidden - (size - 1) * scale
     forbidden = 2.0 * size * scale + 2.0

@@ -1,13 +1,13 @@
-"""Finite-alphabet distributions, Bhattacharyya geometry, and seeded sampling.
+"""Finite-alphabet distributions, Bhattacharyya geometry, and seeded streams.
 
 Symbols are dense integer indices 0..m-1; there is no named-alphabet
 mapping.  All values are immutable after construction and safe to share
-across threads; sampling is a pure function of (pmf, n, seed).
+across threads; every random draw comes from a counter-based stream
+that is a pure function of (seed, stream index).
 """
 
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -15,11 +15,8 @@ import numpy as np
 __all__ = [
     "FinitePmf",
     "DistributionFamily",
-    "ObservationBatch",
     "bhattacharyya",
     "tilted_midpoint",
-    "kl_divergence",
-    "sample_sequence",
     "make_family",
     "philox_stream",
 ]
@@ -173,50 +170,6 @@ class DistributionFamily:
         return f"DistributionFamily(size={len(self._members)}, m={self.alphabet_size})"
 
 
-class ObservationBatch:
-    """One length-n symbol sequence per family member, stacked row-wise."""
-
-    __slots__ = ("_sequences", "_alphabet_size")
-
-    def __init__(self, sequences, alphabet_size: int):
-        arr = np.asarray(sequences, dtype=np.int64)
-        if arr.ndim != 2:
-            raise ValueError("sequences must be a 2-D array (rows x symbols)")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError("batch must have at least one row and one symbol")
-        if alphabet_size < 2:
-            raise ValueError("alphabet size must be >= 2")
-        if arr.size and (arr.min() < 0 or arr.max() >= alphabet_size):
-            raise ValueError(
-                f"symbol indices must lie in [0, {alphabet_size}), "
-                f"got range [{arr.min()}, {arr.max()}]")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self._sequences = arr
-        self._alphabet_size = int(alphabet_size)
-
-    @property
-    def sequences(self) -> np.ndarray:
-        return self._sequences
-
-    @property
-    def alphabet_size(self) -> int:
-        return self._alphabet_size
-
-    @property
-    def num_rows(self) -> int:
-        return self._sequences.shape[0]
-
-    @property
-    def blocklength(self) -> int:
-        return self._sequences.shape[1]
-
-    def symbol_counts(self) -> np.ndarray:
-        """Per-row histogram of symbols, shape (rows, alphabet_size)."""
-        return np.stack([np.bincount(row, minlength=self._alphabet_size)
-                         for row in self._sequences])
-
-
 def _bhattacharyya_row(p: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """B(p, q) for every row q of probs.
 
@@ -275,41 +228,6 @@ def tilted_midpoint(p: FinitePmf, q: FinitePmf) -> FinitePmf:
     if total <= 0.0:
         raise ValueError("supports are disjoint; the geometric mean is degenerate")
     return FinitePmf(raw / total)
-
-
-def kl_divergence(p: FinitePmf, q: FinitePmf) -> float:
-    """Kullback-Leibler divergence with the 0 log 0 = 0 convention.
-
-    +inf when p puts mass where q does not.
-    """
-    if p.alphabet_size != q.alphabet_size:
-        raise ValueError(
-            f"alphabet sizes differ: {p.alphabet_size} vs {q.alphabet_size}")
-    total = 0.0
-    for a, b in zip(p.probs, q.probs):
-        if a > 0.0:
-            if b <= 0.0:
-                return math.inf
-            total += a * math.log(a / b)
-    return total
-
-
-def sample_sequence(p: FinitePmf, n: int, seed: int) -> np.ndarray:
-    """Draw n i.i.d. symbols from p, deterministically for a given seed.
-
-    Inverse-CDF over the cumulative vector; the uniforms come from a
-    counter-based stream so independent per-sequence seeds can be derived
-    from a master seed.
-    """
-    if n < 1:
-        raise ValueError(f"sequence length must be >= 1, got {n}")
-    rng = philox_stream(seed)
-    cum = np.cumsum(p.probs)
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="right")
-    # rounding in cum can leave cum[-1] slightly below 1
-    np.minimum(idx, p.alphabet_size - 1, out=idx)
-    return idx
 
 
 def _binary_grid(size: int, theta_min: float, theta_max: float) -> list[FinitePmf]:

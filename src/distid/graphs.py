@@ -262,29 +262,27 @@ def check_expansion_identities(k: int, r: int, seed: int = 0) -> ExpansionCheck:
     incidence = int(incidence_frac)
     half = r // 2
 
-    # enumerate the n^(r/2) ordered factor choices once
+    # one pass over the n^(r/2) ordered factor choices gives the edge
+    # degrees and the log-domain product of all elements at seeded random
+    # positive weights
+    rng = philox_stream(seed, 1)
+    logw = np.log(rng.uniform(0.5, 2.0, size=n))
     degree = np.zeros(n, dtype=np.int64)
     tuple_count = 0
+    log_prod = 0.0
     for choice in itertools.product(range(n), repeat=half):
         tuple_count += 1
         for e in choice:
             degree[e] += 2
+        log_prod += 2.0 * sum(logw[e] for e in choice)
     degree *= incidence
+    log_prod *= incidence
     total_elements = incidence * tuple_count
 
     expected_elements = incidence * n ** half
     expected_degree = incidence * r * n ** (half - 1)
     elements_ok = total_elements == expected_elements
     degrees_ok = bool(np.all(degree == expected_degree))
-
-    # log-domain spot check of the product of all elements
-    rng = philox_stream(seed, 1)
-    w = rng.uniform(0.5, 2.0, size=n)
-    logw = np.log(w)
-    log_prod = 0.0
-    for choice in itertools.product(range(n), repeat=half):
-        log_prod += 2.0 * sum(logw[e] for e in choice)
-    log_prod *= incidence
     expected_log = expected_degree * float(logw.sum())
     log_product_ok = math.isclose(log_prod, expected_log,
                                   rel_tol=1e-9, abs_tol=1e-9)

@@ -12,12 +12,15 @@ Only the symbol counts are drawn (one multinomial per row): the decoder
 and every error statistic depend on the observations through the counts
 alone.
 
-Each block is scored and screened in sub-chunks: `certify_identity`
-proves, in batched numpy, which trials decode to the identity, and the
-others (errors, ties and near-ties) are decoded together by one
-`ml_decode` call on their score stack.  Where the error probability is
-small, as in the regime the bounds are tested in, most trials skip the
-solver; the estimates are the same as with `ml_decode` on every trial.
+Each block is scored and screened in sub-chunks of about 2^14 score
+entries (`_SCORE_CHUNK_ENTRIES`, the one chunk size of the pipeline, so
+no scoring or screening temporary grows with the block):
+`certify_identity` proves, in batched numpy, which trials of a sub-chunk
+decode to the identity, and the others (errors, ties and near-ties) of
+the whole block are decoded together by one `ml_decode` call on their
+score stack.  Where the error probability is small, as in the regime the
+bounds are tested in, most trials skip the solver; the estimates are the
+same as with `ml_decode` on every trial.
 Blocks run on threads when workers > 1.  The decode of a block is many
 small numpy steps plus a Python tie search, which hold the GIL for most
 of the block, so threads do not speed up `estimate_error_prob`; the

@@ -11,7 +11,6 @@ from distid import (
     GrowthRule,
     TrendReport,
     bhattacharyya,
-    count_ratio_within_power_bound,
     cycle_count_ratio,
     cycle_sum_bound,
     identifiability_trend,
@@ -182,11 +181,6 @@ class TestCycleCountRatio:
             cycle_count_ratio(4, 1)
         with pytest.raises(ValueError):
             cycle_count_ratio(4, 5)
-
-    def test_within_power_bound_exact(self):
-        for k in range(2, 65):
-            for r in range(2, k + 1):
-                assert count_ratio_within_power_bound(k, r)
 
     def test_power_bound_oracle_recomputation(self):
         # independent exact-rational recomputation of the same inequality

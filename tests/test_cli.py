@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -5,6 +6,7 @@ import pytest
 
 from distid import BoundReport, ExponentFit, McEstimate, TrendReport, make_family
 from distid.cli import (
+    _KEYS_BY_COMMAND,
     DEFAULT_SEED,
     ConfigError,
     build_config,
@@ -12,6 +14,7 @@ from distid.cli import (
     parse_config,
     run,
 )
+from distid.distributions import philox_stream
 
 PAIR_CFG = """
 family.kind = "explicit"
@@ -276,3 +279,96 @@ class TestMain:
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(PAIR_CFG + "trails = 7\n")
         assert main(["bounds", "--config", str(cfg_path)]) == 2
+
+
+def config_text(entries: dict) -> str:
+    return "".join(f"{key} = {value!r}\n" for key, value in entries.items())
+
+
+BINARY_GRID = {"family.kind": "binary-grid", "family.size": 3,
+               "family.theta_min": 0.1, "family.theta_max": 0.9, "n": 5}
+RANDOM_SIMPLEX = {"family.kind": "random-simplex", "family.size": 3,
+                  "family.alphabet": 3, "family.seed": 1, "n": 5}
+EXPLICIT = {"family.kind": "explicit", "family.pmfs": [[0.5, 0.5], [0.9, 0.1]], "n": 5}
+SWEEP = {"family.kind": "explicit", "family.pmfs": [[0.5, 0.5], [0.9, 0.1]],
+         "growth.kind": "constant", "growth.size": 2, "n_grid": [10, 20]}
+
+# Small valid configs, one per subcommand, that the fuzzer mutates.
+VALID = {
+    "bounds": EXPLICIT,
+    "simulate": {**BINARY_GRID, "trials": 64},
+    "lemma": {"k": 4, "r": "all", "trials": 2},
+    "exponent": {"family.kind": "explicit", "family.pmfs": [[0.5, 0.5], [0.9, 0.1]],
+                 "n_grid": [2, 4, 6], "trials": 2000},
+    "sweep": {"family.kind": "random-simplex", "family.alphabet": 3, "family.seed": 7,
+              "growth.kind": "constant", "growth.size": 3, "n_grid": [5, 10, 20, 40]},
+}
+
+# Wrong types, None, floats for ints, empty lists and out-of-range values;
+# every integer is small, so no mutant asks for a large allocation.
+MUTANTS = [None, True, 1.5, 4.7, "4", "x", "json", "all", -1, 0, 1, 2, [], [1], [[]],
+           [5, 6], [0.5, 0.5], [[0.5, 0.5]], [[0.5, 0.5], None], [[1.0, 0.0], [0.0, 1.0]],
+           {"a": 1}]
+
+
+def run_main(tmp_path, capsys, command, entries, name):
+    cfg_path = tmp_path / f"{name}.cfg"
+    cfg_path.write_text(config_text(entries))
+    out = tmp_path / f"{name}.out"
+    code = main([command, "--config", str(cfg_path), "--out", str(out)])
+    return code, out, capsys.readouterr().err
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("command,entries", [
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": 5}, id="pmfs-int"),
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [5, 6]}, id="pmfs-flat"),
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], None]},
+                     id="pmfs-none-row"),
+        pytest.param("bounds", {**BINARY_GRID, "family.size": None}, id="size-none"),
+        pytest.param("bounds", {**BINARY_GRID, "family.theta_min": None},
+                     id="theta-none"),
+        pytest.param("bounds", {**RANDOM_SIMPLEX, "family.seed": None}, id="seed-none"),
+        pytest.param("sweep", {**SWEEP, "family.pmfs": 3}, id="sweep-pmfs-int"),
+        pytest.param("bounds", {**BINARY_GRID, "family.size": 4.7}, id="size-float"),
+        pytest.param("bounds", {**BINARY_GRID, "family.size": "4"}, id="size-str"),
+        pytest.param("bounds", {**RANDOM_SIMPLEX, "family.alphabet": 2.9},
+                     id="alphabet-float"),
+        pytest.param("bounds", {**RANDOM_SIMPLEX, "family.seed": 1.5}, id="seed-float"),
+        pytest.param("lemma", {"k": 1}, id="lemma-k1"),
+    ])
+    def test_malformed_family_and_lemma_keys_exit_2(self, tmp_path, capsys,
+                                                    command, entries):
+        code, out, err = run_main(tmp_path, capsys, command, entries, "bad")
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_seeded_config_fuzzer(self, tmp_path, capsys):
+        # valid configs and mutations of them, for every subcommand: each
+        # run ends with a documented exit code, and a successful run writes
+        # output that parses back
+        codes = {}
+        for case in range(400):
+            rng = philox_stream(0xF022, case)
+            command = sorted(VALID)[case % len(VALID)]
+            entries = dict(VALID[command])
+            keys = sorted(_KEYS_BY_COMMAND[command] - {"out"}) + ["bogus"]
+            for _ in range(int(rng.integers(0, 3))):
+                key = keys[int(rng.integers(len(keys)))]
+                if key in entries and rng.random() < 0.2:
+                    del entries[key]
+                else:
+                    entries[key] = MUTANTS[int(rng.integers(len(MUTANTS)))]
+            code, out, err = run_main(tmp_path, capsys, command, entries, str(case))
+            assert code in (0, 2, 3, 4), (command, entries)
+            assert "Traceback" not in err
+            codes[code] = codes.get(code, 0) + 1
+            if code != 0:
+                continue
+            if entries.get("format") == "json":
+                assert json.loads(out.read_text())["command"] == command
+            else:
+                rows = list(csv.reader(out.read_text().splitlines()))
+                assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows)
+        assert sorted(codes) == [0, 2, 3]   # every path ran

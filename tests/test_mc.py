@@ -174,19 +174,22 @@ class TestEstimateErrorProb:
                                    27: 37, 28: 22, 29: 11, 30: 5, 32: 1}
 
     def test_block_memory_is_bounded_by_the_sub_chunks(self):
-        # scoring and decoding one (1024, 32, 32) block: the undecided
-        # stack is 8 MiB; scoring the whole block at once would peak near
-        # 27 MiB
+        # scoring, screening and decoding one (1024, 32, 32) block: the
+        # undecided stack is 8 MiB; scoring and screening the whole block
+        # at once would peak near 35 MiB.  At n = 20 most trials are errors
+        # and reach the decoder; at n = 400 none is, and every trial runs
+        # the screen's O(A^3) pass
         fam = make_family({"kind": "random-simplex", "size": 32, "alphabet": 8,
                            "seed": 3})
-        tracemalloc.start()
-        try:
-            errors, _, _ = _run_error_block(fam, 20, 7, 0, 1024)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert errors > 512
-        assert peak < 16 * 2**20
+        for n in (20, 400):
+            tracemalloc.start()
+            try:
+                errors, _, _ = _run_error_block(fam, n, 7, 0, 1024)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert errors > 512 if n == 20 else errors == 0
+            assert peak < 16 * 2**20
 
     def test_matches_exact_enumeration(self):
         est = estimate_error_prob(PAIR, 12, 20_000, seed=8)
