@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -415,3 +416,21 @@ class TestCertifyIdentity:
         scores = -rng.random((300, 6, 6)) - 1.0
         scores[:, np.arange(6), np.arange(6)] = 0.0
         assert certify_identity(scores).all()
+
+    def test_peak_memory_is_bounded_by_the_sub_chunks(self):
+        # every trial passes the 2-cycle check, so the O(A^3) pass runs on
+        # every sub-chunk Monte Carlo passes; the working arrays follow the
+        # chunk, where a single (1024, 32, 32) temporary would take 8 MiB
+        rng = philox_stream(54)
+        scores = -rng.random((1024, 32, 32)) - 1.0
+        scores[:, np.arange(32), np.arange(32)] = 0.0
+        chunk = decoder._SCORE_CHUNK_ENTRIES // (32 * 32)
+        tracemalloc.start()
+        try:
+            certified = np.concatenate([certify_identity(scores[lo:lo + chunk])
+                                        for lo in range(0, 1024, chunk)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert certified.all()
+        assert peak < 2 * 2**20
