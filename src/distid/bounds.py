@@ -328,7 +328,7 @@ def identifiability_trend(spec: FamilySequenceSpec,
                           pairs_budget: int = DEFAULT_PAIRS_BUDGET) -> TrendReport:
     """Evaluate log S along the grid and classify the trend.
 
-    The slope is fit by least squares over the last ceil(|grid|/2)
+    The slope is fit by least squares over the last max(2, ceil(|grid|/2))
     points.  Slope below -1e-6 with strictly decreasing log S reads as
     an identifiable trend; slope above -1e-6 (increasing or flat, so
     bounded below) reads as not identifiable; a falling but non-monotone
@@ -350,7 +350,7 @@ def identifiability_trend(spec: FamilySequenceSpec,
         s, log_s = pairwise_sum(family, n)
         points.append(TrendPoint(n=n, family_size=size, s=s, log_s=log_s))
 
-    window = math.ceil(len(points) / 2)
+    window = max(2, math.ceil(len(points) / 2))
     tail = points[-window:]
 
     if all(p.s == 0.0 for p in tail):

@@ -13,7 +13,8 @@ Common flags (each overrides the config file): --config PATH, --seed U64,
 
 Config file format: one `key = value` pair per line; blank lines and lines
 starting with `#` are ignored.  Values are Python literals (numbers,
-strings, booleans, nested lists).  Unknown keys are hard errors.
+strings, booleans, nested lists).  Unknown keys are hard errors, and so
+are family.* keys that the chosen family.kind does not take.
 
 Keys
 ----
@@ -52,7 +53,7 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import graphs, mc
 from .bounds import _cell
-from .distributions import make_family, philox_stream
+from .distributions import _FAMILY_KIND_KEYS, make_family, philox_stream
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -61,8 +62,8 @@ DEFAULT_SEED = 0x5EED
 _COMMANDS = ("bounds", "simulate", "lemma", "exponent", "sweep")
 
 _COMMON_KEYS = {"seed", "out", "format", "workers"}
-_FAMILY_KEYS = {"family.kind", "family.pmfs", "family.size", "family.theta_min",
-                "family.theta_max", "family.alphabet", "family.seed"}
+_FAMILY_KEYS = {"family.kind"} | {f"family.{key}" for keys in _FAMILY_KIND_KEYS.values()
+                                   for key in keys}
 _GROWTH_KEYS = {"growth.kind", "growth.size", "growth.degree", "growth.rate"}
 
 # Types of the scalar family.* keys; make_family checks their values.
@@ -202,6 +203,14 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
                 raise ConfigError("key 'family.pmfs' must be a non-empty list of "
                                   f"lists of numbers, got {pmfs!r}")
         cfg.family = {k.split(".", 1)[1]: v for k, v in family_keys.items()}
+        kind = cfg.family.get("kind")
+        if kind not in _FAMILY_KIND_KEYS:
+            raise ConfigError(f"family.kind must be one of {sorted(_FAMILY_KIND_KEYS)}, "
+                              f"got {kind!r}")
+        extra = set(cfg.family) - _FAMILY_KIND_KEYS[kind] - {"kind"}
+        if extra:
+            raise ConfigError(f"unexpected family key(s) for {kind}: "
+                              f"{', '.join('family.' + k for k in sorted(extra))}")
 
     if "n" in raw:
         cfg.n = _expect(raw, "n", int, "an integer")

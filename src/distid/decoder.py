@@ -15,8 +15,6 @@ cost under that solve's duals), in Python and only for the matrices
 that have a tight alternative.  `exhaustive_decode` enumerates all A!
 permutations and serves as the oracle.  Both resolve score ties by
 returning the lexicographically smallest mapping vector.
-`certify_identity` is a batched screen that proves which matrices of a
-stack decode to the identity, so Monte Carlo can skip their solve.
 """
 
 from __future__ import annotations
@@ -41,59 +39,6 @@ EXHAUSTIVE_MAX_SIZE = 10
 # refinement moves rows only along the cheapest cycle of tight edges and
 # confirms each move by an exact score comparison.
 _TIE_GATE_REL = 1e-9
-
-# Monte Carlo scores and screens a block in sub-chunks of about this many
-# matrix entries, so each float64 (chunk, A, A) temporary of scoring and of
-# certify_identity stays near 128 KiB at any A.
-_SCORE_CHUNK_ENTRIES = 2**14
-
-
-def _score_scale(stack: np.ndarray) -> np.ndarray:
-    """Largest |finite score| of each matrix of a stack (0 if none), with no
-    (B, A, A) temporary beyond the finite mask."""
-    finite = stack > -np.inf
-    return np.maximum(stack.max(axis=(1, 2), where=finite, initial=0.0),
-                      -stack.min(axis=(1, 2), where=finite, initial=0.0))
-
-
-def certify_identity(scores: np.ndarray) -> np.ndarray:
-    """Trials of a (B, A, A) score block whose ML decode is surely the identity.
-
-    The identity is the lexicographically smallest permutation, so it is
-    the decoder's answer exactly when no other permutation scores at
-    least as high; equivalently, when every cycle of the gain graph with
-    arc weights S[i,j] - S[i,i] has negative total gain (the optimality
-    condition behind cycle-cancelling for the assignment LP).  A batched
-    max-plus Floyd-Warshall finds the best cycle gain through each node.
-    A trial is certified only when its diagonal is finite and its best
-    cycle gain is below -A * _TIE_GATE_REL * max(1, max|finite S|), a
-    margin far above the rounding of either this screen or ml_decode.
-    Errors, exact ties and near-ties are left uncertified.  The result is
-    a boolean array of length B.  The working arrays are as large as
-    scores, so callers bound memory by the stacks they pass: Monte Carlo
-    passes sub-chunks of _SCORE_CHUNK_ENTRIES entries.
-    """
-    scores = np.asarray(scores, dtype=np.float64)
-    size = scores.shape[1]
-    diag_idx = np.arange(size)
-    diag = scores[:, diag_idx, diag_idx]
-    # a -inf diagonal, NaN or +inf is left to ml_decode
-    keep = np.flatnonzero(np.isfinite(diag).all(axis=1)
-                          & (scores < np.inf).all(axis=(1, 2)))
-    margin = size * _TIE_GATE_REL * np.maximum(1.0, _score_scale(scores)[keep])
-    gain = scores[keep] - diag[keep, :, None]
-    gain[:, diag_idx, diag_idx] = -np.inf
-    # every 2-cycle is a cycle: this cheap check drops most errors and
-    # ties before the O(A^3) pass
-    two = (gain + gain.transpose(0, 2, 1)).max(axis=(1, 2)) < -margin
-    keep, gain, margin = keep[two], gain[two], margin[two]
-    certified = np.zeros(len(scores), dtype=bool)
-    if not len(keep):
-        return certified
-    for k in range(size):
-        np.maximum(gain, gain[:, :, k, None] + gain[:, None, k, :], out=gain)
-    certified[keep] = gain[:, diag_idx, diag_idx].max(axis=1) < -margin
-    return certified
 
 
 class NoFeasibleAssignmentError(ValueError):
@@ -312,9 +257,14 @@ def ml_decode(scores) -> np.ndarray:
     arr = _validate_scores(scores, stacked=True)
     stack = arr if arr.ndim == 3 else arr[None]
     trials, size = stack.shape[:2]
-    if (stack.max(axis=(1, 2)) == -np.inf).any():
+    finite = stack > -np.inf
+    if not finite.any(axis=(1, 2)).all():
         raise NoFeasibleAssignmentError("all scores are -inf")
-    scale = _score_scale(stack)
+    # largest |finite score| of each matrix, with no (B, A, A) temporary
+    # beyond the finite mask
+    scale = np.maximum(stack.max(axis=(1, 2), where=finite, initial=0.0),
+                       -stack.min(axis=(1, 2), where=finite, initial=0.0))
+    del finite
     # a feasible assignment costs at most size * scale, one with a
     # forbidden edge at least forbidden - (size - 1) * scale
     forbidden = 2.0 * size * scale + 2.0

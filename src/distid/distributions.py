@@ -29,6 +29,13 @@ DISTINCT_TOL = 1e-9
 
 _U64_MAX = 2**64 - 1
 
+# The keys each kind of family spec takes besides "kind"; all are required.
+_FAMILY_KIND_KEYS = {
+    "explicit": {"pmfs"},
+    "binary-grid": {"size", "theta_min", "theta_max"},
+    "random-simplex": {"size", "alphabet", "seed"},
+}
+
 
 def _check_seed(seed: int) -> int:
     if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
@@ -258,7 +265,7 @@ def make_family(spec) -> DistributionFamily:
 
     Accepted forms:
       - a sequence of pmf row vectors (explicit members), or
-      - a mapping with a "kind" key:
+      - a mapping with a "kind" key and exactly that kind's keys:
           kind="explicit":       pmfs=<list of rows>
           kind="binary-grid":    size, theta_min, theta_max
           kind="random-simplex": size, alphabet, seed
@@ -269,29 +276,22 @@ def make_family(spec) -> DistributionFamily:
     if isinstance(spec, DistributionFamily):
         return spec
     if isinstance(spec, dict):
-        unknown = set(spec) - {"kind", "pmfs", "size", "theta_min", "theta_max",
-                               "alphabet", "seed"}
-        if unknown:
-            raise ValueError(f"unknown family spec keys: {sorted(unknown)}")
         kind = spec.get("kind")
+        if not isinstance(kind, str) or kind not in _FAMILY_KIND_KEYS:
+            raise ValueError(f"unknown family spec kind: {kind!r}")
+        keys = _FAMILY_KIND_KEYS[kind]
+        extra, missing = set(spec) - keys - {"kind"}, keys - set(spec)
+        if extra:
+            raise ValueError(f"unknown keys for a {kind} family spec: {sorted(extra)}")
+        if missing:
+            raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
         if kind == "explicit":
-            if "pmfs" not in spec:
-                raise ValueError("explicit family spec needs a 'pmfs' list")
             return DistributionFamily([FinitePmf(row) for row in spec["pmfs"]])
         if kind == "binary-grid":
-            try:
-                size = spec["size"]
-                lo, hi = spec["theta_min"], spec["theta_max"]
-            except KeyError as exc:
-                raise ValueError(f"binary-grid spec missing key: {exc}") from None
-            return DistributionFamily(_binary_grid(int(size), float(lo), float(hi)))
-        if kind == "random-simplex":
-            try:
-                size, m, seed = spec["size"], spec["alphabet"], spec["seed"]
-            except KeyError as exc:
-                raise ValueError(f"random-simplex spec missing key: {exc}") from None
-            return DistributionFamily(_random_simplex(int(size), int(m), int(seed)))
-        raise ValueError(f"unknown family spec kind: {kind!r}")
+            return DistributionFamily(_binary_grid(
+                int(spec["size"]), float(spec["theta_min"]), float(spec["theta_max"])))
+        return DistributionFamily(_random_simplex(
+            int(spec["size"]), int(spec["alphabet"]), int(spec["seed"])))
     if isinstance(spec, Sequence):
         return DistributionFamily([
             row if isinstance(row, FinitePmf) else FinitePmf(row) for row in spec])

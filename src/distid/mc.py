@@ -12,15 +12,10 @@ Only the symbol counts are drawn (one multinomial per row): the decoder
 and every error statistic depend on the observations through the counts
 alone.
 
-Each block is scored and screened in sub-chunks of about 2^14 score
-entries (`_SCORE_CHUNK_ENTRIES`, the one chunk size of the pipeline, so
-no scoring or screening temporary grows with the block):
-`certify_identity` proves, in batched numpy, which trials of a sub-chunk
-decode to the identity, and the others (errors, ties and near-ties) of
-the whole block are decoded together by one `ml_decode` call on their
-score stack.  Where the error probability is small, as in the regime the
-bounds are tested in, most trials skip the solver; the estimates are the
-same as with `ml_decode` on every trial.
+Each block is scored in sub-chunks of about 2^14 score entries
+(`_SCORE_CHUNK_ENTRIES`), so no scoring temporary grows with the block,
+and the whole block is then decoded by one `ml_decode` call on its
+(block, A, A) score stack.
 Blocks run on threads when workers > 1.  The decode of a block is many
 small numpy steps plus a Python tie search, which hold the GIL for most
 of the block, so threads do not speed up `estimate_error_prob`; the
@@ -39,7 +34,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .bounds import _cell, _ls_slope
-from .decoder import _SCORE_CHUNK_ENTRIES, certify_identity, loglik_from_counts, ml_decode
+from .decoder import loglik_from_counts, ml_decode
 from .distributions import DistributionFamily, FinitePmf, bhattacharyya, philox_stream
 
 __all__ = [
@@ -51,6 +46,10 @@ __all__ = [
 ]
 
 TRIALS_PER_BLOCK = 4096
+
+# A block is scored in sub-chunks of about this many matrix entries, so each
+# float64 (chunk, A, A) scoring temporary stays near 128 KiB at any A.
+_SCORE_CHUNK_ENTRIES = 2**14
 
 # Most blocks a thread pool has pending at once.
 _TASK_WINDOW = 256
@@ -164,19 +163,12 @@ def _run_error_block(family: DistributionFamily, n: int, seed: int,
     counts = np.empty((block_size, size, family.alphabet_size), dtype=np.int64)
     for i, member in enumerate(family):
         counts[:, i, :] = rng.multinomial(n, member.probs, size=block_size)
-    # score and screen in sub-chunks; certified trials decode to the
-    # identity, so only the rest are kept, and decoded in one call
-    undecided = np.empty((block_size, size, size))
-    kept = 0
+    scores = np.empty((block_size, size, size))
     chunk = max(1, _SCORE_CHUNK_ENTRIES // (size * size))
     for lo in range(0, block_size, chunk):
-        scores = loglik_from_counts(counts[lo:lo + chunk], family)
-        rest = ~certify_identity(scores)
-        count = int(rest.sum())
-        np.compress(rest, scores, axis=0, out=undecided[kept:kept + count])
-        kept += count
-    del counts, scores   # the decode below needs neither
-    decoded = ml_decode(undecided[:kept])
+        scores[lo:lo + chunk] = loglik_from_counts(counts[lo:lo + chunk], family)
+    del counts   # the decode below does not need it
+    decoded = ml_decode(scores)
     wrong = (decoded != np.arange(size)).sum(axis=1)
     errors = np.flatnonzero(wrong)
     hist = {int(r): int(c) for r, c in zip(*np.unique(wrong[errors], return_counts=True))}

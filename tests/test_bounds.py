@@ -267,16 +267,17 @@ class TestFamilySequenceSpec:
 
 class TestIdentifiabilityTrend:
     def test_constant_family_is_identifiable(self):
-        spec = FamilySequenceSpec(
-            GrowthRule("constant", 2),
-            {"kind": "binary-grid", "theta_min": 0.2, "theta_max": 0.8},
-            tuple(range(10, 101, 10)))
-        report = identifiability_trend(spec)
-        assert report.verdict == "identifiable-trend"
         b = bhattacharyya(*make_family({"kind": "binary-grid", "size": 2,
                                         "theta_min": 0.2,
                                         "theta_max": 0.8}).members)
-        assert report.slope == pytest.approx(-2.0 * b, rel=1e-9)
+        # a 2-point grid still fits over both points
+        for grid in (tuple(range(10, 101, 10)), (10, 20)):
+            spec = FamilySequenceSpec(
+                GrowthRule("constant", 2),
+                {"kind": "binary-grid", "theta_min": 0.2, "theta_max": 0.8}, grid)
+            report = identifiability_trend(spec)
+            assert report.verdict == "identifiable-trend"
+            assert report.slope == pytest.approx(-2.0 * b, rel=1e-9)
 
     def test_fast_exponential_growth_is_not_identifiable(self):
         pmfs = [(0.05 + 0.015 * i, 0.95 - 0.015 * i) for i in range(60)]

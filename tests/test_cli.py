@@ -336,6 +336,8 @@ class TestConfigValidation:
                      id="alphabet-float"),
         pytest.param("bounds", {**RANDOM_SIMPLEX, "family.seed": 1.5}, id="seed-float"),
         pytest.param("lemma", {"k": 1}, id="lemma-k1"),
+        pytest.param("bounds", {**EXPLICIT, "family.size": 7, "family.theta_min": 0.3},
+                     id="keys-of-another-kind"),
     ])
     def test_malformed_family_and_lemma_keys_exit_2(self, tmp_path, capsys,
                                                     command, entries):

@@ -293,6 +293,10 @@ class TestMakeFamily:
         with pytest.raises(ValueError, match="unknown"):
             make_family({"kind": "binary-grid", "size": 3, "theta_min": 0.1,
                          "theta_max": 0.9, "spacing": 0.1})
+        # keys of another kind are unknown too
+        with pytest.raises(ValueError, match="unknown"):
+            make_family({"kind": "explicit", "pmfs": [[0.5, 0.5], [0.9, 0.1]],
+                         "size": 7, "theta_min": 0.3})
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="at least 2"):

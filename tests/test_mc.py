@@ -76,7 +76,7 @@ def unscreened_estimate(family, n, trials, seed):
 
     Draws the same (seed, block) counts as estimate_error_prob and decodes
     every trial of a binary-grid family with sorted_decode, so neither the
-    identity screen, the sub-chunks nor ml_decode are involved.  On the
+    scoring sub-chunks nor ml_decode are involved.  On the
     first trials of each block the result is checked against
     exhaustive_decode; enumerating all A! mappings of every trial would
     take minutes at A = 8.
@@ -174,11 +174,11 @@ class TestEstimateErrorProb:
                                    27: 37, 28: 22, 29: 11, 30: 5, 32: 1}
 
     def test_block_memory_is_bounded_by_the_sub_chunks(self):
-        # scoring, screening and decoding one (1024, 32, 32) block: the
-        # undecided stack is 8 MiB; scoring and screening the whole block
-        # at once would peak near 35 MiB.  At n = 20 most trials are errors
-        # and reach the decoder; at n = 400 none is, and every trial runs
-        # the screen's O(A^3) pass
+        # scoring and decoding one (1024, 32, 32) block: the score stack is
+        # 8 MiB; scoring the whole block at once would peak near 35 MiB.
+        # At n = 20 most trials are errors and the tie search runs on many
+        # of them; at n = 400 none is, and every trial decodes to the
+        # identity
         fam = make_family({"kind": "random-simplex", "size": 32, "alphabet": 8,
                            "seed": 3})
         for n in (20, 400):
