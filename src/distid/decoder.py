@@ -9,12 +9,17 @@ depend on row order and rows with identical scores tie exactly.
 `ml_decode` takes one (A, A) score matrix or a (B, A, A) stack and makes
 one assignment solve per call: Jonker-Volgenant shortest augmenting
 paths on negated scores, run in numpy in lockstep over the stack, with
-the per-matrix float operations of the one-matrix algorithm.  It then
-settles ties by a cheapest-cycle search over tight edges (zero reduced
-cost under that solve's duals), in Python and only for the matrices
-that have a tight alternative.  `exhaustive_decode` enumerates all A!
-permutations and serves as the oracle.  Both resolve score ties by
-returning the lexicographically smallest mapping vector.
+the per-matrix float operations of the one-matrix algorithm.  Ties are
+then settled among the edges that are tight (zero reduced cost under
+that solve's duals), only for the matrices where some row has a tight
+smaller column held by a later row.  In numpy, rows with identical
+scores (a class) take their class's columns in increasing order, and a
+boolean closure looks for cycles of tight edges between classes.  Only
+a matrix with such a cycle goes on to the Python cheapest-cycle search,
+which confirms every move by an exact score comparison.
+`exhaustive_decode` enumerates all A! permutations and serves as the
+oracle.  Both resolve score ties by returning the lexicographically
+smallest mapping vector.
 """
 
 from __future__ import annotations
@@ -40,6 +45,10 @@ EXHAUSTIVE_MAX_SIZE = 10
 # confirms each move by an exact score comparison.
 _TIE_GATE_REL = 1e-9
 
+# Trials with a tight lexicographic alternative are settled in sub-chunks of
+# about this many score entries, so no tie temporary grows with the stack.
+_TIE_CHUNK_ENTRIES = 2**16
+
 
 class NoFeasibleAssignmentError(ValueError):
     """Every permutation hits a zero-probability (-inf) score."""
@@ -59,6 +68,8 @@ def loglik_from_counts(counts: np.ndarray, family: DistributionFamily) -> np.nda
     with np.errstate(divide="ignore"):
         logp = np.where(zero, 0.0, np.log(np.where(zero, 1.0, probs)))
     base = np.einsum("...im,jm->...ij", counts, logp)
+    if not zero.any():
+        return base
     hits = np.einsum("...im,jm->...ij", counts, zero.astype(np.float64))
     return np.where(hits > 0, -np.inf, base)
 
@@ -245,6 +256,55 @@ def _refine(matrix: np.ndarray, mapping: list[int], tight, gate: float) -> list[
     return mapping
 
 
+def _settle_classes(scores: np.ndarray, mapping: np.ndarray, tight: np.ndarray):
+    """Identical-row ties of a (B, A, A) stack, settled in numpy.
+
+    Rows with exactly equal scores form a class.  Any assignment of a
+    class's columns to its rows has the same fsum score, and the
+    lexicographically smallest gives them in increasing order: the
+    canonical mapping.  Any other optimum differs from it by alternating
+    cycles of tight edges.  Rows of one class share their duals and so
+    their tight columns, so a cycle that leaves a class shortens to a
+    cycle of the digraph over columns with c -> c' when the row on c is
+    tight on c' and the row on c' is in another class.  A trial whose
+    digraph has no cycle is thus settled by the canonical mapping.
+    Returns the canonical mappings and, per trial, whether its digraph
+    has a cycle.
+    """
+    trials, size = mapping.shape
+    rows = np.arange(size)
+    every = np.arange(trials)[:, None]
+    # each row's class is its first equal row: the candidates are the
+    # rows at or before it with the same two key columns, and a candidate
+    # that differs elsewhere is dropped (the row itself always matches)
+    candidate = rows[:, None] <= rows
+    for c in {size // 3, 2 * size // 3}:
+        key = scores[:, :, c]
+        candidate = candidate & (key[:, :, None] == key[:, None, :])
+    first = candidate.argmax(axis=1)
+    b, k = np.nonzero(first != rows)
+    while len(b):
+        i = first[b, k]
+        differ = (scores[b, i] != scores[b, k]).any(axis=1)
+        b, i, k = b[differ], i[differ], k[differ]
+        candidate[b, i, k] = False
+        first[b, k] = candidate[b, :, k].argmax(axis=1)
+    # canonical form: the classes' rows, and their columns, in class order
+    owner = np.empty_like(mapping)
+    owner[every, mapping] = rows
+    label = np.take_along_axis(first, owner, axis=1)   # class of each column
+    canonical = np.empty_like(mapping)
+    canonical[every, np.argsort(first * size + rows, axis=1)] = np.argsort(
+        label * size + rows, axis=1)
+    owner[every, canonical] = rows
+    reach = (tight[every, owner] & (label[:, :, None] != label[:, None, :])).astype(np.float32)
+    # s squarings give the paths of 1..2^s arcs, and 2^(s+1) >= A: a cycle
+    # (at most A arcs) splits at some c' into two such paths, c to c' and back
+    for _ in range((size - 1).bit_length() - 1):
+        reach = np.minimum(reach + reach @ reach, 1.0)
+    return canonical, (reach * reach.transpose(0, 2, 1)).any(axis=(1, 2))
+
+
 def ml_decode(scores) -> np.ndarray:
     """Permutation maximizing sum_i entry[i][mapping[i]], for each matrix.
 
@@ -277,8 +337,10 @@ def ml_decode(scores) -> np.ndarray:
     # An edge is tight when its reduced cost under the solve's duals is
     # within the gate; every optimal assignment uses only tight edges.  A
     # trial needs the lexicographic refinement only if some row i has a
-    # tight column j < mapping[i] owned by a later row: without one, the
-    # refinement makes no move.
+    # tight column j < mapping[i] owned by a later row: without one, no
+    # tied mapping is smaller.  The flagged trials take their canonical
+    # class order, and those with a tight cycle between classes go on to
+    # the exact refinement.
     gate = _TIE_GATE_REL * np.maximum(1.0, scale)
     cols = np.arange(size)
     owner = np.empty_like(mapping)
@@ -289,7 +351,14 @@ def ml_decode(scores) -> np.ndarray:
         # a -inf score gives +inf and is never tight
         tight[:, i] = ((-stack[:, i] - u[:, i, None]) - v) <= gate[:, None]
         refine |= (tight[:, i] & (cols < mapping[:, i, None]) & (owner > i)).any(axis=1)
-    for t in np.flatnonzero(refine).tolist():
+    flagged = np.flatnonzero(refine)
+    chunk = max(1, _TIE_CHUNK_ENTRIES // (size * size))
+    cyclic = []
+    for lo in range(0, len(flagged), chunk):
+        idx = flagged[lo:lo + chunk]
+        mapping[idx], has_cycle = _settle_classes(stack[idx], mapping[idx], tight[idx])
+        cyclic += idx[has_cycle].tolist()
+    for t in cyclic:
         i, j = np.nonzero(tight[t])
         reduced = ((-stack[t, i, j] - u[t, i]) - v[t, j]).tolist()
         edges = [{} for _ in range(size)]

@@ -8,6 +8,7 @@ that is a pure function of (seed, stream index).
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -260,6 +261,14 @@ def _random_simplex(size: int, alphabet_size: int, seed: int) -> list[FinitePmf]
     return [FinitePmf(row) for row in w]
 
 
+def _spec_int(spec: dict, key: str) -> int:
+    # int() would truncate 4.7 to 4 without a word
+    value = spec[key]
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"family spec key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def make_family(spec) -> DistributionFamily:
     """Build a DistributionFamily from a spec.
 
@@ -289,9 +298,10 @@ def make_family(spec) -> DistributionFamily:
             return DistributionFamily([FinitePmf(row) for row in spec["pmfs"]])
         if kind == "binary-grid":
             return DistributionFamily(_binary_grid(
-                int(spec["size"]), float(spec["theta_min"]), float(spec["theta_max"])))
+                _spec_int(spec, "size"), float(spec["theta_min"]),
+                float(spec["theta_max"])))
         return DistributionFamily(_random_simplex(
-            int(spec["size"]), int(spec["alphabet"]), int(spec["seed"])))
+            _spec_int(spec, "size"), _spec_int(spec, "alphabet"), _spec_int(spec, "seed")))
     if isinstance(spec, Sequence):
         return DistributionFamily([
             row if isinstance(row, FinitePmf) else FinitePmf(row) for row in spec])

@@ -16,11 +16,13 @@ Each block is scored in sub-chunks of about 2^14 score entries
 (`_SCORE_CHUNK_ENTRIES`), so no scoring temporary grows with the block,
 and the whole block is then decoded by one `ml_decode` call on its
 (block, A, A) score stack.
+Error trials are classified in numpy, by one vectorised cycle walk.
 Blocks run on threads when workers > 1.  The decode of a block is many
-small numpy steps plus a Python tie search, which hold the GIL for most
-of the block, so threads do not speed up `estimate_error_prob`; the
-swap-event blocks of `pairwise_error_exponent` are a few large numpy
-operations and gain more.
+small numpy steps, which hold the GIL between them; with identical-row
+ties settled in numpy, two threads speed up `estimate_error_prob` about
+1.3x on A = 16 blocks and little at A = 4, where blocks are short (2
+vCPUs; the README gives the runs).  The swap-event blocks of
+`pairwise_error_exponent` are a few large numpy operations.
 """
 
 from __future__ import annotations
@@ -84,6 +86,24 @@ def permutation_cycles(perm) -> list[list[int]]:
             node = mapping[node]
         cycles.append(cycle)
     return cycles
+
+
+def _single_cycle(perms: np.ndarray) -> np.ndarray:
+    """Whether each row of a (B, A) stack of permutations is one cycle.
+
+    Walks A steps from each row's first moved index; the permutation is a
+    single cycle (`len(permutation_cycles(perm)) == 1`) when that walk's
+    cycle covers every moved index.  The identity gives False.
+    """
+    trials, size = perms.shape
+    moved = perms != np.arange(size)
+    start = moved.argmax(axis=1)
+    every = np.arange(trials)
+    node, length = start, np.zeros(trials, dtype=np.int64)
+    for step in range(1, size + 1):
+        node = perms[every, node]
+        length[(node == start) & (length == 0)] = step
+    return length == moved.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -160,7 +180,8 @@ def _run_error_block(family: DistributionFamily, n: int, seed: int,
                      block: int, block_size: int):
     rng = philox_stream(seed, block)
     size = len(family)
-    counts = np.empty((block_size, size, family.alphabet_size), dtype=np.int64)
+    # float64 holds the counts exactly and is what scoring multiplies in
+    counts = np.empty((block_size, size, family.alphabet_size))
     for i, member in enumerate(family):
         counts[:, i, :] = rng.multinomial(n, member.probs, size=block_size)
     scores = np.empty((block_size, size, size))
@@ -172,7 +193,7 @@ def _run_error_block(family: DistributionFamily, n: int, seed: int,
     wrong = (decoded != np.arange(size)).sum(axis=1)
     errors = np.flatnonzero(wrong)
     hist = {int(r): int(c) for r, c in zip(*np.unique(wrong[errors], return_counts=True))}
-    single = sum(len(permutation_cycles(decoded[t])) == 1 for t in errors)
+    single = int(_single_cycle(decoded[errors]).sum())
     return len(errors), hist, single
 
 

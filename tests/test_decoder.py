@@ -34,6 +34,17 @@ class TestLogLikelihoodMatrix:
         assert scores[0, 0] == -INF
         assert scores[0, 1] == math.log(0.5)
 
+    @pytest.mark.parametrize("theta", [(0.1, 0.9), (0.0, 1.0)])
+    def test_float_counts_score_like_integer_counts(self, theta):
+        # Monte Carlo draws its counts into float64; the bytes must not move,
+        # with and without zero-probability symbols
+        family = make_family({"kind": "binary-grid", "size": 9,
+                              "theta_min": theta[0], "theta_max": theta[1]})
+        counts, scores = count_scores(family, 6, 200, seed=47)
+        from_float = loglik_from_counts(counts.astype(np.float64), family)
+        assert from_float.tobytes() == scores.tobytes()
+        assert np.isneginf(scores).any() == (theta[0] == 0.0)
+
     def test_direct_evaluation(self):
         fam = make_family([(0.9, 0.1), (0.2, 0.8)])
         scores = loglik_from_counts(np.array([[1, 0], [0, 1]]), fam)
@@ -256,6 +267,54 @@ class TestCountDerivedScores:
         decoded = ml_decode(scores)
         assert all(sorted(d) == list(range(32)) for d in decoded.tolist())
         assert len(solves) == 1
+
+
+class TestIdenticalRowTies:
+    def count_refines(self, monkeypatch):
+        calls = []
+        refine = decoder._refine
+        monkeypatch.setattr(decoder, "_refine",
+                            lambda *args: calls.append(1) or refine(*args))
+        return calls
+
+    def test_count_ties_never_reach_the_fallback(self, monkeypatch):
+        # identical count rows are settled in numpy, in canonical class order
+        calls = self.count_refines(monkeypatch)
+        family = make_family({"kind": "binary-grid", "size": 32,
+                              "theta_min": 0.1, "theta_max": 0.9})
+        counts, scores = count_scores(family, 40, 256, seed=81)
+        decoded = ml_decode(scores)
+        for c, mapping in zip(counts, decoded):
+            for k in np.unique(c[:, 0]):
+                assert np.all(np.diff(mapping[c[:, 0] == k]) > 0)
+        small = make_family({"kind": "binary-grid", "size": 4,
+                             "theta_min": 0.1, "theta_max": 0.9})
+        _, scores = count_scores(small, 10, 4096, seed=82)
+        decoded = ml_decode(scores)
+        assert calls == []
+        assert decoded.tolist() == [brute_force_decode(m) for m in scores]
+
+    def test_cross_class_tie_reaches_the_fallback(self, monkeypatch):
+        # rows 0 and 1 differ, and [0, 1, 2] ties [1, 0, 2] exactly: no
+        # class order settles that, so the closure must send it on
+        calls = self.count_refines(monkeypatch)
+        matrix = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+        stack = np.array([matrix[list(r)][:, list(c)]
+                          for r in itertools.permutations(range(3))
+                          for c in itertools.permutations(range(3))])
+        assert ml_decode(stack).tolist() == [exhaustive_decode(m).tolist() for m in stack]
+        assert calls
+
+    def test_duplicated_integer_rows_with_infeasible_entries(self):
+        rng = philox_stream(48)
+        for size, trials in [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40), (7, 16), (8, 6)]:
+            scores = rng.integers(0, 3, size=(trials, size, size)).astype(float)
+            # about 40% of the rows copy another row of their matrix
+            source = np.where(rng.random((trials, size)) < 0.4,
+                              rng.integers(0, size, size=(trials, size)), np.arange(size))
+            scores = scores[np.arange(trials)[:, None], source]
+            scores[rng.random(scores.shape) < 0.15] = -INF
+            assert_matches_exhaustive(scores)
 
 
 def one_matrix_solve(cost):

@@ -298,6 +298,17 @@ class TestMakeFamily:
             make_family({"kind": "explicit", "pmfs": [[0.5, 0.5], [0.9, 0.1]],
                          "size": 7, "theta_min": 0.3})
 
+    def test_integer_keys_reject_other_values(self):
+        # int() would truncate: size 4.7 would build 4 members
+        grid = {"kind": "binary-grid", "theta_min": 0.1, "theta_max": 0.9}
+        simplex = {"kind": "random-simplex", "size": 3, "alphabet": 3, "seed": 1}
+        for spec in [{**grid, "size": 4.7}, {**grid, "size": 4.0},
+                     {**grid, "size": True}, {**grid, "size": "4"},
+                     {**simplex, "alphabet": 2.9}, {**simplex, "seed": 1.5}]:
+            with pytest.raises(ValueError, match="must be an integer"):
+                make_family(spec)
+        assert len(make_family({**grid, "size": np.int64(4)})) == 4
+
     def test_too_small(self):
         with pytest.raises(ValueError, match="at least 2"):
             make_family([(0.5, 0.5)])

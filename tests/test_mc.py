@@ -13,7 +13,7 @@ from distid import (
 )
 from distid.decoder import exhaustive_decode, loglik_from_counts
 from distid.distributions import philox_stream
-from distid.mc import TRIALS_PER_BLOCK, _run_error_block
+from distid.mc import TRIALS_PER_BLOCK, _run_error_block, _single_cycle
 
 from oracles import exact_pair_error_prob, exact_swap_event_prob
 
@@ -47,6 +47,21 @@ class TestPermutationCycles:
             assert sum(len(c) for c in cycles) == mismatches
             assert all(len(c) >= 2 for c in cycles)
             assert all(c[0] == min(c) for c in cycles)
+
+    @pytest.mark.parametrize("size", [2, 3, 5, 8])
+    def test_single_cycle_flags_match_the_cycle_list(self, size):
+        rng = philox_stream(61, size)
+        perms = [np.arange(size), np.roll(np.arange(size), 1)]
+        # random permutations, and random shuffles of a random subset,
+        # which leave the other indices fixed
+        for _ in range(300):
+            perm = np.arange(size)
+            subset = np.flatnonzero(rng.random(size) < rng.random())
+            perm[subset] = rng.permutation(subset)
+            perms += [rng.permutation(size), perm]
+        perms = np.array(perms)
+        assert _single_cycle(perms).tolist() == [
+            len(permutation_cycles(p)) == 1 for p in perms]
 
     def test_two_mismatches_is_always_one_cycle(self):
         # any permutation moving exactly two indices is a single swap
