@@ -56,8 +56,9 @@ def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
     dist = distance_matrix(family)
-    iu = np.triu_indices(len(family), k=1)
-    terms = -2.0 * n * dist[iu]
+    # a boolean mask gathers the upper triangle in the row-major order of
+    # triu_indices without its two int64 index arrays
+    terms = -2.0 * n * dist[np.triu(np.ones(dist.shape, dtype=bool), k=1)]
     finite = terms[np.isfinite(terms)]
     if finite.size == 0:
         return 0.0, -math.inf

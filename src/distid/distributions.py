@@ -84,7 +84,7 @@ class FinitePmf:
         total = float(arr.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"probs must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
-        arr = arr.copy()
+        arr = arr + 0.0  # a copy, with -0.0 turned into 0.0 so equal pmfs hash equal
         arr.flags.writeable = False
         self._probs = arr
 
@@ -121,7 +121,10 @@ class DistributionFamily:
 
     Distinctness means a sup-norm gap above 1e-9 for every pair, which is
     equivalent (up to tolerance) to a strictly positive Bhattacharyya
-    distance.
+    distance.  The check sorts the members by one coordinate and compares
+    only members that are that close in it, so it costs O(A log A) plus
+    the near pairs rather than O(A^2 m); when pairs are too close, the
+    error names the lexicographically smallest one.
     """
 
     __slots__ = ("_members",)
@@ -138,14 +141,13 @@ class DistributionFamily:
             if p.alphabet_size != m:
                 raise ValueError("family members must share one alphabet size")
         probs = np.stack([p.probs for p in mem])
-        for i in range(len(mem) - 1):
-            gaps = np.abs(probs[i + 1:] - probs[i]).max(axis=1)
-            close = np.flatnonzero(gaps <= DISTINCT_TOL)
-            if close.size:
-                j = i + 1 + int(close[0])
-                raise ValueError(
-                    f"members {i} and {j} are not distinct "
-                    f"(sup-norm gap {float(gaps[close[0]])!r} <= {DISTINCT_TOL})")
+        close = _first_close_pair(probs)
+        if close is not None:
+            i, j = close
+            gap = float(np.abs(probs[j] - probs[i]).max())
+            raise ValueError(
+                f"members {i} and {j} are not distinct "
+                f"(sup-norm gap {gap!r} <= {DISTINCT_TOL})")
         self._members = mem
 
     @property
@@ -178,21 +180,67 @@ class DistributionFamily:
         return f"DistributionFamily(size={len(self._members)}, m={self.alphabet_size})"
 
 
-def _bhattacharyya_row(p: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """B(p, q) for every row q of probs.
+def _first_close_pair(probs: np.ndarray) -> tuple[int, int] | None:
+    """Smallest (i, j), i < j, whose rows have sup-norm gap <= DISTINCT_TOL.
 
-    Where the coefficient BC = sum sqrt(p q) is below 1/2 the distance is
-    -log BC, which keeps its relative accuracy as BC -> 0 (+inf exactly
-    when the supports are disjoint).  Elsewhere it is the Hellinger form
-    -log1p(-h) with h = 1/2 ||sqrt p - sqrt q||^2 and sqrt p - sqrt q
-    taken as (p - q) / (sqrt p + sqrt q), so close pmfs keep full
-    relative accuracy instead of cancelling to 0.
+    A pair that close is that close in every coordinate, so the rows are
+    sorted by the coordinate with the widest range and only rows within
+    2 * DISTINCT_TOL of each other in it are compared (the margin absorbs
+    the rounding of key + tol).  Pass d compares each sorted row with the
+    row d places later, for the rows whose window reaches that far, so
+    the cost is O(A log A) plus the candidate pairs.  Rows that share the
+    sort key all become candidates, which is at worst A - 1 vectorised
+    passes over every pair.
     """
-    root_p, roots = np.sqrt(p), np.sqrt(probs)
-    coeff = (roots * root_p).sum(axis=1)
-    denom = roots + root_p
-    diff = np.divide(probs - p, denom, out=np.zeros_like(probs), where=denom > 0)
-    half_sq = 0.5 * (diff * diff).sum(axis=1)
+    size = len(probs)
+    col = probs[:, int(np.ptp(probs, axis=0).argmax())]
+    order = np.argsort(col, kind="stable")
+    rows, keys = probs[order], col[order]
+    reach = (np.searchsorted(keys, keys + 2 * DISTINCT_TOL, side="right")
+             - np.arange(1, size + 1))
+    active = np.flatnonzero(reach > 0)
+    best = None
+    d = 1
+    while active.size:
+        close = active[np.abs(rows[active + d] - rows[active]).max(axis=1)
+                       <= DISTINCT_TOL]
+        if close.size:
+            a, b = order[close], order[close + d]
+            code = int((np.minimum(a, b) * size + np.maximum(a, b)).min())
+            best = code if best is None else min(best, code)
+        d += 1
+        active = active[reach[active] >= d]
+    return None if best is None else divmod(best, size)
+
+
+# distance_matrix works in row blocks of about this many (row, column,
+# symbol) entries, so each float64 temporary stays near 256 KiB.
+_BLOCK_ENTRIES = 2**15
+
+
+def _bhattacharyya_block(probs_i: np.ndarray, roots_i: np.ndarray,
+                         probs_j: np.ndarray, roots_j: np.ndarray,
+                         masked: bool) -> np.ndarray:
+    """B(p, q) for every row p of probs_i and q of probs_j, shape (r, c).
+
+    roots_* are the elementwise square roots of probs_*.  Where the
+    coefficient BC = sum sqrt(p q) is below 1/2 the distance is -log BC,
+    which keeps its relative accuracy as BC -> 0 (+inf exactly when the
+    supports are disjoint).  Elsewhere it is the Hellinger form
+    -log1p(-h) with h = 1/2 ||sqrt p - sqrt q||^2 and sqrt p - sqrt q
+    taken as (q - p) / (sqrt p + sqrt q), so close pmfs keep full
+    relative accuracy instead of cancelling to 0.  masked must be true
+    when some entry is zero: a symbol that both pmfs miss contributes 0
+    instead of 0/0.
+    """
+    p, root_p = probs_i[:, None, :], roots_i[:, None, :]
+    prod = roots_j * root_p
+    coeff = prod.sum(axis=2)
+    denom = np.add(roots_j, root_p, out=prod)
+    diff = probs_j - p
+    np.divide(diff, denom, out=diff, where=(denom > 0) if masked else True)
+    diff *= diff
+    half_sq = 0.5 * diff.sum(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(coeff < 0.5, -np.log(coeff), -np.log1p(-half_sq))
 
@@ -201,24 +249,39 @@ def bhattacharyya(p: FinitePmf, q: FinitePmf) -> float:
     """Bhattacharyya distance -log sum_x sqrt(p(x) q(x)).
 
     Symmetric and nonnegative; +inf exactly when the supports are
-    disjoint.  Same kernel as `distance_matrix`.
+    disjoint.  Same kernel as `distance_matrix`, on a 1 x 1 block.
     """
     if p.alphabet_size != q.alphabet_size:
         raise ValueError(
             f"alphabet sizes differ: {p.alphabet_size} vs {q.alphabet_size}")
-    return float(_bhattacharyya_row(p.probs, q.probs[None, :])[0])
+    pp, qq = p.probs[None, :], q.probs[None, :]
+    return float(_bhattacharyya_block(pp, np.sqrt(pp), qq, np.sqrt(qq), True)[0, 0])
 
 
 def distance_matrix(family: DistributionFamily) -> np.ndarray:
     """All pairwise Bhattacharyya distances, shape (A, A); +inf off-support.
 
-    Filled one row (and its mirror column) at a time, so no temporary is
-    larger than (A, m) and the result is exactly symmetric.
+    The square roots are taken once.  The upper triangle is filled in
+    row blocks: rows lo..hi against columns lo..A, with hi - lo chosen so
+    a block has about 2^15 (row, column, symbol) entries, and each block
+    is mirrored into the lower triangle.  Besides the result and the
+    roots, no temporary is larger than a block or a single (A, m) row,
+    and the result is exactly symmetric (the kernel is).  The masked
+    divide runs only when some member has a zero.
     """
     probs = family.prob_matrix()
-    dist = np.empty((len(probs), len(probs)))
-    for i, p in enumerate(probs):
-        dist[i, i:] = dist[i:, i] = _bhattacharyya_row(p, probs[i:])
+    roots = np.sqrt(probs)
+    size, m = probs.shape
+    masked = not probs.all()
+    dist = np.empty((size, size))
+    lo = 0
+    while lo < size:
+        hi = min(size, lo + max(1, _BLOCK_ENTRIES // ((size - lo) * m)))
+        block = _bhattacharyya_block(probs[lo:hi], roots[lo:hi],
+                                     probs[lo:], roots[lo:], masked)
+        dist[lo:, lo:hi] = block.T
+        dist[lo:hi, lo:] = block
+        lo = hi
     return dist
 
 

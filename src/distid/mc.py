@@ -295,12 +295,13 @@ def _swap_event_weights(p: FinitePmf, q: FinitePmf):
     return log_ratio, p_dead, q_dead
 
 
-def _run_swap_block(p: FinitePmf, q: FinitePmf, n: int, seed: int,
-                    stream: int, block_size: int) -> int:
+def _run_swap_block(p: FinitePmf, q: FinitePmf,
+                    weights: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
+                    seed: int, stream: int, block_size: int) -> int:
     rng = philox_stream(seed, stream)
     counts_p = rng.multinomial(n, p.probs, size=block_size).astype(np.float64)
     counts_q = rng.multinomial(n, q.probs, size=block_size).astype(np.float64)
-    log_ratio, p_dead, q_dead = _swap_event_weights(p, q)
+    log_ratio, p_dead, q_dead = weights
     stat = counts_q @ log_ratio - counts_p @ log_ratio
     stat = np.where(counts_q @ p_dead > 0, -np.inf, stat)
     stat = np.where(counts_p @ q_dead > 0, -np.inf, stat)
@@ -335,7 +336,8 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
     # stream index packs (grid point, block) so every block is its own stream
     tasks = [(n, seed, g * 2**32 + b, size)
              for g, n in enumerate(grid) for b, size in blocks]
-    hits = _map_blocks(partial(_run_swap_block, p, q), tasks, workers)
+    hits = _map_blocks(partial(_run_swap_block, p, q, _swap_event_weights(p, q)),
+                       tasks, workers)
     errors = [sum(hits[g * len(blocks):(g + 1) * len(blocks)])
               for g in range(len(grid))]
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 from decimal import Decimal, localcontext
@@ -12,6 +13,7 @@ from distid import (
     make_family,
     tilted_midpoint,
 )
+from distid import distributions
 from distid.distributions import DISTINCT_TOL, distance_matrix, philox_stream
 
 
@@ -37,6 +39,47 @@ def close_pair(delta: float) -> tuple[FinitePmf, FinitePmf]:
     """
     x = 0.5 + delta
     return FinitePmf([0.5, 0.5]), FinitePmf([x, 1.0 - x])
+
+
+def brute_force_verdict(rows) -> str | None:
+    """The distinctness error for rows, from a plain all-pairs loop.
+
+    None when every pair is farther apart than DISTINCT_TOL in sup norm;
+    otherwise the message for the lexicographically smallest close pair.
+    """
+    rows = [[float(x) for x in row] for row in rows]
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            gap = max(abs(a - b) for a, b in zip(rows[i], rows[j]))
+            if gap <= DISTINCT_TOL:
+                return (f"members {i} and {j} are not distinct "
+                        f"(sup-norm gap {gap!r} <= {DISTINCT_TOL})")
+    return None
+
+
+def family_verdict(rows) -> str | None:
+    try:
+        DistributionFamily([FinitePmf(r) for r in rows])
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def with_close_copies(rng, rows, copies, offsets):
+    """rows plus `copies` near-copies of random rows, shuffled together.
+
+    A near-copy moves mass `offset` (drawn from offsets) from one symbol
+    to another, so it still sums to 1 and its sup-norm gap is about offset.
+    """
+    rows = [list(r) for r in rows]
+    for _ in range(copies):
+        row = list(rows[int(rng.integers(len(rows)))])
+        a, b = (int(k) for k in rng.choice(len(row), size=2, replace=False))
+        delta = min(float(rng.choice(offsets)), row[b])
+        row[a] += delta
+        row[b] -= delta
+        rows.append(row)
+    return [rows[k] for k in rng.permutation(len(rows))]
 
 
 class TestFinitePmf:
@@ -69,6 +112,12 @@ class TestFinitePmf:
     def test_support(self):
         assert FinitePmf([0.5, 0.0, 0.5]).support().tolist() == [0, 2]
 
+    def test_signed_zero_hashes_like_zero(self):
+        a, b = FinitePmf([-0.0, 1.0]), FinitePmf([0.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert not np.signbit(a.probs).any()
+
 
 class TestDistributionFamily:
     def test_rejects_single_member(self):
@@ -89,6 +138,91 @@ class TestDistributionFamily:
         rows = [[0.5, 0.5], [0.1, 0.9], [0.2, 0.8], [0.1, 0.9], [0.2, 0.8]]
         with pytest.raises(ValueError, match="members 1 and 3 are not distinct"):
             DistributionFamily([FinitePmf(r) for r in rows])
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_distinctness_matches_brute_force_on_random_families(self, seed):
+        rng = np.random.default_rng(seed)
+        size, m = int(rng.integers(2, 60)), int(rng.integers(2, 6))
+        w = rng.exponential(1.0, size=(size, m))
+        w[rng.random((size, m)) < 0.2] = 0.0
+        w[:, -1] += 0.01
+        rows = (w / w.sum(axis=1, keepdims=True)).tolist()
+        offsets = [0.0, 1e-13, 0.5 * DISTINCT_TOL, DISTINCT_TOL,
+                   1.5 * DISTINCT_TOL, 2 * DISTINCT_TOL, 3 * DISTINCT_TOL, 1e-6]
+        for copies in (0, 1, 3):
+            family = with_close_copies(rng, rows, copies, offsets)
+            assert family_verdict(family) == brute_force_verdict(family)
+
+    def test_distinctness_with_many_members_sharing_the_sort_key(self):
+        rng = np.random.default_rng(31)
+        # each symbol takes 4 values, so every coordinate is shared widely
+        perms = [list(p) for p in itertools.permutations([0.1, 0.2, 0.3, 0.4])]
+        assert family_verdict(perms) is None
+        # all members but one share the coordinate with the widest range, so
+        # every pair among them is a candidate
+        xs = np.linspace(0.3, 0.5, 150)
+        shared = [[0.2, x, 0.8 - x] for x in xs] + [[0.9, 0.05, 0.05]]
+        assert family_verdict(shared) is None
+        offsets = [0.0, 0.5 * DISTINCT_TOL, DISTINCT_TOL, 2 * DISTINCT_TOL]
+        for base in (perms, shared):
+            for _ in range(4):
+                family = with_close_copies(rng, base, 2, offsets)
+                assert family_verdict(family) == brute_force_verdict(family)
+
+    @pytest.mark.parametrize("step", [-1, 0, 1])
+    def test_distinctness_at_the_tolerance(self, step):
+        # t, 2t and 2t - t' are exact, so the pair's gap is exactly t' in both
+        # of its differing symbols, whichever of them the rows are sorted by
+        t = DISTINCT_TOL
+        tp = float(np.nextafter(t, math.inf * step)) if step else t
+        near = [[0.0, 2 * t, 1.0 - 2 * t], [tp, 2 * t - tp, 1.0 - 2 * t]]
+        assert abs(near[1][1] - near[0][1]) == tp
+        spread = [[0.6, 0.3, 0.1], [0.1, 0.5, 0.4], [0.3, 0.0, 0.7], [0.05, 0.9, 0.05]]
+        want = None if step > 0 else (
+            f"members 0 and 1 are not distinct (sup-norm gap {tp!r} <= {DISTINCT_TOL})")
+        assert family_verdict(near) == brute_force_verdict(near) == want
+        rng = np.random.default_rng(40 + step)
+        for _ in range(6):
+            family = [(near + spread)[k] for k in rng.permutation(6)]
+            assert family_verdict(family) == brute_force_verdict(family)
+
+    def test_distinctness_of_pairs_differing_in_the_last_symbol(self):
+        base = [[0.25, 0.25, 0.5], [0.1, 0.2, 0.7], [0.5, 0.1, 0.4]]
+        for delta in (1e-13, 5e-13):
+            rows = base + [[0.1, 0.2, 0.7 + delta]]
+            want = brute_force_verdict(rows)
+            assert want is not None and want.startswith("members 1 and 3")
+            assert family_verdict(rows) == want
+        # mass moved between the last two symbols, around the tolerance
+        for delta in (0.5 * DISTINCT_TOL, DISTINCT_TOL, 1.01 * DISTINCT_TOL):
+            rows = base + [[0.5, 0.1 + delta, 0.4 - delta]]
+            assert family_verdict(rows) == brute_force_verdict(rows)
+
+    def test_distinctness_names_the_smallest_pair_not_the_first_sorted(self):
+        d = 0.25 * DISTINCT_TOL
+        rows = [[0.9 + d, 0.1 - d], [0.1, 0.9], [0.5, 0.5], [0.1 + d, 0.9 - d],
+                [0.9, 0.1], [0.7, 0.3]]
+        want = brute_force_verdict(rows)
+        assert want.startswith("members 0 and 4 are not distinct")
+        assert family_verdict(rows) == want
+        # member 1 is close to 3 and to 2, but 2 and 3 are not close; by the
+        # widest-ranging symbol the order is 1, 3, 2, so the smallest pair
+        # (1, 2) is reached after (1, 3)
+        t = DISTINCT_TOL
+        triangle = [[0.9, 0.05, 0.05], [0.3, 0.3, 0.4],
+                    [0.3 + 0.5 * t, 0.3 - 0.9 * t, 0.4 + 0.4 * t],
+                    [0.3, 0.3 + 0.9 * t, 0.4 - 0.9 * t], [0.05, 0.5, 0.45],
+                    [0.6, 0.2, 0.2]]
+        want = brute_force_verdict(triangle)
+        assert want.startswith("members 1 and 2 are not distinct")
+        assert family_verdict(triangle) == want
+        assert brute_force_verdict([triangle[k] for k in (0, 2, 3)]) is None
+        # the same pairs reached in every other order of the members
+        rng = np.random.default_rng(50)
+        for base in (rows, triangle):
+            for _ in range(10):
+                family = [base[k] for k in rng.permutation(len(base))]
+                assert family_verdict(family) == brute_force_verdict(family)
 
     def test_rejects_mixed_alphabets(self):
         with pytest.raises(ValueError, match="alphabet"):
@@ -133,13 +267,38 @@ class TestBhattacharyya:
             bhattacharyya(FinitePmf([0.5, 0.5]), FinitePmf([0.2, 0.3, 0.5]))
 
     def test_distance_matrix_matches_scalar(self):
-        fam = make_family({"kind": "random-simplex", "size": 6,
-                           "alphabet": 3, "seed": 4})
-        dist = distance_matrix(fam)
-        for i in range(6):
-            for j in range(6):
-                expected = 0.0 if i == j else bhattacharyya(fam[i], fam[j])
-                assert dist[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        for spec in [
+            {"kind": "random-simplex", "size": 6, "alphabet": 3, "seed": 4},
+            # more than one row block, the last one shorter than the others
+            {"kind": "random-simplex", "size": 130, "alphabet": 3, "seed": 5},
+            {"kind": "random-simplex", "size": 70, "alphabet": 8, "seed": 6},
+            {"kind": "binary-grid", "size": 97, "theta_min": 0.0, "theta_max": 1.0},
+            # zero-probability symbols, some pairs with disjoint supports
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5],
+             [0.0, 0.4, 0.6], [0.0, 0.0, 1.0], [1 - 1e-6, 0.0, 1e-6]],
+        ]:
+            fam = make_family(spec)
+            dist = distance_matrix(fam)
+            for i in range(len(fam)):
+                for j in range(len(fam)):
+                    expected = 0.0 if i == j else bhattacharyya(fam[i], fam[j])
+                    assert dist[i, j] == expected, (spec, i, j)
+
+    @pytest.mark.parametrize("entries", [1, 7, 64, 1000, 2**15, 2**20])
+    def test_distance_matrix_is_independent_of_the_block_size(self, monkeypatch,
+                                                              entries):
+        rng = np.random.default_rng(9)
+        w = rng.exponential(1.0, size=(53, 5))
+        w[rng.random(w.shape) < 0.35] = 0.0
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        rows = np.unique(w / w.sum(axis=1, keepdims=True), axis=0)
+        fam = make_family(rows[rng.permutation(len(rows))].tolist())
+        want = distance_matrix(fam)
+        disjoint = np.array([[not (p.probs * q.probs).any() for q in fam] for p in fam])
+        assert disjoint.any() and (want[disjoint] == math.inf).all()
+        assert np.isfinite(want[~disjoint]).all()
+        monkeypatch.setattr(distributions, "_BLOCK_ENTRIES", entries)
+        assert distance_matrix(fam).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("delta", [1e-5, 1e-7, 1e-8, 2e-9])
     def test_close_pairs_keep_relative_accuracy(self, delta):
