@@ -23,7 +23,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import graphs
-from .distributions import DistributionFamily, distance_matrix, make_family
+from .distributions import (DistributionFamily, _upper_blocks, distance_matrix,
+                            make_family)
 
 __all__ = [
     "pairwise_sum",
@@ -51,19 +52,30 @@ def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
 
     Computed by log-sum-exp over the terms -2 n B(P_i, P_j); pairs with
     infinite distance contribute exactly zero.  log S is -inf when every
-    pair has disjoint support.
+    pair has disjoint support.  Each upper-triangle row block of the
+    distance kernel is scaled straight into one vector of the A(A-1)/2
+    terms (in triu_indices order) and the log-sum-exp runs in place, so
+    the memory is 8 bytes per pair plus one block; the finite terms are
+    copied out only when some term is infinite.
     """
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    dist = distance_matrix(family)
-    # a boolean mask gathers the upper triangle in the row-major order of
-    # triu_indices without its two int64 index arrays
-    terms = -2.0 * n * dist[np.triu(np.ones(dist.shape, dtype=bool), k=1)]
-    finite = terms[np.isfinite(terms)]
-    if finite.size == 0:
+    size = len(family)
+    terms = np.empty(size * (size - 1) // 2)
+    scale = -2.0 * n
+    pos = 0
+    for _, _, block in _upper_blocks(family):
+        for r, row in enumerate(block):
+            end = pos + row.size - r - 1
+            np.multiply(scale, row[r + 1:], out=terms[pos:end])
+            pos = end
+    peak = float(terms.max())
+    if peak == -math.inf:
         return 0.0, -math.inf
-    peak = float(finite.max())
-    log_s = peak + math.log(float(np.exp(finite - peak).sum()))
+    if terms.min() == -math.inf:
+        terms = terms[np.isfinite(terms)]
+    terms -= peak
+    log_s = peak + math.log(float(np.exp(terms, out=terms).sum()))
     return math.exp(log_s), log_s
 
 
@@ -339,17 +351,17 @@ def identifiability_trend(spec: FamilySequenceSpec,
     Raises when any grid point would need more than pairs_budget pair
     evaluations.
     """
-    points = []
-    for n in spec.n_grid:
-        size = spec.growth.size_at(n)
+    sizes = [spec.growth.size_at(n) for n in spec.n_grid]
+    for n, size in zip(spec.n_grid, sizes):   # before any family is built
         pairs = size * (size - 1) // 2
         if pairs > pairs_budget:
             raise ValueError(
                 f"n={n} needs {pairs} pair evaluations, over the budget "
                 f"of {pairs_budget}")
+    points = []
+    for n, size in zip(spec.n_grid, sizes):
         family = _instantiate_template(spec.template, size)
-        s, log_s = pairwise_sum(family, n)
-        points.append(TrendPoint(n=n, family_size=size, s=s, log_s=log_s))
+        points.append(TrendPoint(n, size, *pairwise_sum(family, n)))
 
     window = max(2, math.ceil(len(points) / 2))
     tail = points[-window:]

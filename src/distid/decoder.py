@@ -63,11 +63,8 @@ def loglik_from_counts(counts: np.ndarray, family: DistributionFamily) -> np.nda
     counts keeps every code path (batch scoring, Monte Carlo trials,
     exact enumeration) bit-identical for equal counts.
     """
-    probs = family.prob_matrix()
-    zero = probs <= 0.0
-    with np.errstate(divide="ignore"):
-        logp = np.where(zero, 0.0, np.log(np.where(zero, 1.0, probs)))
-    base = np.einsum("...im,jm->...ij", counts, logp)
+    zero = family._zero   # the family's stored zero mask and log-probabilities
+    base = np.einsum("...im,jm->...ij", counts, family._logp)
     if not zero.any():
         return base
     hits = np.einsum("...im,jm->...ij", counts, zero.astype(np.float64))

@@ -8,6 +8,7 @@ that is a pure function of (seed, stream index).
 
 from __future__ import annotations
 
+import operator
 from numbers import Integral
 from typing import Iterable, Sequence
 
@@ -116,9 +117,19 @@ class FinitePmf:
         return f"FinitePmf({self._probs.tolist()})"
 
 
+def _wrap(row: np.ndarray) -> FinitePmf:
+    """A FinitePmf on a row that is already valid, read-only and free of -0.0."""
+    pmf = FinitePmf.__new__(FinitePmf)
+    pmf._probs = row
+    return pmf
+
+
 class DistributionFamily:
     """An ordered family of pairwise-distinct pmfs on a shared alphabet.
 
+    The family owns one read-only (A, m) array of its pmfs, validated
+    once, with its square roots, log-probabilities (0 where a probability
+    is 0) and zero mask; `family[i]` wraps row i without checking it.
     Distinctness means a sup-norm gap above 1e-9 for every pair, which is
     equivalent (up to tolerance) to a strictly positive Bhattacharyya
     distance.  The check sorts the members by one coordinate and compares
@@ -127,20 +138,20 @@ class DistributionFamily:
     error names the lexicographically smallest one.
     """
 
-    __slots__ = ("_members",)
+    __slots__ = ("_probs", "_roots", "_logp", "_zero")
 
     def __init__(self, members: Iterable[FinitePmf]):
         mem = tuple(members)
         if len(mem) < 2:
             raise ValueError(f"family must have at least 2 members, got {len(mem)}")
-        for p in mem:
-            if not isinstance(p, FinitePmf):
-                raise ValueError("family members must be FinitePmf instances")
-        m = mem[0].alphabet_size
-        for p in mem[1:]:
-            if p.alphabet_size != m:
-                raise ValueError("family members must share one alphabet size")
-        probs = np.stack([p.probs for p in mem])
+        if not all(isinstance(p, FinitePmf) for p in mem):
+            raise ValueError("family members must be FinitePmf instances")
+        if len({p.alphabet_size for p in mem}) > 1:
+            raise ValueError("family members must share one alphabet size")
+        self._own(np.stack([p.probs for p in mem]))
+
+    def _own(self, probs: np.ndarray) -> None:
+        """Check distinctness of a fresh array of valid pmf rows and keep it."""
         close = _first_close_pair(probs)
         if close is not None:
             i, j = close
@@ -148,36 +159,60 @@ class DistributionFamily:
             raise ValueError(
                 f"members {i} and {j} are not distinct "
                 f"(sup-norm gap {gap!r} <= {DISTINCT_TOL})")
-        self._members = mem
+        self._probs, self._roots, self._zero = probs, np.sqrt(probs), probs <= 0.0
+        self._logp = np.where(self._zero, 0.0, np.log(np.where(self._zero, 1.0, probs)))
+        for arr in (probs, self._roots, self._zero, self._logp):
+            arr.flags.writeable = False
 
     @property
     def members(self) -> tuple[FinitePmf, ...]:
-        return self._members
+        return tuple(self)
 
     @property
     def alphabet_size(self) -> int:
-        return self._members[0].alphabet_size
+        return self._probs.shape[1]
 
     def prob_matrix(self) -> np.ndarray:
-        """Member pmfs stacked into a (size, alphabet_size) array."""
-        return np.stack([p.probs for p in self._members])
+        """The family's read-only (size, alphabet_size) array of pmfs."""
+        return self._probs
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self._probs)
 
     def __getitem__(self, i: int) -> FinitePmf:
-        return self._members[i]
+        return _wrap(self._probs[operator.index(i)])
 
     def __iter__(self):
-        return iter(self._members)
+        return map(_wrap, self._probs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistributionFamily):
             return NotImplemented
-        return self._members == other._members
+        return self._probs.shape == other._probs.shape and bool(
+            np.all(self._probs == other._probs))
 
     def __repr__(self) -> str:
-        return f"DistributionFamily(size={len(self._members)}, m={self.alphabet_size})"
+        return f"DistributionFamily(size={len(self)}, m={self.alphabet_size})"
+
+
+def _family_from_rows(rows) -> DistributionFamily:
+    """A family from pmf rows, validated as one (A, m) array; the first bad
+    row raises its FinitePmf error.  Anything but an array of at least 2
+    rows of at least 2 numbers goes through FinitePmf row by row."""
+    try:
+        probs = np.array(rows, dtype=np.float64)
+    except (TypeError, ValueError):
+        probs = np.empty(0)
+    if probs.ndim != 2 or min(probs.shape) < 2:
+        return DistributionFamily(FinitePmf(row) for row in rows)
+    good = (np.isfinite(probs).all(axis=1) & (probs >= 0).all(axis=1)
+            & (np.abs(probs.sum(axis=1) - 1.0) <= NORMALIZATION_TOL))
+    if not good.all():
+        FinitePmf(probs[good.argmin()])   # raises for the first bad row
+    probs += 0.0   # -0.0 becomes 0.0, as in FinitePmf
+    family = DistributionFamily.__new__(DistributionFamily)
+    family._own(probs)
+    return family
 
 
 def _first_close_pair(probs: np.ndarray) -> tuple[int, int] | None:
@@ -213,8 +248,8 @@ def _first_close_pair(probs: np.ndarray) -> tuple[int, int] | None:
     return None if best is None else divmod(best, size)
 
 
-# distance_matrix works in row blocks of about this many (row, column,
-# symbol) entries, so each float64 temporary stays near 256 KiB.
+# _upper_blocks works in row blocks of about this many (row, column, symbol)
+# entries, so each float64 temporary stays near 256 KiB.
 _BLOCK_ENTRIES = 2**15
 
 
@@ -258,30 +293,33 @@ def bhattacharyya(p: FinitePmf, q: FinitePmf) -> float:
     return float(_bhattacharyya_block(pp, np.sqrt(pp), qq, np.sqrt(qq), True)[0, 0])
 
 
-def distance_matrix(family: DistributionFamily) -> np.ndarray:
-    """All pairwise Bhattacharyya distances, shape (A, A); +inf off-support.
-
-    The square roots are taken once.  The upper triangle is filled in
-    row blocks: rows lo..hi against columns lo..A, with hi - lo chosen so
-    a block has about 2^15 (row, column, symbol) entries, and each block
-    is mirrored into the lower triangle.  Besides the result and the
-    roots, no temporary is larger than a block or a single (A, m) row,
-    and the result is exactly symmetric (the kernel is).  The masked
-    divide runs only when some member has a zero.
-    """
-    probs = family.prob_matrix()
-    roots = np.sqrt(probs)
+def _upper_blocks(family: DistributionFamily):
+    """(lo, hi, block) over the upper triangle of the distance matrix, where
+    block holds rows lo..hi against columns lo..A and hi - lo is chosen so
+    it has about 2^15 (row, column, symbol) entries.  The masked divide
+    runs only when some member has a zero."""
+    probs, roots = family._probs, family._roots
     size, m = probs.shape
-    masked = not probs.all()
-    dist = np.empty((size, size))
+    masked = bool(family._zero.any())
     lo = 0
     while lo < size:
         hi = min(size, lo + max(1, _BLOCK_ENTRIES // ((size - lo) * m)))
-        block = _bhattacharyya_block(probs[lo:hi], roots[lo:hi],
-                                     probs[lo:], roots[lo:], masked)
+        yield lo, hi, _bhattacharyya_block(probs[lo:hi], roots[lo:hi],
+                                           probs[lo:], roots[lo:], masked)
+        lo = hi
+
+
+def distance_matrix(family: DistributionFamily) -> np.ndarray:
+    """All pairwise Bhattacharyya distances, shape (A, A); +inf off-support.
+
+    Each upper-triangle row block is mirrored into the lower triangle, so
+    no other temporary is larger than a block, and the result is exactly
+    symmetric (the kernel is)."""
+    size = len(family)
+    dist = np.empty((size, size))
+    for lo, hi, block in _upper_blocks(family):
         dist[lo:, lo:hi] = block.T
         dist[lo:hi, lo:] = block
-        lo = hi
     return dist
 
 
@@ -301,7 +339,7 @@ def tilted_midpoint(p: FinitePmf, q: FinitePmf) -> FinitePmf:
     return FinitePmf(raw / total)
 
 
-def _binary_grid(size: int, theta_min: float, theta_max: float) -> list[FinitePmf]:
+def _binary_grid(size: int, theta_min: float, theta_max: float) -> np.ndarray:
     if size < 2:
         raise ValueError("binary-grid needs size >= 2")
     if not (0.0 <= theta_min < theta_max <= 1.0):
@@ -309,10 +347,10 @@ def _binary_grid(size: int, theta_min: float, theta_max: float) -> list[FinitePm
             f"binary-grid needs 0 <= theta_min < theta_max <= 1, "
             f"got [{theta_min}, {theta_max}]")
     thetas = np.linspace(theta_min, theta_max, size)
-    return [FinitePmf([t, 1.0 - t]) for t in thetas]
+    return np.stack([thetas, 1.0 - thetas], axis=1)
 
 
-def _random_simplex(size: int, alphabet_size: int, seed: int) -> list[FinitePmf]:
+def _random_simplex(size: int, alphabet_size: int, seed: int) -> np.ndarray:
     if size < 2:
         raise ValueError("random-simplex needs size >= 2")
     if alphabet_size < 2:
@@ -321,7 +359,7 @@ def _random_simplex(size: int, alphabet_size: int, seed: int) -> list[FinitePmf]
     # exponential weights normalize to a uniform draw from the simplex
     w = rng.exponential(1.0, size=(size, alphabet_size))
     w /= w.sum(axis=1, keepdims=True)
-    return [FinitePmf(row) for row in w]
+    return w
 
 
 def _spec_int(spec: dict, key: str) -> int:
@@ -358,14 +396,14 @@ def make_family(spec) -> DistributionFamily:
         if missing:
             raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
         if kind == "explicit":
-            return DistributionFamily([FinitePmf(row) for row in spec["pmfs"]])
+            return _family_from_rows(spec["pmfs"])
         if kind == "binary-grid":
-            return DistributionFamily(_binary_grid(
+            return _family_from_rows(_binary_grid(
                 _spec_int(spec, "size"), float(spec["theta_min"]),
                 float(spec["theta_max"])))
-        return DistributionFamily(_random_simplex(
+        return _family_from_rows(_random_simplex(
             _spec_int(spec, "size"), _spec_int(spec, "alphabet"), _spec_int(spec, "seed")))
     if isinstance(spec, Sequence):
-        return DistributionFamily([
-            row if isinstance(row, FinitePmf) else FinitePmf(row) for row in spec])
+        return _family_from_rows([row.probs if isinstance(row, FinitePmf) else row
+                                  for row in spec])
     raise ValueError(f"cannot build a family from {type(spec).__name__}")

@@ -182,8 +182,8 @@ def _run_error_block(family: DistributionFamily, n: int, seed: int,
     size = len(family)
     # float64 holds the counts exactly and is what scoring multiplies in
     counts = np.empty((block_size, size, family.alphabet_size))
-    for i, member in enumerate(family):
-        counts[:, i, :] = rng.multinomial(n, member.probs, size=block_size)
+    for i, probs in enumerate(family.prob_matrix()):
+        counts[:, i, :] = rng.multinomial(n, probs, size=block_size)
     scores = np.empty((block_size, size, size))
     chunk = max(1, _SCORE_CHUNK_ENTRIES // (size * size))
     for lo in range(0, block_size, chunk):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,11 +20,29 @@ from distid import (
     pairwise_sum,
     upper_bound,
 )
-from distid.distributions import philox_stream
+from distid import bounds, distributions
+from distid.distributions import distance_matrix, philox_stream
 
 from oracles import naive_pairwise_sum
 
 PAIR = make_family([(0.5, 0.5), (0.9, 0.1)])
+
+# zero-probability symbols, and six pairs with disjoint supports
+SOME_DISJOINT = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0], [0.2, 0.3, 0.5],
+                 [0.0, 0.4, 0.6], [0.0, 0.0, 1.0], [1 - 1e-6, 0.0, 1e-6]]
+
+
+def dense_pairwise_sum(family, n):
+    """(S, log S) from the full distance matrix: its upper triangle in
+    row-major order, the finite terms, and a log-sum-exp."""
+    dist = distance_matrix(family)
+    terms = -2.0 * n * dist[np.triu_indices(len(family), k=1)]
+    finite = terms[np.isfinite(terms)]
+    if finite.size == 0:
+        return 0.0, -math.inf
+    peak = float(finite.max())
+    log_s = peak + math.log(float(np.exp(finite - peak).sum()))
+    return math.exp(log_s), log_s
 
 
 def equal_angle_binary_pmfs(count, phi0=0.3, dphi=0.2435):
@@ -85,6 +104,54 @@ class TestPairwiseSum:
     def test_rejects_bad_blocklength(self):
         with pytest.raises(ValueError, match=">= 1"):
             pairwise_sum(PAIR, 0)
+
+    @pytest.mark.parametrize("spec", [
+        *({"kind": "random-simplex", "size": size, "alphabet": m, "seed": 11}
+          for m in (3, 8) for size in (2, 3, 70, 130, 1000)),
+        {"kind": "binary-grid", "size": 97, "theta_min": 0.0, "theta_max": 1.0},
+        SOME_DISJOINT,
+        # every pair disjoint but one
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5],
+         [0.0, 0.0, 0.9, 0.1]],
+    ])
+    def test_streamed_sum_equals_the_dense_reference(self, spec):
+        fam = make_family(spec)
+        for n in (1, 7, 100, 5000):
+            assert pairwise_sum(fam, n) == dense_pairwise_sum(fam, n), n
+
+    def test_every_pair_disjoint(self):
+        fam = make_family(np.eye(5).tolist())
+        for n in (1, 40):
+            assert pairwise_sum(fam, n) == dense_pairwise_sum(fam, n) == (0.0, -math.inf)
+
+    @pytest.mark.parametrize("entries", [1, 7, 64, 1000, 2**15, 2**20])
+    def test_streamed_sum_is_independent_of_the_block_size(self, monkeypatch,
+                                                           entries):
+        # zeros and disjoint pairs; with the -inf terms left in, the sum
+        # rounds differently at n = 1, 7 and 100
+        rng = np.random.default_rng(0)
+        w = rng.exponential(1.0, size=(53, 5))
+        w[rng.random(w.shape) < 0.35] = 0.0
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        rows = np.unique(w / w.sum(axis=1, keepdims=True), axis=0)
+        fam = make_family(rows[rng.permutation(len(rows))].tolist())
+        grid = (1, 7, 30, 100)
+        want = [pairwise_sum(fam, n) for n in grid]
+        assert want == [dense_pairwise_sum(fam, n) for n in grid]
+        monkeypatch.setattr(distributions, "_BLOCK_ENTRIES", entries)
+        assert [pairwise_sum(fam, n) for n in grid] == want
+
+    def test_memory_is_the_terms_vector_and_one_block(self):
+        size = 1000
+        fam = make_family({"kind": "random-simplex", "size": size,
+                           "alphabet": 8, "seed": 7})
+        tracemalloc.start()
+        try:
+            pairwise_sum(fam, 100)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * 8 * size * (size - 1) // 2
 
 
 class TestClosedFormBounds:
@@ -316,6 +383,25 @@ class TestIdentifiabilityTrend:
             tuple(range(10, 201, 10)))
         with pytest.raises(ValueError, match="budget"):
             identifiability_trend(spec, pairs_budget=100)
+
+    def test_pairs_budget_is_checked_before_any_family_is_built(self, monkeypatch):
+        built = []
+
+        def counting_make_family(spec):
+            built.append(spec)
+            return make_family(spec)
+
+        monkeypatch.setattr(bounds, "make_family", counting_make_family)
+        spec = FamilySequenceSpec(
+            GrowthRule("polynomial", 1.5),
+            {"kind": "random-simplex", "alphabet": 3, "seed": 5},
+            (4, 9, 16))   # 8, 27 and 64 members: 28, 351 and 2016 pairs
+        with pytest.raises(ValueError, match="^n=16 needs 2016 pair evaluations, "
+                                             "over the budget of 1000$"):
+            identifiability_trend(spec, pairs_budget=1000)
+        assert built == []
+        assert len(identifiability_trend(spec, pairs_budget=2016).points) == 3
+        assert len(built) == 3
 
     def test_template_too_small(self):
         spec = FamilySequenceSpec(

@@ -471,3 +471,71 @@ class TestMakeFamily:
     def test_too_small(self):
         with pytest.raises(ValueError, match="at least 2"):
             make_family([(0.5, 0.5)])
+
+
+class TestFamilyArray:
+    @pytest.mark.parametrize("spec", [
+        {"kind": "binary-grid", "size": 50, "theta_min": 0.0, "theta_max": 1.0},
+        {"kind": "random-simplex", "size": 300, "alphabet": 8, "seed": 7},
+    ])
+    def test_generated_families_validate_no_member(self, monkeypatch, spec):
+        calls = []
+        init = FinitePmf.__init__
+
+        def counting_init(self, probs):
+            calls.append(probs)
+            init(self, probs)
+
+        monkeypatch.setattr(FinitePmf, "__init__", counting_init)
+        fam = make_family(spec)
+        members = [fam[i] for i in range(len(fam))] + list(fam)
+        assert calls == []
+        monkeypatch.undo()
+        for i, row in enumerate(fam.prob_matrix()):
+            want = FinitePmf(row)
+            assert members[i] == want and hash(members[i]) == hash(want)
+            assert members[len(fam) + i] == want
+            assert not members[i].probs.flags.writeable
+
+    def test_prob_matrix_is_the_stored_read_only_array(self):
+        fam = make_family({"kind": "random-simplex", "size": 5, "alphabet": 3, "seed": 2})
+        probs = fam.prob_matrix()
+        assert probs is fam.prob_matrix()
+        assert probs.shape == (5, 3) and not probs.flags.writeable
+        with pytest.raises(ValueError):
+            probs[0, 0] = 0.5
+        assert fam[-1] == FinitePmf(probs[4])
+        assert fam.members == tuple(FinitePmf(row) for row in probs)
+
+    def test_signed_zero_rows_become_zero(self):
+        fam = make_family([[-0.0, 1.0], [1.0, 0.0]])
+        assert not np.signbit(fam.prob_matrix()).any()
+        assert fam[0] == FinitePmf([0.0, 1.0])
+
+    @pytest.mark.parametrize("rows, bad_row, match", [
+        ([[0.5, 0.5], [float("nan"), 1.0]], 1, "^probs must be finite$"),
+        ([[0.5, 0.5], [float("inf"), 0.0]], 1, "^probs must be finite$"),
+        ([[0.5, 0.5], [0.9, 0.1], [1.2, -0.2]], 2, "^probs must be nonnegative$"),
+        ([[0.5, 0.5], [0.3, 0.3], [0.5, 0.4]], 1,
+         r"^probs must sum to 1 within 1e-12, got 0\.6$"),
+        ([[0.5, 0.4]], 0, "^probs must sum to 1"),   # a bad row comes before the size
+        ([[1.0], [1.0]], 0, "^alphabet size must be >= 2, got 1$"),
+    ])
+    def test_explicit_rows_keep_the_member_messages(self, rows, bad_row, match):
+        with pytest.raises(ValueError, match=match) as want:
+            FinitePmf(rows[bad_row])
+        for spec in (rows, {"kind": "explicit", "pmfs": rows}):
+            with pytest.raises(ValueError) as got:
+                make_family(spec)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("rows, match", [
+        ([[0.5, 0.5], [0.2, 0.3, 0.5]], "^family members must share one alphabet size$"),
+        ([[0.5, 0.5], [0.2, 0.8], [0.5, 0.5]], "^members 0 and 2 are not distinct "),
+        ([[0.5, 0.5]], "^family must have at least 2 members, got 1$"),
+        ([], "^family must have at least 2 members, got 0$"),
+    ])
+    def test_explicit_families_keep_the_family_messages(self, rows, match):
+        for spec in (rows, {"kind": "explicit", "pmfs": rows}):
+            with pytest.raises(ValueError, match=match):
+                make_family(spec)
