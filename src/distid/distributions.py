@@ -107,8 +107,7 @@ class FinitePmf:
     def __eq__(self, other) -> bool:
         if not isinstance(other, FinitePmf):
             return NotImplemented
-        return self._probs.shape == other._probs.shape and bool(
-            np.all(self._probs == other._probs))
+        return np.array_equal(self._probs, other._probs)
 
     def __hash__(self) -> int:
         return hash(self._probs.tobytes())
@@ -129,7 +128,8 @@ class DistributionFamily:
 
     The family owns one read-only (A, m) array of its pmfs, validated
     once, with its square roots, log-probabilities (0 where a probability
-    is 0) and zero mask; `family[i]` wraps row i without checking it.
+    is 0) and zero mask; `family[i]` wraps row i without checking it
+    (a slice gives a tuple of such rows).
     Distinctness means a sup-norm gap above 1e-9 for every pair, which is
     equivalent (up to tolerance) to a strictly positive Bhattacharyya
     distance.  The check sorts the members by one coordinate and compares
@@ -179,7 +179,9 @@ class DistributionFamily:
     def __len__(self) -> int:
         return len(self._probs)
 
-    def __getitem__(self, i: int) -> FinitePmf:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(_wrap, self._probs[i]))
         return _wrap(self._probs[operator.index(i)])
 
     def __iter__(self):
@@ -188,30 +190,16 @@ class DistributionFamily:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DistributionFamily):
             return NotImplemented
-        return self._probs.shape == other._probs.shape and bool(
-            np.all(self._probs == other._probs))
+        return np.array_equal(self._probs, other._probs)
 
     def __repr__(self) -> str:
         return f"DistributionFamily(size={len(self)}, m={self.alphabet_size})"
 
 
-def _family_from_rows(rows) -> DistributionFamily:
-    """A family from pmf rows, validated as one (A, m) array; the first bad
-    row raises its FinitePmf error.  Anything but an array of at least 2
-    rows of at least 2 numbers goes through FinitePmf row by row."""
-    try:
-        probs = np.array(rows, dtype=np.float64)
-    except (TypeError, ValueError):
-        probs = np.empty(0)
-    if probs.ndim != 2 or min(probs.shape) < 2:
-        return DistributionFamily(FinitePmf(row) for row in rows)
-    good = (np.isfinite(probs).all(axis=1) & (probs >= 0).all(axis=1)
-            & (np.abs(probs.sum(axis=1) - 1.0) <= NORMALIZATION_TOL))
-    if not good.all():
-        FinitePmf(probs[good.argmin()])   # raises for the first bad row
-    probs += 0.0   # -0.0 becomes 0.0, as in FinitePmf
+def _generated_family(probs: np.ndarray) -> DistributionFamily:
+    """A family on rows that are valid pmfs by construction."""
     family = DistributionFamily.__new__(DistributionFamily)
-    family._own(probs)
+    family._own(probs + 0.0)   # a copy, with -0.0 turned into 0.0 as in FinitePmf
     return family
 
 
@@ -358,8 +346,7 @@ def _random_simplex(size: int, alphabet_size: int, seed: int) -> np.ndarray:
     rng = philox_stream(seed)
     # exponential weights normalize to a uniform draw from the simplex
     w = rng.exponential(1.0, size=(size, alphabet_size))
-    w /= w.sum(axis=1, keepdims=True)
-    return w
+    return w / w.sum(axis=1, keepdims=True)
 
 
 def _spec_int(spec: dict, key: str) -> int:
@@ -396,14 +383,14 @@ def make_family(spec) -> DistributionFamily:
         if missing:
             raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
         if kind == "explicit":
-            return _family_from_rows(spec["pmfs"])
+            return DistributionFamily([FinitePmf(row) for row in spec["pmfs"]])
         if kind == "binary-grid":
-            return _family_from_rows(_binary_grid(
+            return _generated_family(_binary_grid(
                 _spec_int(spec, "size"), float(spec["theta_min"]),
                 float(spec["theta_max"])))
-        return _family_from_rows(_random_simplex(
+        return _generated_family(_random_simplex(
             _spec_int(spec, "size"), _spec_int(spec, "alphabet"), _spec_int(spec, "seed")))
     if isinstance(spec, Sequence):
-        return _family_from_rows([row.probs if isinstance(row, FinitePmf) else row
-                                  for row in spec])
+        return DistributionFamily([
+            row if isinstance(row, FinitePmf) else FinitePmf(row) for row in spec])
     raise ValueError(f"cannot build a family from {type(spec).__name__}")

@@ -505,6 +505,7 @@ class TestFamilyArray:
         with pytest.raises(ValueError):
             probs[0, 0] = 0.5
         assert fam[-1] == FinitePmf(probs[4])
+        assert fam[1:3] == (FinitePmf(probs[1]), FinitePmf(probs[2]))
         assert fam.members == tuple(FinitePmf(row) for row in probs)
 
     def test_signed_zero_rows_become_zero(self):
