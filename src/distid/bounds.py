@@ -8,7 +8,10 @@ S -> 0 along a family sequence is the identifiability criterion; the
 finite-n bounds derived from it are
 
     upper: 16 S / (1 - 4 sqrt(S))   (valid only while 4 sqrt(S) < 1)
-    lower: sqrt(S) / (8 + sqrt(S))  (asymptotic; reported, not asserted)
+    lower: sqrt(S) / (8 + sqrt(S))  (reported, not asserted)
+
+`lower` is not a lower bound at finite n: on the README pair it exceeds
+the exact error probability (ROADMAP item 1).
 
 All sums of exponentials run in log domain so that families with
 thousands of members and large n do not underflow.
@@ -18,13 +21,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from numbers import Integral
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import graphs
-from .distributions import (DistributionFamily, _upper_blocks, distance_matrix,
-                            make_family)
+from .distributions import (DistributionFamily, _check_family_spec, _is_real,
+                            _upper_blocks, distance_matrix, make_family)
 
 __all__ = [
     "pairwise_sum",
@@ -45,6 +49,23 @@ __all__ = [
 TREND_SLOPE_TOL = 1e-6
 
 DEFAULT_PAIRS_BUDGET = 10_000
+
+# Fewest blocklengths in the grid of a trend, which fits a slope.
+_TREND_GRID_MIN = 2
+
+
+def _check_grid(n_grid: Sequence[int], min_points: int) -> tuple[int, ...]:
+    """n_grid as a tuple of ints, after checking that it holds at least
+    min_points strictly increasing positive integers."""
+    grid = tuple(n_grid)
+    if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in grid):
+        raise ValueError(f"n_grid must be a list of integers, got {n_grid!r}")
+    if len(grid) < min_points:
+        raise ValueError(f"n_grid needs at least {min_points} points, got {len(grid)}")
+    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"n_grid must be strictly increasing positive integers, got {list(grid)}")
+    return tuple(map(int, grid))
 
 
 def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
@@ -204,23 +225,38 @@ class GrowthRule:
     """How the family size scales with the blocklength.
 
     kind is one of "constant" (size A), "polynomial" (ceil(n^degree)) or
-    "exponential" (ceil(exp(rate * n))).
+    "exponential" (ceil(exp(rate * n))); param is that size, degree or
+    rate, and _PARAM_KEYS names it in a spec.
     """
 
     kind: str
     param: float
 
+    _PARAM_KEYS = {"constant": "size", "polynomial": "degree", "exponential": "rate"}
+
+    @classmethod
+    def _from_spec(cls, spec: Mapping) -> "GrowthRule":
+        """The rule of a spec that holds "kind" and that kind's parameter key."""
+        kind = spec.get("kind")
+        key = cls._PARAM_KEYS.get(kind) if isinstance(kind, str) else None
+        if key is None or set(spec) != {"kind", key}:
+            raise ValueError(f"growth takes a kind and that kind's parameter key "
+                             f"only ({cls._PARAM_KEYS}), got {dict(spec)}")
+        return cls(kind, spec[key])
+
     def __post_init__(self):
+        if not isinstance(self.kind, str) or self.kind not in self._PARAM_KEYS:
+            raise ValueError(f"unknown growth kind: {self.kind!r}")
+        if not _is_real(self.param):
+            raise ValueError(f"growth param must be a number, got {self.param!r}")
+        object.__setattr__(self, "param", float(self.param))
         if self.kind == "constant":
-            if self.param != int(self.param) or self.param < 2:
+            if not (self.param.is_integer() and self.param >= 2):
                 raise ValueError(f"constant growth needs an integer size >= 2, "
                                  f"got {self.param}")
-        elif self.kind in ("polynomial", "exponential"):
-            if not (math.isfinite(self.param) and self.param > 0):
-                raise ValueError(f"{self.kind} growth needs a positive rate, "
-                                 f"got {self.param}")
-        else:
-            raise ValueError(f"unknown growth kind: {self.kind!r}")
+        elif not (math.isfinite(self.param) and self.param > 0):
+            raise ValueError(f"{self.kind} growth needs a positive rate, "
+                             f"got {self.param}")
 
     def size_at(self, n: int) -> int:
         if self.kind == "constant":
@@ -234,47 +270,34 @@ class GrowthRule:
                              f"at n={n}") from None
 
 
-def _instantiate_template(template, size: int) -> DistributionFamily:
+def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     """Build the size-A_n family for one grid point.
 
     Explicit templates are truncated to their first `size` members;
     parametric templates are rebuilt at the requested size.
     """
-    if isinstance(template, Mapping):
-        spec = dict(template)
-        kind = spec.get("kind")
-        if kind == "explicit":
-            pmfs = spec.get("pmfs")
-            if pmfs is None:
-                raise ValueError("explicit template needs a 'pmfs' list")
-            if size > len(pmfs):
-                raise ValueError(
-                    f"template provides {len(pmfs)} members but the growth "
-                    f"rule requires {size}")
-            return make_family({"kind": "explicit", "pmfs": list(pmfs)[:size]})
-        spec["size"] = size
-        return make_family(spec)
-    if callable(template):
-        return make_family(template(size))
-    raise ValueError("template must be a family-spec mapping or a callable")
+    if template["kind"] != "explicit":
+        return make_family({**template, "size": size})
+    pmfs = template["pmfs"]
+    if size > len(pmfs):
+        raise ValueError(
+            f"template provides {len(pmfs)} members but the growth "
+            f"rule requires {size}")
+    return make_family({"kind": "explicit", "pmfs": list(pmfs)[:size]})
 
 
 @dataclass(frozen=True)
 class FamilySequenceSpec:
-    """A growth rule, a family template, and the blocklengths to evaluate."""
+    """A growth rule, a family template (a spec without "size"), and the
+    blocklengths to evaluate."""
 
     growth: GrowthRule
-    template: Mapping | Callable[[int], object]
+    template: Mapping
     n_grid: tuple[int, ...]
 
     def __post_init__(self):
-        grid = tuple(int(n) for n in self.n_grid)
-        if len(grid) < 2:
-            raise ValueError("n_grid needs at least 2 points")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"n_grid must be strictly increasing, got {grid}")
-        if grid[0] < 1:
-            raise ValueError("blocklengths must be >= 1")
+        _check_family_spec(self.template, template=True)
+        grid = _check_grid(self.n_grid, _TREND_GRID_MIN)
         object.__setattr__(self, "n_grid", grid)
         for n in grid:
             if self.growth.size_at(n) < 2:

@@ -14,7 +14,8 @@ Common flags (each overrides the config file): --config PATH, --seed U64,
 Config file format: one `key = value` pair per line; blank lines and lines
 starting with `#` are ignored.  Values are Python literals (numbers,
 strings, booleans, nested lists).  Unknown keys are hard errors, and so
-are family.* keys that the chosen family.kind does not take.
+are family.* keys that the chosen family.kind does not take.  Values are
+checked, before anything runs, by the library checks that use them.
 
 Keys
 ----
@@ -34,8 +35,10 @@ Keys
                    "exponential" with growth.size / growth.degree / growth.rate,
                    n_grid, pairs_budget
 
-Exit codes: 0 success, 2 config parse or validation error, 3 precondition
-violation in an operation, 4 I/O failure.
+Exit codes: 0 success; 2 the config text alone decides the error (say
+family.size = 1, a 2-point exponent grid, growth.size = 2.5, lemma r = 7
+with k = 4); 3 a run found it (duplicate members, growth overflow along
+the grid, a sweep over pairs_budget, too few exponent fit points); 4 I/O.
 
 CSV output starts with a header row; floats are printed with 17 significant
 digits so values round-trip exactly.  JSON carries the nested reports.
@@ -52,8 +55,9 @@ from pathlib import Path
 
 from . import bounds as bounds_mod
 from . import graphs, mc
-from .bounds import _cell
-from .distributions import _FAMILY_KIND_KEYS, make_family, philox_stream
+from .bounds import _cell, _check_grid
+from .distributions import (_FAMILY_KIND_KEYS, _check_family_spec, _check_seed,
+                            make_family, philox_stream)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -64,17 +68,8 @@ _COMMANDS = ("bounds", "simulate", "lemma", "exponent", "sweep")
 _COMMON_KEYS = {"seed", "out", "format", "workers"}
 _FAMILY_KEYS = {"family.kind"} | {f"family.{key}" for keys in _FAMILY_KIND_KEYS.values()
                                    for key in keys}
-_GROWTH_KEYS = {"growth.kind", "growth.size", "growth.degree", "growth.rate"}
-
-# Types of the scalar family.* keys; make_family checks their values.
-_FAMILY_TYPES = {
-    "family.kind": (str, "a string"),
-    "family.size": (int, "an integer"),
-    "family.alphabet": (int, "an integer"),
-    "family.seed": (int, "an integer"),
-    "family.theta_min": ((int, float), "a number"),
-    "family.theta_max": ((int, float), "a number"),
-}
+_GROWTH_KEYS = {"growth.kind"} | {f"growth.{key}"
+                                   for key in bounds_mod.GrowthRule._PARAM_KEYS.values()}
 
 _KEYS_BY_COMMAND = {
     "bounds": _COMMON_KEYS | _FAMILY_KEYS | {"n", "n_grid"},
@@ -83,6 +78,9 @@ _KEYS_BY_COMMAND = {
     "exponent": _COMMON_KEYS | _FAMILY_KEYS | {"n_grid", "trials"},
     "sweep": _COMMON_KEYS | _FAMILY_KEYS | _GROWTH_KEYS | {"n_grid", "pairs_budget"},
 }
+
+# Fewest blocklengths in an n_grid, where more than one.
+_GRID_MIN = {"exponent": mc._FIT_GRID_MIN, "sweep": bounds_mod._TREND_GRID_MIN}
 
 
 class ConfigError(ValueError):
@@ -124,18 +122,6 @@ def _expect(raw: dict, key: str, types, what: str):
     return value
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _int_list(raw: dict, key: str) -> tuple[int, ...]:
-    value = raw[key]
-    if (not isinstance(value, (list, tuple)) or not value
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in value)):
-        raise ConfigError(f"key {key!r} must be a list of integers, got {value!r}")
-    return tuple(value)
-
-
 @dataclass
 class RunConfig:
     """Validated settings for one CLI run."""
@@ -146,7 +132,7 @@ class RunConfig:
     format: str = "csv"
     workers: int = 1
     family: dict | None = None
-    growth: dict | None = None
+    growth: bounds_mod.GrowthRule | None = None
     n: int | None = None
     n_grid: tuple[int, ...] | None = None
     trials: int = 10_000
@@ -156,7 +142,12 @@ class RunConfig:
 
 
 def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunConfig:
-    """Validate raw key-value pairs (plus flag overrides) into a RunConfig."""
+    """Validate raw key-value pairs (plus flag overrides) into a RunConfig.
+
+    The known and required keys of each command and the literal types are
+    checked here; every other rule is the library's own check, whose
+    ValueError becomes a ConfigError.
+    """
     if command not in _COMMANDS:
         raise ConfigError(f"unknown command {command!r}")
     raw = dict(raw)
@@ -170,121 +161,66 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
             f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
 
     cfg = RunConfig(command=command)
-    if "seed" in raw:
-        cfg.seed = _expect(raw, "seed", int, "an integer")
-        if not 0 <= cfg.seed < 2**64:
-            raise ConfigError(f"seed must fit in 64 unsigned bits, got {cfg.seed}")
-    if "format" in raw:
-        fmt = _expect(raw, "format", str, "a string")
-        if fmt not in ("csv", "json"):
-            raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-        cfg.format = fmt
-    cfg.out = (_expect(raw, "out", str, "a string") if "out" in raw
-               else f"distid_{command}.{cfg.format}")
-    if "workers" in raw:
-        cfg.workers = _expect(raw, "workers", int, "an integer")
-        if cfg.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-    if "trials" in raw:
-        cfg.trials = _expect(raw, "trials", int, "an integer")
-        if cfg.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
+    try:
+        if "seed" in raw:
+            cfg.seed = _check_seed(raw["seed"])
+        if "format" in raw:
+            fmt = _expect(raw, "format", str, "a string")
+            if fmt not in ("csv", "json"):
+                raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
+            cfg.format = fmt
+        cfg.out = (_expect(raw, "out", str, "a string") if "out" in raw
+                   else f"distid_{command}.{cfg.format}")
+        if "workers" in raw:
+            cfg.workers = _expect(raw, "workers", int, "an integer")
+            if cfg.workers < 1:
+                raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
+        if "trials" in raw:
+            cfg.trials = _expect(raw, "trials", int, "an integer")
+            if cfg.trials < 1:
+                raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
 
-    family_keys = {k: v for k, v in raw.items() if k.startswith("family.")}
-    if family_keys:
-        for key, (types, what) in _FAMILY_TYPES.items():
-            if key in raw:
-                _expect(raw, key, types, what)
-        if "family.pmfs" in raw:
-            pmfs = raw["family.pmfs"]
-            if (not isinstance(pmfs, (list, tuple)) or not pmfs
-                    or not all(isinstance(row, (list, tuple)) and all(map(_is_number, row))
-                               for row in pmfs)):
-                raise ConfigError("key 'family.pmfs' must be a non-empty list of "
-                                  f"lists of numbers, got {pmfs!r}")
-        cfg.family = {k.split(".", 1)[1]: v for k, v in family_keys.items()}
-        kind = cfg.family.get("kind")
-        if kind not in _FAMILY_KIND_KEYS:
-            raise ConfigError(f"family.kind must be one of {sorted(_FAMILY_KIND_KEYS)}, "
-                              f"got {kind!r}")
-        extra = set(cfg.family) - _FAMILY_KIND_KEYS[kind] - {"kind"}
-        if extra:
-            raise ConfigError(f"unexpected family key(s) for {kind}: "
-                              f"{', '.join('family.' + k for k in sorted(extra))}")
+        if command != "lemma":   # every other command needs a family block
+            cfg.family = {k.partition(".")[2]: v for k, v in raw.items()
+                          if k.startswith("family.")}
+            _check_family_spec(cfg.family, template=command == "sweep")
+        if "n" in raw:
+            cfg.n = _expect(raw, "n", int, "an integer")
+            if cfg.n < 1:
+                raise ConfigError(f"n must be >= 1, got {cfg.n}")
+        if "n_grid" in raw:
+            grid = _expect(raw, "n_grid", (list, tuple), "a list of integers")
+            cfg.n_grid = _check_grid(grid, _GRID_MIN.get(command, 1))
 
-    if "n" in raw:
-        cfg.n = _expect(raw, "n", int, "an integer")
-        if cfg.n < 1:
-            raise ConfigError(f"n must be >= 1, got {cfg.n}")
-    if "n_grid" in raw:
-        grid = _int_list(raw, "n_grid")
-        if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-            raise ConfigError(
-                f"n_grid must be strictly increasing positive integers, got {list(grid)}")
-        cfg.n_grid = grid
-
-    if command in ("bounds", "simulate"):
-        if cfg.family is None:
-            raise ConfigError(f"{command} needs a family.* block")
-        if cfg.n is None and cfg.n_grid is None:
-            raise ConfigError(f"{command} needs n or n_grid")
-        if cfg.n is not None and cfg.n_grid is not None:
-            raise ConfigError(f"{command} takes n or n_grid, not both")
-    elif command == "lemma":
-        if "k" not in raw:
-            raise ConfigError("lemma needs k")
-        cfg.k = _expect(raw, "k", int, "an integer")
-        if not 2 <= cfg.k <= graphs.ENUMERATION_MAX_VERTICES:
-            raise ConfigError(f"k must be in 2..{graphs.ENUMERATION_MAX_VERTICES}, "
-                              f"got {cfg.k}")
-        r = raw.get("r", "all")
-        if r != "all" and (not isinstance(r, int) or isinstance(r, bool)):
-            raise ConfigError(f"key 'r' must be an integer or 'all', got {r!r}")
-        cfg.r = r
-        if "trials" not in raw:
-            cfg.trials = 1
-    elif command == "exponent":
-        if cfg.family is None:
-            raise ConfigError("exponent needs a family.* block with 2 members")
-        if cfg.n_grid is None:
-            raise ConfigError("exponent needs n_grid")
-    elif command == "sweep":
-        if cfg.family is None:
-            raise ConfigError("sweep needs a family.* template block")
-        if "size" in cfg.family:
-            raise ConfigError(
-                "sweep templates take their size from the growth rule; "
-                "remove family.size")
-        if cfg.n_grid is None:
-            raise ConfigError("sweep needs n_grid")
-        growth_keys = {k: v for k, v in raw.items() if k.startswith("growth.")}
-        if "growth.kind" not in growth_keys:
-            raise ConfigError("sweep needs growth.kind")
-        _expect(raw, "growth.kind", str, "a string")
-        cfg.growth = {k.split(".", 1)[1]: v for k, v in growth_keys.items()}
-        if "pairs_budget" in raw:
-            cfg.pairs_budget = _expect(raw, "pairs_budget", int, "an integer")
-            if cfg.pairs_budget < 1:
-                raise ConfigError("pairs_budget must be >= 1")
+        if command in ("exponent", "sweep") and cfg.n_grid is None:
+            raise ConfigError(f"{command} needs n_grid")
+        if command in ("bounds", "simulate"):
+            if cfg.n is None and cfg.n_grid is None:
+                raise ConfigError(f"{command} needs n or n_grid")
+            if cfg.n is not None and cfg.n_grid is not None:
+                raise ConfigError(f"{command} takes n or n_grid, not both")
+        elif command == "lemma":
+            if "k" not in raw:
+                raise ConfigError("lemma needs k")
+            cfg.k = _expect(raw, "k", int, "an integer")
+            r = raw.get("r", "all")
+            if r != "all" and (not isinstance(r, int) or isinstance(r, bool)):
+                raise ConfigError(f"key 'r' must be an integer or 'all', got {r!r}")
+            graphs._check_cycle_range(cfg.k, 2 if r == "all" else r)
+            cfg.r = r
+            if "trials" not in raw:
+                cfg.trials = 1
+        elif command == "sweep":
+            cfg.growth = bounds_mod.GrowthRule._from_spec(
+                {k.partition(".")[2]: v for k, v in raw.items()
+                 if k.startswith("growth.")})
+            if "pairs_budget" in raw:
+                cfg.pairs_budget = _expect(raw, "pairs_budget", int, "an integer")
+                if cfg.pairs_budget < 1:
+                    raise ConfigError("pairs_budget must be >= 1")
+    except (ValueError, OverflowError) as exc:   # a library check; ConfigError too
+        raise ConfigError(str(exc)) from None
     return cfg
-
-
-def _growth_rule(growth: dict) -> bounds_mod.GrowthRule:
-    kind = growth.get("kind")
-    params = {"constant": "size", "polynomial": "degree", "exponential": "rate"}
-    if kind not in params:
-        raise ConfigError(f"growth.kind must be one of {sorted(params)}, got {kind!r}")
-    param_key = params[kind]
-    extra = set(growth) - {"kind", param_key}
-    if extra:
-        raise ConfigError(f"unexpected growth key(s) for {kind}: "
-                          f"{', '.join('growth.' + k for k in sorted(extra))}")
-    if param_key not in growth:
-        raise ConfigError(f"{kind} growth needs growth.{param_key}")
-    value = growth[param_key]
-    if not _is_number(value):
-        raise ConfigError(f"growth.{param_key} must be a number, got {value!r}")
-    return bounds_mod.GrowthRule(kind=kind, param=float(value))
 
 
 def _run_bounds(cfg: RunConfig):
@@ -360,7 +296,7 @@ def _run_exponent(cfg: RunConfig):
 
 def _run_sweep(cfg: RunConfig):
     spec = bounds_mod.FamilySequenceSpec(
-        growth=_growth_rule(cfg.growth), template=cfg.family, n_grid=cfg.n_grid)
+        growth=cfg.growth, template=cfg.family, n_grid=cfg.n_grid)
     report = bounds_mod.identifiability_trend(spec, pairs_budget=cfg.pairs_budget)
     print(f"verdict: {report.verdict}")
     return (bounds_mod.TrendReport.csv_header(), report.csv_rows(),

@@ -315,8 +315,6 @@ def ml_decode(scores) -> np.ndarray:
     stack = arr if arr.ndim == 3 else arr[None]
     trials, size = stack.shape[:2]
     finite = stack > -np.inf
-    if not finite.any(axis=(1, 2)).all():
-        raise NoFeasibleAssignmentError("all scores are -inf")
     # largest |finite score| of each matrix, with no (B, A, A) temporary
     # beyond the finite mask
     scale = np.maximum(stack.max(axis=(1, 2), where=finite, initial=0.0),

@@ -9,8 +9,8 @@ that is a pure function of (seed, stream index).
 from __future__ import annotations
 
 import operator
-from numbers import Integral
-from typing import Iterable, Sequence
+from numbers import Integral, Real
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -328,33 +328,54 @@ def tilted_midpoint(p: FinitePmf, q: FinitePmf) -> FinitePmf:
 
 
 def _binary_grid(size: int, theta_min: float, theta_max: float) -> np.ndarray:
-    if size < 2:
-        raise ValueError("binary-grid needs size >= 2")
-    if not (0.0 <= theta_min < theta_max <= 1.0):
-        raise ValueError(
-            f"binary-grid needs 0 <= theta_min < theta_max <= 1, "
-            f"got [{theta_min}, {theta_max}]")
     thetas = np.linspace(theta_min, theta_max, size)
     return np.stack([thetas, 1.0 - thetas], axis=1)
 
 
 def _random_simplex(size: int, alphabet_size: int, seed: int) -> np.ndarray:
-    if size < 2:
-        raise ValueError("random-simplex needs size >= 2")
-    if alphabet_size < 2:
-        raise ValueError("random-simplex needs alphabet size >= 2")
     rng = philox_stream(seed)
     # exponential weights normalize to a uniform draw from the simplex
     w = rng.exponential(1.0, size=(size, alphabet_size))
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _spec_int(spec: dict, key: str) -> int:
-    # int() would truncate 4.7 to 4 without a word
-    value = spec[key]
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"family spec key {key!r} must be an integer, got {value!r}")
-    return int(value)
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_family_spec(spec: Mapping, template: bool = False) -> None:
+    """Check a family spec's kind, exact key set, value types and parameter
+    ranges.  A template (a sweep's family) has every key but "size".  The
+    values in explicit pmf rows are left to FinitePmf."""
+    kind = spec.get("kind") if isinstance(spec, Mapping) else None
+    if not isinstance(kind, str) or kind not in _FAMILY_KIND_KEYS:
+        raise ValueError(f"family spec kind must be one of {sorted(_FAMILY_KIND_KEYS)}, "
+                         f"got {kind!r}")
+    keys = _FAMILY_KIND_KEYS[kind] - ({"size"} if template else set())
+    extra, missing = set(spec) - keys - {"kind"}, keys - set(spec)
+    if extra:
+        raise ValueError(f"unknown keys for a {kind} family "
+                         f"{'template' if template else 'spec'}: {sorted(extra)}")
+    if missing:
+        raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
+    rows = (list, tuple, np.ndarray)
+    if kind == "explicit" and (not isinstance(spec["pmfs"], rows) or not all(
+            isinstance(row, rows) and all(map(_is_real, row)) for row in spec["pmfs"])):
+        raise ValueError("family spec key 'pmfs' must be a list of lists of numbers, "
+                         f"got {spec['pmfs']!r}")
+    for key in [key for key in ("size", "alphabet") if key in keys]:
+        # int() would truncate 4.7 to 4 without a word
+        value = spec[key]
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
+            raise ValueError(
+                f"family spec key {key!r} must be an integer >= 2, got {value!r}")
+    if "seed" in keys:
+        _check_seed(spec["seed"])
+    if kind == "binary-grid":
+        lo, hi = spec["theta_min"], spec["theta_max"]
+        if not (_is_real(lo) and _is_real(hi) and 0.0 <= lo < hi <= 1.0):
+            raise ValueError("binary-grid needs numbers 0 <= theta_min < theta_max <= 1, "
+                             f"got theta_min={lo!r}, theta_max={hi!r}")
 
 
 def make_family(spec) -> DistributionFamily:
@@ -373,23 +394,14 @@ def make_family(spec) -> DistributionFamily:
     if isinstance(spec, DistributionFamily):
         return spec
     if isinstance(spec, dict):
-        kind = spec.get("kind")
-        if not isinstance(kind, str) or kind not in _FAMILY_KIND_KEYS:
-            raise ValueError(f"unknown family spec kind: {kind!r}")
-        keys = _FAMILY_KIND_KEYS[kind]
-        extra, missing = set(spec) - keys - {"kind"}, keys - set(spec)
-        if extra:
-            raise ValueError(f"unknown keys for a {kind} family spec: {sorted(extra)}")
-        if missing:
-            raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
-        if kind == "explicit":
+        _check_family_spec(spec)
+        if spec["kind"] == "explicit":
             return DistributionFamily([FinitePmf(row) for row in spec["pmfs"]])
-        if kind == "binary-grid":
+        if spec["kind"] == "binary-grid":
             return _generated_family(_binary_grid(
-                _spec_int(spec, "size"), float(spec["theta_min"]),
-                float(spec["theta_max"])))
+                int(spec["size"]), float(spec["theta_min"]), float(spec["theta_max"])))
         return _generated_family(_random_simplex(
-            _spec_int(spec, "size"), _spec_int(spec, "alphabet"), _spec_int(spec, "seed")))
+            int(spec["size"]), int(spec["alphabet"]), int(spec["seed"])))
     if isinstance(spec, Sequence):
         return DistributionFamily([
             row if isinstance(row, FinitePmf) else FinitePmf(row) for row in spec])

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import _cell, _ls_slope
+from .bounds import _cell, _check_grid, _ls_slope
 from .decoder import loglik_from_counts, ml_decode
 from .distributions import DistributionFamily, FinitePmf, bhattacharyya, philox_stream
 
@@ -59,6 +59,9 @@ _TASK_WINDOW = 256
 # Grid points with fewer observed errors than this are excluded from the
 # exponent fit; -log p_hat is severely biased at low counts.
 MIN_ERRORS_FOR_FIT = 50
+
+# Fewest blocklengths in the grid of an exponent fit.
+_FIT_GRID_MIN = 3
 
 
 def permutation_cycles(perm) -> list[list[int]]:
@@ -322,11 +325,7 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
     if not math.isfinite(dist) or dist <= 0.0:
         raise ValueError(
             f"the pair must have finite positive distance, got {dist}")
-    grid = tuple(int(n) for n in n_grid)
-    if len(grid) < 3:
-        raise ValueError(f"n_grid needs at least 3 points, got {len(grid)}")
-    if any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] < 1:
-        raise ValueError(f"n_grid must be strictly increasing and >= 1, got {grid}")
+    grid = _check_grid(n_grid, _FIT_GRID_MIN)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:

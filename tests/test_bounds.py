@@ -318,12 +318,31 @@ class TestGrowthRule:
         with pytest.raises(ValueError):
             GrowthRule("mystery", 2)
 
+    @pytest.mark.parametrize("param", ["3", None, True, float("inf")])
+    def test_param_must_be_a_finite_number(self, param):
+        for kind in ("constant", "polynomial"):
+            with pytest.raises(ValueError):
+                GrowthRule(kind, param)
+
 
 class TestFamilySequenceSpec:
     def test_rejects_non_increasing_grid(self):
         with pytest.raises(ValueError, match="increasing"):
             FamilySequenceSpec(GrowthRule("constant", 2), {"kind": "explicit",
                                "pmfs": [[0.5, 0.5], [0.9, 0.1]]}, (10, 10))
+
+    @pytest.mark.parametrize("template, n_grid, match", [
+        ({"kind": "binary-grid", "size": 3, "theta_min": 0.2, "theta_max": 0.8},
+         (10, 20), "size"),
+        ({"kind": "binary-grid", "theta_min": 0.2}, (10, 20), "theta_max"),
+        ({"kind": "random-simplex", "alphabet": 3, "seed": -1}, (10, 20), "seed"),
+        ({"kind": "explicit", "pmfs": [[0.5, 0.5], None]}, (10, 20), "pmfs"),
+        ({"kind": "binary-grid", "theta_min": 0.2, "theta_max": 0.8}, (10.5, 20), "n_grid"),
+        ({"kind": "binary-grid", "theta_min": 0.2, "theta_max": 0.8}, (10,), "2 points"),
+    ])
+    def test_rejects_malformed_template_or_grid(self, template, n_grid, match):
+        with pytest.raises(ValueError, match=match):
+            FamilySequenceSpec(GrowthRule("constant", 2), template, n_grid)
 
     def test_rejects_small_family(self):
         with pytest.raises(ValueError, match=">= 2"):

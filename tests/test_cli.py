@@ -292,6 +292,8 @@ RANDOM_SIMPLEX = {"family.kind": "random-simplex", "family.size": 3,
 EXPLICIT = {"family.kind": "explicit", "family.pmfs": [[0.5, 0.5], [0.9, 0.1]], "n": 5}
 SWEEP = {"family.kind": "explicit", "family.pmfs": [[0.5, 0.5], [0.9, 0.1]],
          "growth.kind": "constant", "growth.size": 2, "n_grid": [10, 20]}
+GRID_TEMPLATE = {"family.kind": "binary-grid", "family.theta_min": 0.2,
+                 "family.theta_max": 0.8, "n_grid": [10, 200]}
 
 # Small valid configs, one per subcommand, that the fuzzer mutates.
 VALID = {
@@ -344,6 +346,40 @@ class TestConfigValidation:
         code, out, err = run_main(tmp_path, capsys, command, entries, "bad")
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,entries,code,named", [
+        # the config text alone decides these
+        pytest.param("bounds", {"family.kind": "binary-grid", "family.size": 3,
+                                "family.theta_min": 0.1, "n": 5}, 2, "theta_max",
+                     id="no-theta-max"),
+        pytest.param("bounds", {**BINARY_GRID, "family.size": 1}, 2, "size", id="size-1"),
+        pytest.param("bounds", {**RANDOM_SIMPLEX, "family.seed": -1}, 2, "seed",
+                     id="seed-negative"),
+        pytest.param("exponent", {**VALID["exponent"], "n_grid": [2, 4]}, 2, "n_grid",
+                     id="exponent-grid-2"),
+        pytest.param("sweep", {**SWEEP, "n_grid": [10]}, 2, "n_grid", id="sweep-grid-1"),
+        pytest.param("sweep", {**SWEEP, "growth.size": 2.5}, 2, "size",
+                     id="growth-size-float"),
+        pytest.param("lemma", {"k": 4, "r": 7}, 2, "r=7", id="lemma-r-over-k"),
+        # a run finds these
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], [0.5, 0.5]]}, 3,
+                     "not distinct", id="duplicate-members"),
+        pytest.param("sweep", {**GRID_TEMPLATE, "growth.kind": "exponential",
+                               "growth.rate": 5.0}, 3, "overflows", id="exponential-overflow"),
+        pytest.param("sweep", {**GRID_TEMPLATE, "growth.kind": "polynomial",
+                               "growth.degree": 400.0}, 3, "overflows",
+                     id="polynomial-overflow"),
+        pytest.param("sweep", {**GRID_TEMPLATE, "growth.kind": "constant",
+                               "growth.size": 200}, 3, "budget", id="over-budget"),
+        pytest.param("exponent", {**VALID["exponent"], "n_grid": list(range(10, 81, 10)),
+                                  "trials": 100}, 3, "too few", id="too-few-fit-points"),
+    ])
+    def test_exit_code_table(self, tmp_path, capsys, command, entries, code, named):
+        got, out, err = run_main(tmp_path, capsys, command, entries, "table")
+        assert got == code
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
         assert not out.exists()
 
     def test_seeded_config_fuzzer(self, tmp_path, capsys):

@@ -468,6 +468,23 @@ class TestMakeFamily:
                 make_family(spec)
         assert len(make_family({**grid, "size": np.int64(4)})) == 4
 
+    @pytest.mark.parametrize("key, value", [
+        ("theta_min", "0.1"), ("theta_min", None), ("theta_min", True),
+        ("theta_max", "0.9"), ("theta_max", None), ("theta_max", True),
+        ("size", None), ("alphabet", None), ("seed", None), ("seed", True),
+        ("pmfs", 5), ("pmfs", [5, 6]), ("pmfs", [[0.5, 0.5], None]),
+        ("pmfs", [["0.5", "0.5"], [0.9, 0.1]]), ("pmfs", [[True, False], [0.5, 0.5]]),
+        ("kind", 3), ("kind", None), ("kind", ["explicit"]),
+    ])
+    def test_spec_values_of_another_type_name_their_key(self, key, value):
+        # a string theta once built a family, and None raised TypeError
+        grid = {"kind": "binary-grid", "size": 3, "theta_min": 0.1, "theta_max": 0.9}
+        simplex = {"kind": "random-simplex", "size": 3, "alphabet": 3, "seed": 1}
+        explicit = {"kind": "explicit", "pmfs": [[0.5, 0.5], [0.9, 0.1]]}
+        spec = simplex if key in ("alphabet", "seed") else explicit if key == "pmfs" else grid
+        with pytest.raises(ValueError, match=key):
+            make_family({**spec, key: value})
+
     def test_too_small(self):
         with pytest.raises(ValueError, match="at least 2"):
             make_family([(0.5, 0.5)])
