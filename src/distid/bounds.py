@@ -269,6 +269,21 @@ class GrowthRule:
             raise ValueError(f"{self.kind} growth overflows the family size "
                              f"at n={n}") from None
 
+    def _check_sizes(self, n_grid: Sequence[int]) -> None:
+        """Raise ValueError unless the size is >= 2 at every grid point.
+
+        A size that overflows is far above 2 and passes here; `size_at`
+        raises for it when a run needs the size.
+        """
+        for n in n_grid:
+            try:
+                size = self.size_at(n)
+            except ValueError:   # overflow, the only error size_at raises
+                continue
+            if size < 2:
+                raise ValueError(f"family size at n={n} is {size}; "
+                                 f"need >= 2 everywhere on the grid")
+
 
 def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     """Build the size-A_n family for one grid point.
@@ -299,11 +314,7 @@ class FamilySequenceSpec:
         _check_family_spec(self.template, template=True)
         grid = _check_grid(self.n_grid, _TREND_GRID_MIN)
         object.__setattr__(self, "n_grid", grid)
-        for n in grid:
-            if self.growth.size_at(n) < 2:
-                raise ValueError(
-                    f"family size at n={n} is {self.growth.size_at(n)}; "
-                    f"need >= 2 everywhere on the grid")
+        self.growth._check_sizes(grid)
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,9 @@ Keys
                    n_grid, pairs_budget
 
 Exit codes: 0 success; 2 the config text alone decides the error (say
-family.size = 1, a 2-point exponent grid, growth.size = 2.5, lemma r = 7
-with k = 4); 3 a run found it (duplicate members, growth overflow along
+family.size = 1, a 2-point exponent grid, growth.size = 2.5, growth that
+gives a family size below 2 on the grid, lemma r = 7 with k = 4); 3 a run
+found it (duplicate members, growth overflow along
 the grid, a sweep over pairs_budget, too few exponent fit points); 4 I/O.
 
 CSV output starts with a header row; floats are printed with 17 significant
@@ -206,7 +207,7 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
             r = raw.get("r", "all")
             if r != "all" and (not isinstance(r, int) or isinstance(r, bool)):
                 raise ConfigError(f"key 'r' must be an integer or 'all', got {r!r}")
-            graphs._check_cycle_range(cfg.k, 2 if r == "all" else r)
+            graphs._check_enumerable(cfg.k, 2 if r == "all" else r)
             cfg.r = r
             if "trials" not in raw:
                 cfg.trials = 1
@@ -214,6 +215,7 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
             cfg.growth = bounds_mod.GrowthRule._from_spec(
                 {k.partition(".")[2]: v for k, v in raw.items()
                  if k.startswith("growth.")})
+            cfg.growth._check_sizes(cfg.n_grid)
             if "pairs_budget" in raw:
                 cfg.pairs_budget = _expect(raw, "pairs_budget", int, "an integer")
                 if cfg.pairs_budget < 1:

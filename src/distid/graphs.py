@@ -97,6 +97,10 @@ class WeightedCompleteGraph:
 def _check_cycle_range(k: int, r: int) -> None:
     if not 2 <= r <= k:
         raise ValueError(f"need 2 <= r <= k, got r={r}, k={k}")
+
+
+def _check_enumerable(k: int, r: int) -> None:
+    _check_cycle_range(k, r)
     if k > ENUMERATION_MAX_VERTICES:
         raise ValueError(
             f"cycle enumeration is limited to k <= {ENUMERATION_MAX_VERTICES}, "
@@ -112,7 +116,7 @@ def enumerate_cycles(k: int, r: int) -> tuple[tuple[int, ...], ...]:
     canonical orientations makes duplicates structurally impossible.
     For r = 2 every unordered pair is one cycle.
     """
-    _check_cycle_range(k, r)
+    _check_enumerable(k, r)
     if r == 2:
         return tuple((i, j) for i in range(k) for j in range(i + 1, k))
     out = []
@@ -127,8 +131,7 @@ def enumerate_cycles(k: int, r: int) -> tuple[tuple[int, ...], ...]:
 
 def cycle_count(k: int, r: int) -> int:
     """Number of cycles produced by enumerate_cycles."""
-    if not 2 <= r <= k:
-        raise ValueError(f"need 2 <= r <= k, got r={r}, k={k}")
+    _check_cycle_range(k, r)
     if r == 2:
         return math.comb(k, 2)
     return math.comb(k, r) * math.factorial(r - 1) // 2
@@ -141,8 +144,7 @@ def formula_cycle_count(k: int, r: int) -> Fraction:
     that need the closed-form chain (count ratios, incidence counts) use
     this value.
     """
-    if not 2 <= r <= k:
-        raise ValueError(f"need 2 <= r <= k, got r={r}, k={k}")
+    _check_cycle_range(k, r)
     return Fraction(math.comb(k, r) * math.factorial(r - 1), 2)
 
 
@@ -249,8 +251,7 @@ def check_expansion_identities(k: int, r: int, seed: int = 0) -> ExpansionCheck:
     """
     if r % 2 != 0:
         raise ValueError(f"identities apply to even cycle lengths, got r={r}")
-    if not 2 <= r <= k:
-        raise ValueError(f"need 2 <= r <= k, got r={r}, k={k}")
+    _check_cycle_range(k, r)
     if k > 6:
         raise ValueError(f"expansion enumeration is limited to k <= 6, got k={k}")
 

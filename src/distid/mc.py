@@ -21,12 +21,18 @@ Blocks run on threads when workers > 1.  The decode of a block is many
 small numpy steps, which hold the GIL between them; with identical-row
 ties settled in numpy, two threads speed up `estimate_error_prob` about
 1.3x on A = 16 blocks and little at A = 4, where blocks are short (2
-vCPUs; the README gives the runs).  The swap-event blocks of
-`pairwise_error_exponent` are a few large numpy operations.
+vCPUs; the README gives the runs).
+
+The swap-event blocks of `pairwise_error_exponent` hold 2^14 trials
+(`_SWAP_TRIALS_PER_BLOCK`).  For a binary pair a trial is one uniform
+per row through a Walker/Vose alias table of that row's symbol-0 count
+and two table lookups, with no multinomial and no count arrays; pairs
+on three or more symbols draw multinomial counts.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -52,6 +58,13 @@ TRIALS_PER_BLOCK = 4096
 # A block is scored in sub-chunks of about this many matrix entries, so each
 # float64 (chunk, A, A) scoring temporary stays near 128 KiB at any A.
 _SCORE_CHUNK_ENTRIES = 2**14
+
+# Trials per swap-event block of `pairwise_error_exponent`.  A binary trial
+# is a few table lookups, so short blocks are many short numpy steps that
+# contend for the GIL: at 4,096 trials the 10^6-trial, 8-point run took
+# 0.64 s on two threads against 0.43 s on one; at 2^14, 0.25 s against
+# 0.36 s (2 vCPUs, in process).
+_SWAP_TRIALS_PER_BLOCK = 2**14
 
 # Most blocks a thread pool has pending at once.
 _TASK_WINDOW = 256
@@ -162,9 +175,9 @@ class McEstimate:
                    single_cycle_fraction=float(d["single_cycle_fraction"]))
 
 
-def _trial_blocks(trials: int) -> list[tuple[int, int]]:
-    return [(b, min(TRIALS_PER_BLOCK, trials - b * TRIALS_PER_BLOCK))
-            for b in range((trials + TRIALS_PER_BLOCK - 1) // TRIALS_PER_BLOCK)]
+def _trial_blocks(trials: int, per_block: int = TRIALS_PER_BLOCK) -> list[tuple[int, int]]:
+    return [(b, min(per_block, trials - b * per_block))
+            for b in range((trials + per_block - 1) // per_block)]
 
 
 def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
@@ -282,33 +295,136 @@ class ExponentFit:
                    slope=float(d["slope"]), target=float(d["target"]))
 
 
-def _swap_event_weights(p: FinitePmf, q: FinitePmf):
-    """Per-symbol summands of the swap-event statistic, zero-prob aware.
+def _log_ratio(p: FinitePmf, q: FinitePmf) -> np.ndarray:
+    """log(p[s] / q[s]) per symbol, 0 where either is 0.
 
-    The statistic is log(p/q) summed over the q-row plus log(q/p) summed
-    over the p-row; a positive count on a zero-probability symbol sends
-    the corresponding side to -inf.
+    The swap-event statistic is sum_s (c_q[s] - c_p[s]) log(p[s] / q[s]),
+    with c_p, c_q the two rows' symbol counts.  A positive count on a
+    symbol the other member gives probability 0 sends it to -inf; the
+    callers apply that rule from the pmfs.
     """
-    pp, qq = p.probs, q.probs
-    both = (pp > 0) & (qq > 0)
+    both = (p.probs > 0) & (q.probs > 0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_ratio = np.where(both, np.log(pp) - np.log(qq), 0.0)
-    p_dead = (pp <= 0).astype(np.float64)  # kills log(p/q) on the q-row
-    q_dead = (qq <= 0).astype(np.float64)  # kills log(q/p) on the p-row
-    return log_ratio, p_dead, q_dead
+        return np.where(both, np.log(p.probs) - np.log(q.probs), 0.0)
+
+
+def _swap_groups(log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The log ratios as (signs, magnitudes), one group per distinct |value|.
+
+    log_ratio = signs @ magnitudes.  Summing the integer count differences
+    of each group before any float product makes count vectors whose
+    statistics cancel through equal, opposite or zero log ratios compare
+    exactly equal, so such a real tie counts as the event.
+    """
+    magnitudes, group = np.unique(np.abs(log_ratio), return_inverse=True)
+    signs = np.zeros((log_ratio.size, magnitudes.size), dtype=np.int64)
+    signs[np.arange(log_ratio.size), group] = np.sign(log_ratio)
+    return signs, magnitudes
 
 
 def _run_swap_block(p: FinitePmf, q: FinitePmf,
-                    weights: tuple[np.ndarray, np.ndarray, np.ndarray], n: int,
+                    groups: tuple[np.ndarray, np.ndarray], n: int,
                     seed: int, stream: int, block_size: int) -> int:
     rng = philox_stream(seed, stream)
-    counts_p = rng.multinomial(n, p.probs, size=block_size).astype(np.float64)
-    counts_q = rng.multinomial(n, q.probs, size=block_size).astype(np.float64)
-    log_ratio, p_dead, q_dead = weights
-    stat = counts_q @ log_ratio - counts_p @ log_ratio
-    stat = np.where(counts_q @ p_dead > 0, -np.inf, stat)
-    stat = np.where(counts_p @ q_dead > 0, -np.inf, stat)
-    return int((stat >= 0.0).sum())
+    counts_p = rng.multinomial(n, p.probs, size=block_size)
+    counts_q = rng.multinomial(n, q.probs, size=block_size)
+    signs, magnitudes = groups
+    stat = (((counts_q - counts_p) @ signs) * magnitudes).sum(axis=1)
+    dead = (counts_q[:, p.probs <= 0].any(axis=1)
+            | counts_p[:, q.probs <= 0].any(axis=1))
+    return int(np.count_nonzero((stat >= 0.0) & ~dead))
+
+
+def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vose's alias table of positive weights: (keep, alias).
+
+    Column j yields j with probability keep[j] and alias[j] otherwise; a
+    column drawn uniformly then yields j with probability proportional to
+    weights[j] (M. D. Vose, IEEE Trans. Softw. Eng. 17(9), 1991).
+    """
+    size = weights.size
+    scaled = (weights * (size / weights.sum())).tolist()
+    keep, alias = [1.0] * size, list(range(size))
+    small = [j for j, w in enumerate(scaled) if w < 1.0]
+    large = [j for j, w in enumerate(scaled) if w >= 1.0]
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        keep[lo], alias[lo] = scaled[lo], hi
+        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+        (small if scaled[hi] < 1.0 else large).append(hi)
+    return np.array(keep), np.array(alias, dtype=np.intp)
+
+
+def _binomial_alias(n: int, probs: np.ndarray):
+    """Alias table of a binary row's symbol-0 count, Binomial(n, probs[0]).
+
+    Returns (counts, keep, alias) over the counts whose pmf does not
+    underflow float64; the pmf is log-concave, so they form one interval
+    around the mode, found by bisection.  The pmf comes from lgamma in
+    the log domain.
+    """
+    p0, p1 = float(probs[0]), float(probs[1])
+    if p0 == 0.0 or p1 == 0.0:
+        return np.array([n if p1 == 0.0 else 0]), np.ones(1), np.zeros(1, dtype=np.intp)
+    log0, log1, log_n_fact = math.log(p0), math.log(p1), math.lgamma(n + 1)
+
+    def log_pmf(c: int) -> float:
+        return (log_n_fact - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                + c * log0 + (n - c) * log1)
+
+    def alive(c: int) -> bool:
+        return math.exp(log_pmf(c)) > 0.0
+
+    mode = min(n, int((n + 1) * p0))
+    lo = bisect.bisect_left(range(mode + 1), True, key=alive)
+    hi = mode + bisect.bisect_left(range(mode, n + 1), True, key=lambda c: not alive(c))
+    logs = np.array([log_pmf(c) for c in range(lo, hi)])
+    return (np.arange(lo, hi), *_alias_table(np.exp(logs - logs.max())))
+
+
+def _binary_swap_tables(p: FinitePmf, q: FinitePmf, n: int):
+    """Draw tables of a binary pair's swap event at blocklength n.
+
+    One (keep, values) pair per row, p-row first.  Column j of the row's
+    alias table has two outcomes, itself and its alias; values holds the
+    swap-statistic term s[c] = (c, n - c) . log_ratio of each outcome's
+    symbol-0 count c (the K columns, then the K aliases).  A count with a
+    positive entry on a symbol the other member gives probability 0 (the
+    dead flags) stores -inf on the q-row and +inf on the p-row, so
+    s[c_q] - s[c_p] >= 0 is exactly the swap event, with equal counts
+    tying exactly.
+    """
+    log_ratio = _log_ratio(p, q)
+    tables = []
+    for row, other, dead_value in ((p, q, np.inf), (q, p, -np.inf)):
+        counts, keep, alias = _binomial_alias(n, row.probs)
+        count0 = np.concatenate([counts, counts[alias]])
+        count1 = n - count0
+        # elementwise, so equal counts give bit-equal terms in either row
+        stat = count0 * log_ratio[0] + count1 * log_ratio[1]
+        dead = (((count0 > 0) & (other.probs[0] == 0.0))
+                | ((count1 > 0) & (other.probs[1] == 0.0)))
+        tables.append((keep, np.where(dead, dead_value, stat)))
+    return tables
+
+
+def _alias_draw(uniform: np.ndarray, keep: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """One alias-table draw per uniform in [0, 1), as an entry of values.
+
+    The integer part of uniform * K picks column j; its fraction keeps
+    values[j] with probability keep[j] and takes values[K + j], the
+    alias's outcome, otherwise.
+    """
+    scaled = uniform * keep.size
+    column = scaled.astype(np.intp)
+    return values[column + keep.size * (scaled - column >= keep[column])]
+
+
+def _run_binary_swap_block(tables, seed: int, stream: int, block_size: int) -> int:
+    rng = philox_stream(seed, stream)
+    p_side, q_side = (_alias_draw(uniform, *table)
+                      for table, uniform in zip(tables, rng.random((2, block_size))))
+    return int(np.count_nonzero(q_side - p_side >= 0.0))
 
 
 def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
@@ -317,9 +433,19 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
     """Estimate the decay rate of the pairwise swap-event probability.
 
     For each blocklength the swap event (the two-row likelihood-ratio
-    statistic being nonnegative) is estimated by Monte Carlo; the decay
-    slope is fit over the grid points with enough observed events and
-    compared against twice the Bhattacharyya distance.
+    statistic being nonnegative, a tie included) is estimated by Monte
+    Carlo; the decay slope is fit over the grid points with enough
+    observed events and compared against twice the Bhattacharyya
+    distance.
+
+    On a binary alphabet a row's counts are fixed by its symbol-0 count.
+    Each row of a trial then takes one uniform through a Walker/Vose
+    alias table of that count's binomial, and the statistic is read from
+    per-count tables, all built once per blocklength before any block
+    runs.  Rows on m >= 3 symbols draw multinomial counts, whose type
+    tables would grow like n^(m-1).  Block b of grid point g draws from
+    the stream keyed (seed, g * 2^32 + b), so any worker count yields
+    the identical fit.
     """
     dist = bhattacharyya(p, q)
     if not math.isfinite(dist) or dist <= 0.0:
@@ -331,12 +457,17 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    blocks = _trial_blocks(trials)
+    blocks = _trial_blocks(trials, _SWAP_TRIALS_PER_BLOCK)
+    if p.alphabet_size == 2:
+        run_block = _run_binary_swap_block
+        per_point = [_binary_swap_tables(p, q, n) for n in grid]
+    else:   # the type tables of m >= 3 rows grow too fast; draw multinomials
+        run_block = partial(_run_swap_block, p, q, _swap_groups(_log_ratio(p, q)))
+        per_point = grid
     # stream index packs (grid point, block) so every block is its own stream
-    tasks = [(n, seed, g * 2**32 + b, size)
-             for g, n in enumerate(grid) for b, size in blocks]
-    hits = _map_blocks(partial(_run_swap_block, p, q, _swap_event_weights(p, q)),
-                       tasks, workers)
+    tasks = [(per_point[g], seed, g * 2**32 + b, size)
+             for g in range(len(grid)) for b, size in blocks]
+    hits = _map_blocks(run_block, tasks, workers)
     errors = [sum(hits[g * len(blocks):(g + 1) * len(blocks)])
               for g in range(len(grid))]
 

@@ -22,7 +22,20 @@ from distid import DistributionFamily
 
 
 def binomial_pmf(n: int, p: float) -> list[float]:
-    return [comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)]
+    """Binomial(n, p) pmf by the term recurrence
+    pmf[k + 1] = pmf[k] (n - k) / (k + 1) * p / (1 - p) in 60-digit decimal,
+    which neither overflows nor underflows before the final rounding."""
+    if p in (0.0, 1.0):
+        return [float(k == round(n * p)) for k in range(n + 1)]
+    with localcontext() as ctx:
+        ctx.prec = 60
+        ratio = Decimal(p) / Decimal(1.0 - p)
+        term = Decimal(1.0 - p) ** n
+        pmf = []
+        for k in range(n + 1):
+            pmf.append(float(term))
+            term = term * (n - k) / (k + 1) * ratio
+    return pmf
 
 
 def _row_score(n: int, k: int, probs) -> Decimal | None:
@@ -113,6 +126,58 @@ def exact_swap_event_prob(p_one: float, q_one: float, n: int) -> float:
             if stat >= 0.0:
                 total += bp[kp] * bq[kq]
     return total
+
+
+def _types(n: int, m: int):
+    """Every count vector of n draws over m symbols."""
+    for bars in itertools.combinations(range(n + m - 1), m - 1):
+        edges = (-1, *bars, n + m - 1)
+        yield tuple(b - a - 1 for a, b in zip(edges, edges[1:]))
+
+
+def _type_prob(counts: tuple, probs) -> float:
+    coeff = math.factorial(sum(counts))
+    for c in counts:
+        coeff //= math.factorial(c)
+    return coeff * math.prod(p**c for p, c in zip(probs, counts))
+
+
+def exact_swap_event_prob_general(p, q, n: int) -> float:
+    """Exact swap-event probability of two pmfs on any alphabet, by enumeration.
+
+    Sums P(type of the p-row) * P(type of the q-row) with fsum over the
+    type pairs whose statistic sum_s (c_q[s] - c_p[s]) ln(p[s] / q[s]) is
+    >= 0, decided in 50-digit decimal.  A positive count on a symbol the
+    other member gives probability 0 makes the statistic -inf.  A real
+    tie (a statistic within 1e-30 of 0, which the pmfs tested make
+    exactly 0) counts as a tie, hence as an event; a statistic between
+    1e-30 and 1e-12 of 0 is beyond this oracle and fails loudly.
+    """
+    p, q = [float(x) for x in p], [float(x) for x in q]
+    with localcontext() as ctx:
+        ctx.prec = 50
+        log_ratio = [Decimal(a).ln() - Decimal(b).ln() if a > 0 and b > 0 else None
+                     for a, b in zip(p, q)]
+        rows_p = [(c, _type_prob(c, p)) for c in _types(n, len(p))]
+        rows_q = [(c, _type_prob(c, q)) for c in _types(n, len(q))]
+        terms = []
+        for cp, weight_p in rows_p:
+            if weight_p == 0.0:
+                continue
+            for cq, weight_q in rows_q:
+                if weight_q == 0.0:
+                    continue
+                # a zero-probability symbol of q (p) with counts on the p-row
+                # (q-row) kills the event
+                if any(r is None and (a or b) for r, a, b in zip(log_ratio, cp, cq)):
+                    continue
+                stat = sum(((b - a) * r for r, a, b in zip(log_ratio, cp, cq)
+                            if r is not None), Decimal(0))
+                assert not Decimal("1e-30") < abs(stat) < Decimal("1e-12"), \
+                    f"near-tie the oracle cannot settle at {cp}, {cq}"
+                if stat >= Decimal("-1e-30"):
+                    terms.append(weight_p * weight_q)
+    return math.fsum(terms)
 
 
 def naive_pairwise_sum(family: DistributionFamily, n: int) -> float:

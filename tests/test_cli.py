@@ -361,6 +361,9 @@ class TestConfigValidation:
         pytest.param("sweep", {**SWEEP, "n_grid": [10]}, 2, "n_grid", id="sweep-grid-1"),
         pytest.param("sweep", {**SWEEP, "growth.size": 2.5}, 2, "size",
                      id="growth-size-float"),
+        pytest.param("sweep", {**GRID_TEMPLATE, "growth.kind": "polynomial",
+                               "growth.degree": 0.1, "n_grid": [1, 2]}, 2,
+                     "family size at n=1 is 1", id="growth-size-below-2"),
         pytest.param("lemma", {"k": 4, "r": 7}, 2, "r=7", id="lemma-r-over-k"),
         # a run finds these
         pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], [0.5, 0.5]]}, 3,

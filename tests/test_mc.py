@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,9 +14,20 @@ from distid import (
 )
 from distid.decoder import exhaustive_decode, loglik_from_counts
 from distid.distributions import philox_stream
-from distid.mc import TRIALS_PER_BLOCK, _run_error_block, _single_cycle
+from distid.mc import (
+    TRIALS_PER_BLOCK,
+    _alias_draw,
+    _binomial_alias,
+    _run_error_block,
+    _single_cycle,
+)
 
-from oracles import exact_pair_error_prob, exact_swap_event_prob
+from oracles import (
+    binomial_pmf,
+    exact_pair_error_prob,
+    exact_swap_event_prob,
+    exact_swap_event_prob_general,
+)
 
 PAIR = make_family([(0.5, 0.5), (0.9, 0.1)])
 
@@ -248,6 +260,42 @@ class TestPairwiseErrorExponent:
             stderr = math.sqrt(exact * (1 - exact) / fit.trials)
             assert abs(p_hat - exact) <= 4 * stderr
 
+    def test_estimates_centre_on_the_exact_values(self):
+        # over 30 seeds the z-scores against the exact probability have
+        # mean 0 within 4 standard errors and a spread near 1
+        grid, trials, seeds = [10, 20, 30], 2**17, range(30)
+        exact = np.array([exact_swap_event_prob(0.5, 0.1, n) for n in grid])
+        p_hats = np.array([pairwise_error_exponent(PAIR[0], PAIR[1], grid, trials,
+                                                   seed=s).p_hats for s in seeds])
+        z = (p_hats - exact) / np.sqrt(exact * (1 - exact) / trials)
+        assert np.all(np.abs(z.mean(axis=0)) <= 4 / math.sqrt(len(seeds)))
+        assert np.all((0.5 < z.std(axis=0)) & (z.std(axis=0) < 1.5))
+
+    @pytest.mark.parametrize("pmfs", [[(0.5, 0.5), (1.0, 0.0)],
+                                      [(0.0, 1.0), (0.5, 0.5)]])
+    def test_point_mass_row(self, pmfs):
+        # the swap needs every draw of the fair row on the point mass's
+        # symbol: probability 2^-n
+        fam = make_family(pmfs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = pairwise_error_exponent(fam[0], fam[1], [2, 4, 6, 8], 50_000, seed=3)
+        for n, p_hat in zip(fit.n_grid, fit.p_hats):
+            exact = 2.0**-n
+            assert abs(p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / fit.trials)
+
+    @pytest.mark.parametrize("pmfs", [
+        [(0.5, 0.3, 0.2), (0.2, 0.3, 0.5)],   # symbol 1 cancels, 0 and 2 mirror
+        [(0.4, 0.4, 0.2), (0.1, 0.1, 0.8)],   # symbols 0 and 1 share a ratio
+        [(0.5, 0.5, 0.0), (0.2, 0.3, 0.5)],   # a zero-probability symbol
+    ])
+    def test_trinomial_pair_matches_exact_enumeration(self, pmfs):
+        fam = make_family(pmfs)
+        fit = pairwise_error_exponent(fam[0], fam[1], [4, 8, 12], 50_000, seed=15)
+        for n, p_hat in zip(fit.n_grid, fit.p_hats):
+            exact = exact_swap_event_prob_general(*pmfs, n)
+            assert abs(p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / fit.trials)
+
     def test_deterministic_and_worker_invariant(self):
         a = pairwise_error_exponent(PAIR[0], PAIR[1], [5, 10, 15],
                                     20_000, seed=6)
@@ -270,3 +318,22 @@ class TestPairwiseErrorExponent:
         with pytest.raises(ValueError, match="too few"):
             pairwise_error_exponent(PAIR[0], PAIR[1], [200, 250, 300],
                                     1000, seed=5)
+
+
+class TestBinomialAlias:
+    @pytest.mark.parametrize("n,p0", [(10, 0.5), (80, 0.9), (400, 0.03),
+                                      (5000, 0.5), (7, 0.0), (7, 1.0)])
+    def test_draws_follow_the_binomial(self, n, p0):
+        counts, keep, alias = _binomial_alias(n, np.array([p0, 1.0 - p0]))
+        pmf = np.array(binomial_pmf(n, p0))
+        # the table's own distribution: column j gives counts[j] with
+        # probability keep[j] / K and counts[alias[j]] with the rest
+        implied = np.zeros(n + 1)
+        np.add.at(implied, counts, keep / keep.size)
+        np.add.at(implied, counts[alias], (1.0 - keep) / keep.size)
+        assert np.abs(implied - pmf).max() < 1e-12
+        # the draws: Kolmogorov-Smirnov distance below its 0.1% critical value
+        draws = _alias_draw(philox_stream(0xA11A5, n).random(200_000), keep,
+                            np.concatenate([counts, counts[alias]]))
+        ecdf = np.cumsum(np.bincount(draws, minlength=n + 1)) / draws.size
+        assert np.abs(ecdf - np.cumsum(pmf)).max() < 1.95 / math.sqrt(draws.size)
