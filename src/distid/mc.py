@@ -25,9 +25,11 @@ vCPUs; the README gives the runs).
 
 The swap-event blocks of `pairwise_error_exponent` hold 2^14 trials
 (`_SWAP_TRIALS_PER_BLOCK`).  For a binary pair a trial is one uniform
-per row through a Walker/Vose alias table of that row's symbol-0 count
-and two table lookups, with no multinomial and no count arrays; pairs
-on three or more symbols draw multinomial counts.
+per row through a Walker/Vose alias table of that row's symbol-0 count,
+and the event compares the two counts; pairs on three or more symbols
+draw multinomial counts.  Swap decisions are taken on integer counts and
+exact pmf ratios, floats entering only as magnitudes, so a tie through
+equal counts or equal or reciprocal ratios counts as the event.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -65,9 +68,6 @@ _SCORE_CHUNK_ENTRIES = 2**14
 # 0.64 s on two threads against 0.43 s on one; at 2^14, 0.25 s against
 # 0.36 s (2 vCPUs, in process).
 _SWAP_TRIALS_PER_BLOCK = 2**14
-
-# Most blocks a thread pool has pending at once.
-_TASK_WINDOW = 256
 
 # Grid points with fewer observed errors than this are excluded from the
 # exponent fit; -log p_hat is severely biased at low counts.
@@ -184,12 +184,8 @@ def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
     """fn(*task) for every task, in task order; one thread pool if workers > 1."""
     if workers == 1 or len(tasks) == 1:
         return [fn(*task) for task in tasks]
-    results = []
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        # every submitted task holds a future, so submit a window at a time
-        for lo in range(0, len(tasks), _TASK_WINDOW):
-            results += pool.map(lambda task: fn(*task), tasks[lo:lo + _TASK_WINDOW])
-    return results
+        return list(pool.map(lambda task: fn(*task), tasks))
 
 
 def _run_error_block(family: DistributionFamily, n: int, seed: int,
@@ -295,31 +291,35 @@ class ExponentFit:
                    slope=float(d["slope"]), target=float(d["target"]))
 
 
-def _log_ratio(p: FinitePmf, q: FinitePmf) -> np.ndarray:
-    """log(p[s] / q[s]) per symbol, 0 where either is 0.
+def _swap_groups(p: FinitePmf, q: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
+    """The swap statistic's symbols as (signs, magnitudes), one group per ratio.
 
-    The swap-event statistic is sum_s (c_q[s] - c_p[s]) log(p[s] / q[s]),
-    with c_p, c_q the two rows' symbol counts.  A positive count on a
-    symbol the other member gives probability 0 sends it to -inf; the
-    callers apply that rule from the pmfs.
+    The statistic sum_s (c_q[s] - c_p[s]) log(p[s] / q[s]) of two count
+    rows is (((c_q - c_p) @ signs) * magnitudes).sum().  A group holds the
+    symbols whose exact ratio p[s] / q[s] is one key >= 1 (sign +1) or its
+    reciprocal (sign -1), and its magnitude is log(key).  Integer count
+    differences are summed per group before any float product, so counts
+    whose statistic cancels through equal or reciprocal ratios tie exactly.
+    A symbol with ratio 1, or that either member gives probability 0,
+    adds nothing.
     """
-    both = (p.probs > 0) & (q.probs > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(both, np.log(p.probs) - np.log(q.probs), 0.0)
+    ratios = [Fraction(a) / Fraction(b) if a > 0 and b > 0 else None
+              for a, b in zip(p.probs.tolist(), q.probs.tolist())]
+    keys = sorted({max(r, 1 / r) for r in ratios if r is not None})
+    signs = np.array([[(r == key) - (r == 1 / key) for key in keys] for r in ratios],
+                     dtype=np.int64)
+    return signs, np.array([math.log(key) for key in keys])
 
 
-def _swap_groups(log_ratio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The log ratios as (signs, magnitudes), one group per distinct |value|.
-
-    log_ratio = signs @ magnitudes.  Summing the integer count differences
-    of each group before any float product makes count vectors whose
-    statistics cancel through equal, opposite or zero log ratios compare
-    exactly equal, so such a real tie counts as the event.
-    """
-    magnitudes, group = np.unique(np.abs(log_ratio), return_inverse=True)
-    signs = np.zeros((log_ratio.size, magnitudes.size), dtype=np.int64)
-    signs[np.arange(log_ratio.size), group] = np.sign(log_ratio)
-    return signs, magnitudes
+def _swap_event(p: FinitePmf, q: FinitePmf, groups: tuple[np.ndarray, np.ndarray],
+                counts_p: np.ndarray, counts_q: np.ndarray) -> np.ndarray:
+    """Whether each pair of count rows is a swap event: statistic >= 0 and
+    no count on a symbol the other member gives probability 0."""
+    signs, magnitudes = groups
+    stat = (((counts_q - counts_p) @ signs) * magnitudes).sum(axis=1)
+    dead = (counts_q[:, p.probs <= 0].any(axis=1)
+            | counts_p[:, q.probs <= 0].any(axis=1))
+    return (stat >= 0.0) & ~dead
 
 
 def _run_swap_block(p: FinitePmf, q: FinitePmf,
@@ -328,11 +328,7 @@ def _run_swap_block(p: FinitePmf, q: FinitePmf,
     rng = philox_stream(seed, stream)
     counts_p = rng.multinomial(n, p.probs, size=block_size)
     counts_q = rng.multinomial(n, q.probs, size=block_size)
-    signs, magnitudes = groups
-    stat = (((counts_q - counts_p) @ signs) * magnitudes).sum(axis=1)
-    dead = (counts_q[:, p.probs <= 0].any(axis=1)
-            | counts_p[:, q.probs <= 0].any(axis=1))
-    return int(np.count_nonzero((stat >= 0.0) & ~dead))
+    return int(np.count_nonzero(_swap_event(p, q, groups, counts_p, counts_q)))
 
 
 def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,26 +381,19 @@ def _binomial_alias(n: int, probs: np.ndarray):
 def _binary_swap_tables(p: FinitePmf, q: FinitePmf, n: int):
     """Draw tables of a binary pair's swap event at blocklength n.
 
-    One (keep, values) pair per row, p-row first.  Column j of the row's
-    alias table has two outcomes, itself and its alias; values holds the
-    swap-statistic term s[c] = (c, n - c) . log_ratio of each outcome's
-    symbol-0 count c (the K columns, then the K aliases).  A count with a
-    positive entry on a symbol the other member gives probability 0 (the
-    dead flags) stores -inf on the q-row and +inf on the p-row, so
-    s[c_q] - s[c_p] >= 0 is exactly the swap event, with equal counts
-    tying exactly.
+    Returns (sign, p_table, q_table).  A row's table is (keep, counts),
+    counts holding the symbol-0 count of each alias-table outcome (the K
+    columns, then their K aliases).  The statistic is
+    (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the event is
+    sign * (c_q - c_p) >= 0, sign being the exact sign (+-1) of that log.
+    A member with a zero is a point mass, so a count on its zero symbol
+    fails that comparison.
     """
-    log_ratio = _log_ratio(p, q)
-    tables = []
-    for row, other, dead_value in ((p, q, np.inf), (q, p, -np.inf)):
+    p0, p1, q0, q1 = map(Fraction, (*p.probs.tolist(), *q.probs.tolist()))
+    tables = [1 if p0 * q1 > p1 * q0 else -1]
+    for row in (p, q):
         counts, keep, alias = _binomial_alias(n, row.probs)
-        count0 = np.concatenate([counts, counts[alias]])
-        count1 = n - count0
-        # elementwise, so equal counts give bit-equal terms in either row
-        stat = count0 * log_ratio[0] + count1 * log_ratio[1]
-        dead = (((count0 > 0) & (other.probs[0] == 0.0))
-                | ((count1 > 0) & (other.probs[1] == 0.0)))
-        tables.append((keep, np.where(dead, dead_value, stat)))
+        tables.append((keep, np.concatenate([counts, counts[alias]])))
     return tables
 
 
@@ -422,9 +411,10 @@ def _alias_draw(uniform: np.ndarray, keep: np.ndarray, values: np.ndarray) -> np
 
 def _run_binary_swap_block(tables, seed: int, stream: int, block_size: int) -> int:
     rng = philox_stream(seed, stream)
-    p_side, q_side = (_alias_draw(uniform, *table)
-                      for table, uniform in zip(tables, rng.random((2, block_size))))
-    return int(np.count_nonzero(q_side - p_side >= 0.0))
+    sign, *row_tables = tables
+    c_p, c_q = (_alias_draw(uniform, *table)
+                for table, uniform in zip(row_tables, rng.random((2, block_size))))
+    return int(np.count_nonzero(c_q >= c_p if sign > 0 else c_q <= c_p))
 
 
 def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
@@ -438,14 +428,15 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
     observed events and compared against twice the Bhattacharyya
     distance.
 
-    On a binary alphabet a row's counts are fixed by its symbol-0 count.
-    Each row of a trial then takes one uniform through a Walker/Vose
-    alias table of that count's binomial, and the statistic is read from
-    per-count tables, all built once per blocklength before any block
-    runs.  Rows on m >= 3 symbols draw multinomial counts, whose type
-    tables would grow like n^(m-1).  Block b of grid point g draws from
-    the stream keyed (seed, g * 2^32 + b), so any worker count yields
-    the identical fit.
+    On a binary alphabet each row of a trial takes one uniform through a
+    Walker/Vose alias table of its symbol-0 count, built once per
+    blocklength, and the event is c_q >= c_p or c_q <= c_p as the exact
+    comparison of p[0] q[1] with p[1] q[0] decides.  Rows on m >= 3
+    symbols draw multinomial counts, whose type tables would grow like
+    n^(m-1), and sum count differences per exact pmf ratio
+    (`_swap_groups`), so equal or reciprocal ratios cancel exactly.  Block
+    b of grid point g draws from the stream keyed (seed, g * 2^32 + b), so
+    any worker count yields the identical fit.
     """
     dist = bhattacharyya(p, q)
     if not math.isfinite(dist) or dist <= 0.0:
@@ -462,7 +453,7 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
         run_block = _run_binary_swap_block
         per_point = [_binary_swap_tables(p, q, n) for n in grid]
     else:   # the type tables of m >= 3 rows grow too fast; draw multinomials
-        run_block = partial(_run_swap_block, p, q, _swap_groups(_log_ratio(p, q)))
+        run_block = partial(_run_swap_block, p, q, _swap_groups(p, q))
         per_point = grid
     # stream index packs (grid point, block) so every block is its own stream
     tasks = [(per_point[g], seed, g * 2**32 + b, size)

@@ -3,7 +3,8 @@
 These deliberately avoid the library's summation, enumeration and
 decoding paths: probabilities come from exact binomial enumeration, ML
 decisions of small binary families from 50-digit decimal scores with
-ties settled by exact reasoning, and cycle counts from first-principles
+ties settled by exact reasoning, swap events from likelihood products in
+exact fractions, and cycle counts from first-principles
 combinatorics, so the oracles stay independent of the code they check.
 The decoder itself is also checked against an fsum brute-force
 enumeration in test_decoder.py that shares no code with it.
@@ -14,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -142,42 +144,45 @@ def _type_prob(counts: tuple, probs) -> float:
     return coeff * math.prod(p**c for p, c in zip(probs, counts))
 
 
+def possible_types(n: int, probs) -> list[tuple]:
+    """Every count vector of n draws that the pmf gives positive probability."""
+    return [c for c in _types(n, len(probs))
+            if all(x > 0 or k == 0 for x, k in zip(probs, c))]
+
+
+def _likelihood(counts, probs) -> Fraction:
+    return math.prod(Fraction(float(x)) ** c for x, c in zip(probs, counts))
+
+
+def swap_events_exact(p, q, types_p, types_q) -> list[list[bool]]:
+    """Swap events of every pair of a p-row type and a q-row type.
+
+    The event is that the swap, which explains the p-row's counts by q
+    and the q-row's by p, has a likelihood product at least that of the
+    identity.  Both products are compared exactly, as fractions of the
+    float probabilities, so a tie is decided exactly and counts as the
+    event; a zero probability zeroes its product.
+    """
+    identity_p = [_likelihood(c, p) for c in types_p]
+    swap_p = [_likelihood(c, q) for c in types_p]
+    identity_q = [_likelihood(c, q) for c in types_q]
+    swap_q = [_likelihood(c, p) for c in types_q]
+    return [[sp * sq >= ip * iq for sq, iq in zip(swap_q, identity_q)]
+            for sp, ip in zip(swap_p, identity_p)]
+
+
 def exact_swap_event_prob_general(p, q, n: int) -> float:
     """Exact swap-event probability of two pmfs on any alphabet, by enumeration.
 
     Sums P(type of the p-row) * P(type of the q-row) with fsum over the
-    type pairs whose statistic sum_s (c_q[s] - c_p[s]) ln(p[s] / q[s]) is
-    >= 0, decided in 50-digit decimal.  A positive count on a symbol the
-    other member gives probability 0 makes the statistic -inf.  A real
-    tie (a statistic within 1e-30 of 0, which the pmfs tested make
-    exactly 0) counts as a tie, hence as an event; a statistic between
-    1e-30 and 1e-12 of 0 is beyond this oracle and fails loudly.
+    type pairs that `swap_events_exact` calls events.
     """
     p, q = [float(x) for x in p], [float(x) for x in q]
-    with localcontext() as ctx:
-        ctx.prec = 50
-        log_ratio = [Decimal(a).ln() - Decimal(b).ln() if a > 0 and b > 0 else None
-                     for a, b in zip(p, q)]
-        rows_p = [(c, _type_prob(c, p)) for c in _types(n, len(p))]
-        rows_q = [(c, _type_prob(c, q)) for c in _types(n, len(q))]
-        terms = []
-        for cp, weight_p in rows_p:
-            if weight_p == 0.0:
-                continue
-            for cq, weight_q in rows_q:
-                if weight_q == 0.0:
-                    continue
-                # a zero-probability symbol of q (p) with counts on the p-row
-                # (q-row) kills the event
-                if any(r is None and (a or b) for r, a, b in zip(log_ratio, cp, cq)):
-                    continue
-                stat = sum(((b - a) * r for r, a, b in zip(log_ratio, cp, cq)
-                            if r is not None), Decimal(0))
-                assert not Decimal("1e-30") < abs(stat) < Decimal("1e-12"), \
-                    f"near-tie the oracle cannot settle at {cp}, {cq}"
-                if stat >= Decimal("-1e-30"):
-                    terms.append(weight_p * weight_q)
-    return math.fsum(terms)
+    types_p, types_q = possible_types(n, p), possible_types(n, q)
+    events = swap_events_exact(p, q, types_p, types_q)
+    return math.fsum(_type_prob(cp, p) * _type_prob(cq, q)
+                     for cp, row in zip(types_p, events)
+                     for cq, event in zip(types_q, row) if event)
 
 
 def naive_pairwise_sum(family: DistributionFamily, n: int) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from distid import (
+    FinitePmf,
     estimate_error_prob,
     make_family,
     pairwise_error_exponent,
@@ -17,9 +18,13 @@ from distid.distributions import philox_stream
 from distid.mc import (
     TRIALS_PER_BLOCK,
     _alias_draw,
+    _binary_swap_tables,
     _binomial_alias,
+    _run_binary_swap_block,
     _run_error_block,
     _single_cycle,
+    _swap_event,
+    _swap_groups,
 )
 
 from oracles import (
@@ -27,6 +32,8 @@ from oracles import (
     exact_pair_error_prob,
     exact_swap_event_prob,
     exact_swap_event_prob_general,
+    possible_types,
+    swap_events_exact,
 )
 
 PAIR = make_family([(0.5, 0.5), (0.9, 0.1)])
@@ -288,6 +295,7 @@ class TestPairwiseErrorExponent:
         [(0.5, 0.3, 0.2), (0.2, 0.3, 0.5)],   # symbol 1 cancels, 0 and 2 mirror
         [(0.4, 0.4, 0.2), (0.1, 0.1, 0.8)],   # symbols 0 and 1 share a ratio
         [(0.5, 0.5, 0.0), (0.2, 0.3, 0.5)],   # a zero-probability symbol
+        [(0.3, 0.6, 0.1), (0.1, 0.2, 0.7)],   # equal ratios with unequal logs
     ])
     def test_trinomial_pair_matches_exact_enumeration(self, pmfs):
         fam = make_family(pmfs)
@@ -295,6 +303,13 @@ class TestPairwiseErrorExponent:
         for n, p_hat in zip(fit.n_grid, fit.p_hats):
             exact = exact_swap_event_prob_general(*pmfs, n)
             assert abs(p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / fit.trials)
+
+    def test_errors_at_the_criterion_config(self):
+        # the criterion-11 `exponent` config at seed 0x5EED: a change meant to
+        # keep the output bytes must keep these counts
+        fit = pairwise_error_exponent(PAIR[0], PAIR[1], list(range(10, 81, 10)),
+                                      1_000_000, seed=0x5EED, workers=2)
+        assert fit.errors == (30308, 2435, 212, 17, 2, 0, 0, 0)
 
     def test_deterministic_and_worker_invariant(self):
         a = pairwise_error_exponent(PAIR[0], PAIR[1], [5, 10, 15],
@@ -318,6 +333,47 @@ class TestPairwiseErrorExponent:
         with pytest.raises(ValueError, match="too few"):
             pairwise_error_exponent(PAIR[0], PAIR[1], [200, 250, 300],
                                     1000, seed=5)
+
+
+class TestSwapDecisions:
+    """The swap rules on given counts against exact likelihood products."""
+
+    @pytest.mark.parametrize("pmfs,n", [
+        ([(0.2, 0.4, 0.4), (0.1, 0.1, 0.8)], 12),      # ratios 2, 4, 1/2
+        ([(0.3, 0.6, 0.1), (0.1, 0.2, 0.7)], 6),       # two equal ratios
+        ([(0.3, 0.6, 0.1), (0.1, 0.2, 0.7)], 12),
+        ([(0.25, 0.25, 0.25, 0.25), (0.1, 0.2, 0.3, 0.4)], 6),
+        ([(0.5, 0.3, 0.2), (0.2, 0.3, 0.5)], 12),
+        ([(0.4, 0.4, 0.2), (0.1, 0.1, 0.8)], 12),
+        ([(0.5, 0.5, 0.0), (0.2, 0.3, 0.5)], 12),
+    ])
+    def test_multinomial_rule_on_every_type_pair(self, pmfs, n):
+        p, q = (FinitePmf(x) for x in pmfs)
+        types_p, types_q = possible_types(n, pmfs[0]), possible_types(n, pmfs[1])
+        counts_p, counts_q = (np.array(side) for side in
+                              zip(*itertools.product(types_p, types_q)))
+        decided = _swap_event(p, q, _swap_groups(p, q), counts_p, counts_q)
+        exact = np.array(swap_events_exact(*pmfs, types_p, types_q)).ravel()
+        assert np.count_nonzero(decided != exact) == 0
+
+    @pytest.mark.parametrize("pmfs", [
+        [(0.5, 0.5), (1.0, 0.0)], [(1.0, 0.0), (0.5, 0.5)],
+        [(0.0, 1.0), (0.5, 0.5)], [(0.5, 0.5), (0.0, 1.0)],
+        [(0.3, 0.7), (0.3 + 2e-9, 0.7 - 2e-9)],
+        [(0.5, 0.5), (0.9, 0.1)],
+    ])
+    def test_binary_rule_on_every_count_pair(self, pmfs):
+        # one-outcome alias tables make each block draw the given counts
+        p, q = (FinitePmf(x) for x in pmfs)
+        for n in (1, 2, 5, 17, 40):
+            sign = _binary_swap_tables(p, q, n)[0]
+            types_p, types_q = possible_types(n, pmfs[0]), possible_types(n, pmfs[1])
+            exact = swap_events_exact(*pmfs, types_p, types_q)
+            for ((cp, _), (cq, _)), event in zip(itertools.product(types_p, types_q),
+                                                 itertools.chain(*exact)):
+                tables = (sign, (np.ones(1), np.array([cp, cp])),
+                          (np.ones(1), np.array([cq, cq])))
+                assert _run_binary_swap_block(tables, 0, 0, 1) == event, (n, cp, cq)
 
 
 class TestBinomialAlias:
