@@ -134,8 +134,7 @@ class RunConfig:
     workers: int = 1
     family: dict | None = None
     growth: bounds_mod.GrowthRule | None = None
-    n: int | None = None
-    n_grid: tuple[int, ...] | None = None
+    n_grid: tuple[int, ...] | None = None   # n = N is stored as (N,)
     trials: int = 10_000
     k: int | None = None
     r: object = None  # int or "all"
@@ -186,9 +185,9 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
                           if k.startswith("family.")}
             _check_family_spec(cfg.family, template=command == "sweep")
         if "n" in raw:
-            cfg.n = _expect(raw, "n", int, "an integer")
-            if cfg.n < 1:
-                raise ConfigError(f"n must be >= 1, got {cfg.n}")
+            n = _expect(raw, "n", int, "an integer")
+            if n < 1:
+                raise ConfigError(f"n must be >= 1, got {n}")
         if "n_grid" in raw:
             grid = _expect(raw, "n_grid", (list, tuple), "a list of integers")
             cfg.n_grid = _check_grid(grid, _GRID_MIN.get(command, 1))
@@ -196,10 +195,12 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
         if command in ("exponent", "sweep") and cfg.n_grid is None:
             raise ConfigError(f"{command} needs n_grid")
         if command in ("bounds", "simulate"):
-            if cfg.n is None and cfg.n_grid is None:
-                raise ConfigError(f"{command} needs n or n_grid")
-            if cfg.n is not None and cfg.n_grid is not None:
+            if "n" in raw and cfg.n_grid is not None:
                 raise ConfigError(f"{command} takes n or n_grid, not both")
+            if "n" in raw:
+                cfg.n_grid = (n,)
+            elif cfg.n_grid is None:
+                raise ConfigError(f"{command} needs n or n_grid")
         elif command == "lemma":
             if "k" not in raw:
                 raise ConfigError("lemma needs k")
@@ -227,17 +228,15 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
 
 def _run_bounds(cfg: RunConfig):
     family = make_family(cfg.family)
-    grid = cfg.n_grid if cfg.n_grid is not None else (cfg.n,)
-    reports = [bounds_mod.BoundReport.from_family(family, n) for n in grid]
+    reports = [bounds_mod.BoundReport.from_family(family, n) for n in cfg.n_grid]
     return (bounds_mod.BoundReport.csv_header(), [r.csv_row() for r in reports],
             {"command": "bounds", "reports": [r.to_json_dict() for r in reports]})
 
 
 def _run_simulate(cfg: RunConfig):
     family = make_family(cfg.family)
-    grid = cfg.n_grid if cfg.n_grid is not None else (cfg.n,)
     estimates, reports = [], []
-    for n in grid:
+    for n in cfg.n_grid:
         estimates.append(mc.estimate_error_prob(
             family, n, cfg.trials, cfg.seed, workers=cfg.workers))
         reports.append(bounds_mod.BoundReport.from_family(family, n))

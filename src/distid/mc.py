@@ -23,18 +23,17 @@ ties settled in numpy, two threads speed up `estimate_error_prob` about
 1.3x on A = 16 blocks and little at A = 4, where blocks are short (2
 vCPUs; the README gives the runs).
 
-The swap-event blocks of `pairwise_error_exponent` hold 2^14 trials
-(`_SWAP_TRIALS_PER_BLOCK`).  For a binary pair a trial is one uniform
-per row through a Walker/Vose alias table of that row's symbol-0 count,
-and the event compares the two counts; pairs on three or more symbols
-draw multinomial counts.  Swap decisions are taken on integer counts and
-exact pmf ratios, floats entering only as magnitudes, so a tie through
-equal counts or equal or reciprocal ratios counts as the event.
+`pairwise_error_exponent` simulates no trial of a binary pair: its swap
+event compares the two rows' symbol-0 counts, so the event probability
+has a closed form, and a grid point's event count is one binomial draw
+with that probability.  Pairs on three or more symbols draw multinomial
+counts in blocks of 2^14 trials (`_SWAP_TRIALS_PER_BLOCK`); a trial whose
+float statistic is a near tie is decided on exact pmf ratios, so a real
+tie counts as the event.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -62,11 +61,8 @@ TRIALS_PER_BLOCK = 4096
 # float64 (chunk, A, A) scoring temporary stays near 128 KiB at any A.
 _SCORE_CHUNK_ENTRIES = 2**14
 
-# Trials per swap-event block of `pairwise_error_exponent`.  A binary trial
-# is a few table lookups, so short blocks are many short numpy steps that
-# contend for the GIL: at 4,096 trials the 10^6-trial, 8-point run took
-# 0.64 s on two threads against 0.43 s on one; at 2^14, 0.25 s against
-# 0.36 s (2 vCPUs, in process).
+# Trials per swap-event block of `pairwise_error_exponent` on m >= 3
+# symbols.  Each block draws from its own stream, so the output depends on it.
 _SWAP_TRIALS_PER_BLOCK = 2**14
 
 # Grid points with fewer observed errors than this are excluded from the
@@ -291,130 +287,72 @@ class ExponentFit:
                    slope=float(d["slope"]), target=float(d["target"]))
 
 
-def _swap_groups(p: FinitePmf, q: FinitePmf) -> tuple[np.ndarray, np.ndarray]:
-    """The swap statistic's symbols as (signs, magnitudes), one group per ratio.
-
-    The statistic sum_s (c_q[s] - c_p[s]) log(p[s] / q[s]) of two count
-    rows is (((c_q - c_p) @ signs) * magnitudes).sum().  A group holds the
-    symbols whose exact ratio p[s] / q[s] is one key >= 1 (sign +1) or its
-    reciprocal (sign -1), and its magnitude is log(key).  Integer count
-    differences are summed per group before any float product, so counts
-    whose statistic cancels through equal or reciprocal ratios tie exactly.
-    A symbol with ratio 1, or that either member gives probability 0,
-    adds nothing.
-    """
-    ratios = [Fraction(a) / Fraction(b) if a > 0 and b > 0 else None
-              for a, b in zip(p.probs.tolist(), q.probs.tolist())]
-    keys = sorted({max(r, 1 / r) for r in ratios if r is not None})
-    signs = np.array([[(r == key) - (r == 1 / key) for key in keys] for r in ratios],
-                     dtype=np.int64)
-    return signs, np.array([math.log(key) for key in keys])
-
-
-def _swap_event(p: FinitePmf, q: FinitePmf, groups: tuple[np.ndarray, np.ndarray],
+def _swap_event(p: FinitePmf, q: FinitePmf,
                 counts_p: np.ndarray, counts_q: np.ndarray) -> np.ndarray:
     """Whether each pair of count rows is a swap event: statistic >= 0 and
-    no count on a symbol the other member gives probability 0."""
-    signs, magnitudes = groups
-    stat = (((counts_q - counts_p) @ signs) * magnitudes).sum(axis=1)
+    no count on a symbol the other member gives probability 0.
+
+    The statistic sum_s (c_q[s] - c_p[s]) log(p[s] / q[s]) is summed in
+    float, except on rows where its magnitude is at most 1e-12 times the
+    summed magnitudes of its terms.  Those are decided exactly, once per
+    distinct row of count differences, by whether the product of the
+    exact ratios p[s] / q[s] raised to those differences is at least 1,
+    so a real tie counts as the event.  A symbol that either member gives
+    probability 0 adds nothing.
+    """
+    live = (p.probs > 0) & (q.probs > 0)
+    logs = np.log(np.where(live, p.probs, 1.0) / np.where(live, q.probs, 1.0))
+    ratios = [Fraction(a) / Fraction(b) if ok else 1
+              for a, b, ok in zip(p.probs.tolist(), q.probs.tolist(), live)]
+    diffs = (counts_q - counts_p).astype(float)   # small integers, held exactly
+    stat = diffs @ logs
+    event = stat >= 0.0
+    near = np.flatnonzero(np.abs(stat) <= 1e-12 * (np.abs(diffs) @ np.abs(logs)))
+    if near.size:
+        rows, inverse = np.unique(diffs[near], axis=0, return_inverse=True)
+        exact = [math.prod(r ** int(d) for r, d in zip(ratios, row)) >= 1
+                 for row in rows]
+        event[near] = np.array(exact)[inverse.ravel()]
     dead = (counts_q[:, p.probs <= 0].any(axis=1)
             | counts_p[:, q.probs <= 0].any(axis=1))
-    return (stat >= 0.0) & ~dead
+    return event & ~dead
 
 
-def _run_swap_block(p: FinitePmf, q: FinitePmf,
-                    groups: tuple[np.ndarray, np.ndarray], n: int,
+def _run_swap_block(p: FinitePmf, q: FinitePmf, n: int,
                     seed: int, stream: int, block_size: int) -> int:
     rng = philox_stream(seed, stream)
     counts_p = rng.multinomial(n, p.probs, size=block_size)
     counts_q = rng.multinomial(n, q.probs, size=block_size)
-    return int(np.count_nonzero(_swap_event(p, q, groups, counts_p, counts_q)))
+    return int(np.count_nonzero(_swap_event(p, q, counts_p, counts_q)))
 
 
-def _alias_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vose's alias table of positive weights: (keep, alias).
-
-    Column j yields j with probability keep[j] and alias[j] otherwise; a
-    column drawn uniformly then yields j with probability proportional to
-    weights[j] (M. D. Vose, IEEE Trans. Softw. Eng. 17(9), 1991).
-    """
-    size = weights.size
-    scaled = (weights * (size / weights.sum())).tolist()
-    keep, alias = [1.0] * size, list(range(size))
-    small = [j for j, w in enumerate(scaled) if w < 1.0]
-    large = [j for j, w in enumerate(scaled) if w >= 1.0]
-    while small and large:
-        lo, hi = small.pop(), large.pop()
-        keep[lo], alias[lo] = scaled[lo], hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        (small if scaled[hi] < 1.0 else large).append(hi)
-    return np.array(keep), np.array(alias, dtype=np.intp)
+def _binomial_pmf(n: int, probs: np.ndarray) -> np.ndarray:
+    """Pmf of a binary row's symbol-0 count over 0..n, from lgamma log-pmfs."""
+    p0, p1 = probs.tolist()
+    if p0 == 0.0 or p1 == 0.0:   # a point mass
+        pmf = np.zeros(n + 1)
+        pmf[n if p1 == 0.0 else 0] = 1.0
+        return pmf
+    counts = np.arange(n + 1)
+    log_choose = [math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                  for c in range(n + 1)]
+    return np.exp(log_choose + counts * math.log(p0) + (n - counts) * math.log(p1))
 
 
-def _binomial_alias(n: int, probs: np.ndarray):
-    """Alias table of a binary row's symbol-0 count, Binomial(n, probs[0]).
+def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
+    """Exact swap-event probability of a binary pair at blocklength n.
 
-    Returns (counts, keep, alias) over the counts whose pmf does not
-    underflow float64; the pmf is log-concave, so they form one interval
-    around the mode, found by bisection.  The pmf comes from lgamma in
-    the log domain.
-    """
-    p0, p1 = float(probs[0]), float(probs[1])
-    if p0 == 0.0 or p1 == 0.0:
-        return np.array([n if p1 == 0.0 else 0]), np.ones(1), np.zeros(1, dtype=np.intp)
-    log0, log1, log_n_fact = math.log(p0), math.log(p1), math.lgamma(n + 1)
-
-    def log_pmf(c: int) -> float:
-        return (log_n_fact - math.lgamma(c + 1) - math.lgamma(n - c + 1)
-                + c * log0 + (n - c) * log1)
-
-    def alive(c: int) -> bool:
-        return math.exp(log_pmf(c)) > 0.0
-
-    mode = min(n, int((n + 1) * p0))
-    lo = bisect.bisect_left(range(mode + 1), True, key=alive)
-    hi = mode + bisect.bisect_left(range(mode, n + 1), True, key=lambda c: not alive(c))
-    logs = np.array([log_pmf(c) for c in range(lo, hi)])
-    return (np.arange(lo, hi), *_alias_table(np.exp(logs - logs.max())))
-
-
-def _binary_swap_tables(p: FinitePmf, q: FinitePmf, n: int):
-    """Draw tables of a binary pair's swap event at blocklength n.
-
-    Returns (sign, p_table, q_table).  A row's table is (keep, counts),
-    counts holding the symbol-0 count of each alias-table outcome (the K
-    columns, then their K aliases).  The statistic is
-    (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the event is
-    sign * (c_q - c_p) >= 0, sign being the exact sign (+-1) of that log.
-    A member with a zero is a point mass, so a count on its zero symbol
-    fails that comparison.
+    With c the symbol-0 counts, the statistic is
+    (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the event is c_q >= c_p
+    when p[0] q[1] > p[1] q[0] (compared as exact fractions) and
+    c_q <= c_p otherwise.  P(c_hi >= c_lo) sums the pmf of c_lo against
+    the suffix sums of the pmf of c_hi.  A member with a zero is a point
+    mass, so a count on its zero symbol fails that comparison.
     """
     p0, p1, q0, q1 = map(Fraction, (*p.probs.tolist(), *q.probs.tolist()))
-    tables = [1 if p0 * q1 > p1 * q0 else -1]
-    for row in (p, q):
-        counts, keep, alias = _binomial_alias(n, row.probs)
-        tables.append((keep, np.concatenate([counts, counts[alias]])))
-    return tables
-
-
-def _alias_draw(uniform: np.ndarray, keep: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """One alias-table draw per uniform in [0, 1), as an entry of values.
-
-    The integer part of uniform * K picks column j; its fraction keeps
-    values[j] with probability keep[j] and takes values[K + j], the
-    alias's outcome, otherwise.
-    """
-    scaled = uniform * keep.size
-    column = scaled.astype(np.intp)
-    return values[column + keep.size * (scaled - column >= keep[column])]
-
-
-def _run_binary_swap_block(tables, seed: int, stream: int, block_size: int) -> int:
-    rng = philox_stream(seed, stream)
-    sign, *row_tables = tables
-    c_p, c_q = (_alias_draw(uniform, *table)
-                for table, uniform in zip(row_tables, rng.random((2, block_size))))
-    return int(np.count_nonzero(c_q >= c_p if sign > 0 else c_q <= c_p))
+    lo, hi = (p, q) if p0 * q1 > p1 * q0 else (q, p)
+    suffix = np.cumsum(_binomial_pmf(n, hi.probs)[::-1])[::-1]
+    return math.fsum(_binomial_pmf(n, lo.probs) * suffix)
 
 
 def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
@@ -423,20 +361,19 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
     """Estimate the decay rate of the pairwise swap-event probability.
 
     For each blocklength the swap event (the two-row likelihood-ratio
-    statistic being nonnegative, a tie included) is estimated by Monte
-    Carlo; the decay slope is fit over the grid points with enough
-    observed events and compared against twice the Bhattacharyya
-    distance.
+    statistic being nonnegative, a tie included) is counted over `trials`
+    independent trials; the decay slope of -log p_hat is fit over the grid
+    points with enough observed events and compared against twice the
+    Bhattacharyya distance.
 
-    On a binary alphabet each row of a trial takes one uniform through a
-    Walker/Vose alias table of its symbol-0 count, built once per
-    blocklength, and the event is c_q >= c_p or c_q <= c_p as the exact
-    comparison of p[0] q[1] with p[1] q[0] decides.  Rows on m >= 3
-    symbols draw multinomial counts, whose type tables would grow like
-    n^(m-1), and sum count differences per exact pmf ratio
-    (`_swap_groups`), so equal or reciprocal ratios cancel exactly.  Block
-    b of grid point g draws from the stream keyed (seed, g * 2^32 + b), so
-    any worker count yields the identical fit.
+    On a binary alphabet the event probability P is exact
+    (`_binary_swap_prob`), and grid point g's count is one
+    Binomial(trials, P) draw from the stream keyed (seed, g * 2^32): the
+    law of the event count of independent trials.  Rows on m >= 3 symbols,
+    whose type tables would grow like n^(m-1), draw multinomial counts
+    trial by trial, and `_swap_event` decides each trial; block b of grid
+    point g draws from the stream keyed (seed, g * 2^32 + b).  Any worker
+    count yields the identical fit; only m >= 3 blocks run on workers.
     """
     dist = bhattacharyya(p, q)
     if not math.isfinite(dist) or dist <= 0.0:
@@ -448,19 +385,18 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
-    blocks = _trial_blocks(trials, _SWAP_TRIALS_PER_BLOCK)
-    if p.alphabet_size == 2:
-        run_block = _run_binary_swap_block
-        per_point = [_binary_swap_tables(p, q, n) for n in grid]
-    else:   # the type tables of m >= 3 rows grow too fast; draw multinomials
-        run_block = partial(_run_swap_block, p, q, _swap_groups(p, q))
-        per_point = grid
-    # stream index packs (grid point, block) so every block is its own stream
-    tasks = [(per_point[g], seed, g * 2**32 + b, size)
-             for g in range(len(grid)) for b, size in blocks]
-    hits = _map_blocks(run_block, tasks, workers)
-    errors = [sum(hits[g * len(blocks):(g + 1) * len(blocks)])
-              for g in range(len(grid))]
+    if p.alphabet_size == 2:   # one exact binomial draw per grid point
+        errors = [int(philox_stream(seed, g * 2**32).binomial(
+                      trials, _binary_swap_prob(p, q, n)))
+                  for g, n in enumerate(grid)]
+    else:
+        blocks = _trial_blocks(trials, _SWAP_TRIALS_PER_BLOCK)
+        # stream index packs (grid point, block) so every block is its own stream
+        tasks = [(n, seed, g * 2**32 + b, size)
+                 for g, n in enumerate(grid) for b, size in blocks]
+        hits = _map_blocks(partial(_run_swap_block, p, q), tasks, workers)
+        errors = [sum(hits[g * len(blocks):(g + 1) * len(blocks)])
+                  for g in range(len(grid))]
 
     p_hats = tuple(e / trials for e in errors)
     used = tuple(e >= MIN_ERRORS_FOR_FIT for e in errors)

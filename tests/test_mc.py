@@ -17,18 +17,13 @@ from distid.decoder import exhaustive_decode, loglik_from_counts
 from distid.distributions import philox_stream
 from distid.mc import (
     TRIALS_PER_BLOCK,
-    _alias_draw,
-    _binary_swap_tables,
-    _binomial_alias,
-    _run_binary_swap_block,
+    _binary_swap_prob,
     _run_error_block,
     _single_cycle,
     _swap_event,
-    _swap_groups,
 )
 
 from oracles import (
-    binomial_pmf,
     exact_pair_error_prob,
     exact_swap_event_prob,
     exact_swap_event_prob_general,
@@ -309,7 +304,7 @@ class TestPairwiseErrorExponent:
         # keep the output bytes must keep these counts
         fit = pairwise_error_exponent(PAIR[0], PAIR[1], list(range(10, 81, 10)),
                                       1_000_000, seed=0x5EED, workers=2)
-        assert fit.errors == (30308, 2435, 212, 17, 2, 0, 0, 0)
+        assert fit.errors == (30024, 2323, 202, 14, 3, 0, 0, 0)
 
     def test_deterministic_and_worker_invariant(self):
         a = pairwise_error_exponent(PAIR[0], PAIR[1], [5, 10, 15],
@@ -336,7 +331,7 @@ class TestPairwiseErrorExponent:
 
 
 class TestSwapDecisions:
-    """The swap rules on given counts against exact likelihood products."""
+    """The swap rules against exact likelihood products."""
 
     @pytest.mark.parametrize("pmfs,n", [
         ([(0.2, 0.4, 0.4), (0.1, 0.1, 0.8)], 12),      # ratios 2, 4, 1/2
@@ -346,13 +341,16 @@ class TestSwapDecisions:
         ([(0.5, 0.3, 0.2), (0.2, 0.3, 0.5)], 12),
         ([(0.4, 0.4, 0.2), (0.1, 0.1, 0.8)], 12),
         ([(0.5, 0.5, 0.0), (0.2, 0.3, 0.5)], 12),
+        # ratios related by products: 2.5 = 2 x 1.25, and 8/3 x 1.5 = 4
+        ([(0.25, 0.125, 0.5, 0.125), (0.3125, 0.3125, 0.1875, 0.1875)], 6),
+        ([(0.4, 0.05, 0.2, 0.35), (0.2, 0.15, 0.35, 0.3)], 6),
     ])
     def test_multinomial_rule_on_every_type_pair(self, pmfs, n):
         p, q = (FinitePmf(x) for x in pmfs)
         types_p, types_q = possible_types(n, pmfs[0]), possible_types(n, pmfs[1])
         counts_p, counts_q = (np.array(side) for side in
                               zip(*itertools.product(types_p, types_q)))
-        decided = _swap_event(p, q, _swap_groups(p, q), counts_p, counts_q)
+        decided = _swap_event(p, q, counts_p, counts_q)
         exact = np.array(swap_events_exact(*pmfs, types_p, types_q)).ravel()
         assert np.count_nonzero(decided != exact) == 0
 
@@ -362,34 +360,8 @@ class TestSwapDecisions:
         [(0.3, 0.7), (0.3 + 2e-9, 0.7 - 2e-9)],
         [(0.5, 0.5), (0.9, 0.1)],
     ])
-    def test_binary_rule_on_every_count_pair(self, pmfs):
-        # one-outcome alias tables make each block draw the given counts
+    def test_binary_kernel_matches_exact_enumeration(self, pmfs):
         p, q = (FinitePmf(x) for x in pmfs)
         for n in (1, 2, 5, 17, 40):
-            sign = _binary_swap_tables(p, q, n)[0]
-            types_p, types_q = possible_types(n, pmfs[0]), possible_types(n, pmfs[1])
-            exact = swap_events_exact(*pmfs, types_p, types_q)
-            for ((cp, _), (cq, _)), event in zip(itertools.product(types_p, types_q),
-                                                 itertools.chain(*exact)):
-                tables = (sign, (np.ones(1), np.array([cp, cp])),
-                          (np.ones(1), np.array([cq, cq])))
-                assert _run_binary_swap_block(tables, 0, 0, 1) == event, (n, cp, cq)
-
-
-class TestBinomialAlias:
-    @pytest.mark.parametrize("n,p0", [(10, 0.5), (80, 0.9), (400, 0.03),
-                                      (5000, 0.5), (7, 0.0), (7, 1.0)])
-    def test_draws_follow_the_binomial(self, n, p0):
-        counts, keep, alias = _binomial_alias(n, np.array([p0, 1.0 - p0]))
-        pmf = np.array(binomial_pmf(n, p0))
-        # the table's own distribution: column j gives counts[j] with
-        # probability keep[j] / K and counts[alias[j]] with the rest
-        implied = np.zeros(n + 1)
-        np.add.at(implied, counts, keep / keep.size)
-        np.add.at(implied, counts[alias], (1.0 - keep) / keep.size)
-        assert np.abs(implied - pmf).max() < 1e-12
-        # the draws: Kolmogorov-Smirnov distance below its 0.1% critical value
-        draws = _alias_draw(philox_stream(0xA11A5, n).random(200_000), keep,
-                            np.concatenate([counts, counts[alias]]))
-        ecdf = np.cumsum(np.bincount(draws, minlength=n + 1)) / draws.size
-        assert np.abs(ecdf - np.cumsum(pmf)).max() < 1.95 / math.sqrt(draws.size)
+            exact = exact_swap_event_prob_general(*pmfs, n)
+            assert _binary_swap_prob(p, q, n) == pytest.approx(exact, rel=1e-12, abs=0)
