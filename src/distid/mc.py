@@ -339,18 +339,27 @@ def _binomial_pmf(n: int, probs: np.ndarray) -> np.ndarray:
     return np.exp(log_choose + counts * math.log(p0) + (n - counts) * math.log(p1))
 
 
+def _q_count_high(p: FinitePmf, q: FinitePmf) -> bool:
+    """Whether a binary pair's swap event is c_q >= c_p rather than
+    c_q <= c_p, with c the symbol-0 counts.
+
+    The statistic is (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the
+    event is c_q >= c_p when p[0] q[1] > p[1] q[0], compared as exact
+    fractions.  A member with a zero is a point mass, so a count on its
+    zero symbol never occurs.
+    """
+    p0, p1, q0, q1 = map(Fraction, (*p.probs.tolist(), *q.probs.tolist()))
+    return p0 * q1 > p1 * q0
+
+
 def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
     """Exact swap-event probability of a binary pair at blocklength n.
 
-    With c the symbol-0 counts, the statistic is
-    (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the event is c_q >= c_p
-    when p[0] q[1] > p[1] q[0] (compared as exact fractions) and
-    c_q <= c_p otherwise.  P(c_hi >= c_lo) sums the pmf of c_lo against
-    the suffix sums of the pmf of c_hi.  A member with a zero is a point
-    mass, so a count on its zero symbol fails that comparison.
+    The event is c_hi >= c_lo on the symbol-0 counts, with the sides from
+    `_q_count_high`; its probability sums the pmf of c_lo against the
+    suffix sums of the pmf of c_hi.
     """
-    p0, p1, q0, q1 = map(Fraction, (*p.probs.tolist(), *q.probs.tolist()))
-    lo, hi = (p, q) if p0 * q1 > p1 * q0 else (q, p)
+    lo, hi = (p, q) if _q_count_high(p, q) else (q, p)
     suffix = np.cumsum(_binomial_pmf(n, hi.probs)[::-1])[::-1]
     return math.fsum(_binomial_pmf(n, lo.probs) * suffix)
 

@@ -18,12 +18,15 @@ from distid.distributions import philox_stream
 from distid.mc import (
     TRIALS_PER_BLOCK,
     _binary_swap_prob,
+    _binomial_pmf,
+    _q_count_high,
     _run_error_block,
     _single_cycle,
     _swap_event,
 )
 
 from oracles import (
+    binomial_pmf,
     exact_pair_error_prob,
     exact_swap_event_prob,
     exact_swap_event_prob_general,
@@ -32,6 +35,13 @@ from oracles import (
 )
 
 PAIR = make_family([(0.5, 0.5), (0.9, 0.1)])
+
+BINARY_SWAP_PAIRS = [
+    [(0.5, 0.5), (1.0, 0.0)], [(1.0, 0.0), (0.5, 0.5)],
+    [(0.0, 1.0), (0.5, 0.5)], [(0.5, 0.5), (0.0, 1.0)],
+    [(0.3, 0.7), (0.3 + 2e-9, 0.7 - 2e-9)],
+    [(0.5, 0.5), (0.9, 0.1)],
+]
 
 
 class TestPermutationCycles:
@@ -354,14 +364,28 @@ class TestSwapDecisions:
         exact = np.array(swap_events_exact(*pmfs, types_p, types_q)).ravel()
         assert np.count_nonzero(decided != exact) == 0
 
-    @pytest.mark.parametrize("pmfs", [
-        [(0.5, 0.5), (1.0, 0.0)], [(1.0, 0.0), (0.5, 0.5)],
-        [(0.0, 1.0), (0.5, 0.5)], [(0.5, 0.5), (0.0, 1.0)],
-        [(0.3, 0.7), (0.3 + 2e-9, 0.7 - 2e-9)],
-        [(0.5, 0.5), (0.9, 0.1)],
-    ])
+    @pytest.mark.parametrize("pmfs", BINARY_SWAP_PAIRS)
     def test_binary_kernel_matches_exact_enumeration(self, pmfs):
         p, q = (FinitePmf(x) for x in pmfs)
         for n in (1, 2, 5, 17, 40):
             exact = exact_swap_event_prob_general(*pmfs, n)
             assert _binary_swap_prob(p, q, n) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("pmfs", BINARY_SWAP_PAIRS)
+    def test_binary_rule_on_every_count_pair(self, pmfs):
+        p, q = (FinitePmf(x) for x in pmfs)
+        high = _q_count_high(p, q)
+        for n in (1, 2, 5, 17, 40):
+            types_p, types_q = possible_types(n, pmfs[0]), possible_types(n, pmfs[1])
+            exact = swap_events_exact(*pmfs, types_p, types_q)
+            for ((cp, _), (cq, _)), event in zip(itertools.product(types_p, types_q),
+                                                 itertools.chain(*exact)):
+                assert (cq >= cp if high else cq <= cp) == event, (n, cp, cq)
+
+
+class TestBinomialPmf:
+    @pytest.mark.parametrize("n,p0", [(10, 0.5), (80, 0.9), (400, 0.03),
+                                      (5000, 0.5), (7, 0.0), (7, 1.0)])
+    def test_matches_the_oracle(self, n, p0):
+        pmf = _binomial_pmf(n, np.array([p0, 1.0 - p0]))
+        assert np.abs(pmf - np.array(binomial_pmf(n, p0))).max() < 1e-12
