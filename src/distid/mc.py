@@ -287,43 +287,57 @@ class ExponentFit:
                    slope=float(d["slope"]), target=float(d["target"]))
 
 
-def _swap_event(p: FinitePmf, q: FinitePmf,
+def _swap_terms(p: FinitePmf, q: FinitePmf) -> tuple[np.ndarray, list]:
+    """Each symbol's term of the swap statistic: its float log(p[s] / q[s])
+    and its exact ratio p[s] / q[s]; log 0 and ratio 1 on a symbol that
+    either member gives probability 0."""
+    live = (p.probs > 0) & (q.probs > 0)
+    logs = np.log(np.where(live, p.probs, 1.0) / np.where(live, q.probs, 1.0))
+    ratios = [Fraction(a) / Fraction(b) if ok else 1
+              for a, b, ok in zip(p.probs.tolist(), q.probs.tolist(), live)]
+    return logs, ratios
+
+
+def _swap_event(p: FinitePmf, q: FinitePmf, terms: tuple[np.ndarray, list],
                 counts_p: np.ndarray, counts_q: np.ndarray) -> np.ndarray:
     """Whether each pair of count rows is a swap event: statistic >= 0 and
     no count on a symbol the other member gives probability 0.
 
     The statistic sum_s (c_q[s] - c_p[s]) log(p[s] / q[s]) is summed in
-    float, except on rows where its magnitude is at most 1e-12 times the
-    summed magnitudes of its terms.  Those are decided exactly, once per
-    distinct row of count differences, by whether the product of the
-    exact ratios p[s] / q[s] raised to those differences is at least 1,
-    so a real tie counts as the event.  A symbol that either member gives
-    probability 0 adds nothing.
+    float over the `_swap_terms`, except on rows where its magnitude is at
+    most 1e-12 times sum_s |c_q[s] - c_p[s]| (1 + |log(p[s] / q[s])|), a
+    band far wider than the rounding of each log, which is absolute for
+    ratios near 1.  Those rows are decided exactly, once per distinct row
+    of count differences, by whether the product of the exact ratios
+    raised to those differences is at least 1, so a real tie counts as
+    the event.
     """
-    live = (p.probs > 0) & (q.probs > 0)
-    logs = np.log(np.where(live, p.probs, 1.0) / np.where(live, q.probs, 1.0))
-    ratios = [Fraction(a) / Fraction(b) if ok else 1
-              for a, b, ok in zip(p.probs.tolist(), q.probs.tolist(), live)]
-    diffs = (counts_q - counts_p).astype(float)   # small integers, held exactly
-    stat = diffs @ logs
+    logs, ratios = terms
+    diffs = counts_q - counts_p
+    as_float = diffs.astype(float)   # small integers, held exactly
+    stat = as_float @ logs
     event = stat >= 0.0
-    near = np.flatnonzero(np.abs(stat) <= 1e-12 * (np.abs(diffs) @ np.abs(logs)))
+    band = 1e-12 * (np.abs(as_float) @ (1.0 + np.abs(logs)))
+    near = np.flatnonzero(np.abs(stat) <= band)
     if near.size:
-        rows, inverse = np.unique(diffs[near], axis=0, return_inverse=True)
-        exact = [math.prod(r ** int(d) for r, d in zip(ratios, row)) >= 1
-                 for row in rows]
-        event[near] = np.array(exact)[inverse.ravel()]
+        # distinct rows, found by their bytes: far cheaper than unique(axis=0)
+        rows = np.ascontiguousarray(diffs[near])
+        keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        exact = [math.prod(r ** d for r, d in zip(ratios, row)) >= 1
+                 for row in rows[first].tolist()]
+        event[near] = np.array(exact)[inverse]
     dead = (counts_q[:, p.probs <= 0].any(axis=1)
             | counts_p[:, q.probs <= 0].any(axis=1))
     return event & ~dead
 
 
-def _run_swap_block(p: FinitePmf, q: FinitePmf, n: int,
-                    seed: int, stream: int, block_size: int) -> int:
+def _run_swap_block(p: FinitePmf, q: FinitePmf, terms: tuple[np.ndarray, list],
+                    n: int, seed: int, stream: int, block_size: int) -> int:
     rng = philox_stream(seed, stream)
     counts_p = rng.multinomial(n, p.probs, size=block_size)
     counts_q = rng.multinomial(n, q.probs, size=block_size)
-    return int(np.count_nonzero(_swap_event(p, q, counts_p, counts_q)))
+    return int(np.count_nonzero(_swap_event(p, q, terms, counts_p, counts_q)))
 
 
 def _binomial_pmf(n: int, probs: np.ndarray) -> np.ndarray:
@@ -339,27 +353,19 @@ def _binomial_pmf(n: int, probs: np.ndarray) -> np.ndarray:
     return np.exp(log_choose + counts * math.log(p0) + (n - counts) * math.log(p1))
 
 
-def _q_count_high(p: FinitePmf, q: FinitePmf) -> bool:
-    """Whether a binary pair's swap event is c_q >= c_p rather than
-    c_q <= c_p, with c the symbol-0 counts.
-
-    The statistic is (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the
-    event is c_q >= c_p when p[0] q[1] > p[1] q[0], compared as exact
-    fractions.  A member with a zero is a point mass, so a count on its
-    zero symbol never occurs.
-    """
-    p0, p1, q0, q1 = map(Fraction, (*p.probs.tolist(), *q.probs.tolist()))
-    return p0 * q1 > p1 * q0
-
-
 def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
     """Exact swap-event probability of a binary pair at blocklength n.
 
-    The event is c_hi >= c_lo on the symbol-0 counts, with the sides from
-    `_q_count_high`; its probability sums the pmf of c_lo against the
-    suffix sums of the pmf of c_hi.
+    With c the symbol-0 counts, the statistic is
+    (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the event is c_q >= c_p
+    when p[0] q[1] > p[1] q[0], compared as exact fractions, and
+    c_q <= c_p otherwise.  (A member with a zero is a point mass, so a
+    count on its zero symbol never occurs.)  The probability of
+    c_hi >= c_lo sums the pmf of c_lo against the suffix sums of the pmf
+    of c_hi.
     """
-    lo, hi = (p, q) if _q_count_high(p, q) else (q, p)
+    p0, p1, q0, q1 = map(Fraction, (*p.probs.tolist(), *q.probs.tolist()))
+    lo, hi = (p, q) if p0 * q1 > p1 * q0 else (q, p)
     suffix = np.cumsum(_binomial_pmf(n, hi.probs)[::-1])[::-1]
     return math.fsum(_binomial_pmf(n, lo.probs) * suffix)
 
@@ -403,7 +409,8 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
         # stream index packs (grid point, block) so every block is its own stream
         tasks = [(n, seed, g * 2**32 + b, size)
                  for g, n in enumerate(grid) for b, size in blocks]
-        hits = _map_blocks(partial(_run_swap_block, p, q), tasks, workers)
+        hits = _map_blocks(partial(_run_swap_block, p, q, _swap_terms(p, q)),
+                           tasks, workers)
         errors = [sum(hits[g * len(blocks):(g + 1) * len(blocks)])
                   for g in range(len(grid))]
 
