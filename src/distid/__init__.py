@@ -7,49 +7,12 @@ Bhattacharyya sum that governs when identification is possible as the
 family grows with the blocklength, and verifies the finite-blocklength
 error bounds by Monte Carlo simulation and exhaustive combinatorial
 checks.
+
+The public names below load their module on first use, so importing the
+package, or a CLI subcommand, pays only for the modules it runs.
 """
 
-from .bounds import (
-    BoundReport,
-    FamilySequenceSpec,
-    GrowthRule,
-    TrendReport,
-    cycle_count_ratio,
-    cycle_sum_bound,
-    identifiability_trend,
-    lower_bound,
-    pairwise_sum,
-    upper_bound,
-)
-from .decoder import (
-    NoFeasibleAssignmentError,
-    exhaustive_decode,
-    ml_decode,
-)
-from .distributions import (
-    DistributionFamily,
-    FinitePmf,
-    bhattacharyya,
-    make_family,
-    tilted_midpoint,
-)
-from .graphs import (
-    WeightedCompleteGraph,
-    check_expansion_identities,
-    check_mean_gain_bound,
-    cycle_count,
-    cycle_gain,
-    edge_incidence_counts,
-    enumerate_cycles,
-    formula_cycle_count,
-)
-from .mc import (
-    ExponentFit,
-    McEstimate,
-    estimate_error_prob,
-    pairwise_error_exponent,
-    permutation_cycles,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -86,3 +49,32 @@ __all__ = [
     "tilted_midpoint",
     "upper_bound",
 ]
+
+# The public names each module defines.
+_EXPORTS = {
+    "bounds": ("BoundReport", "FamilySequenceSpec", "GrowthRule", "TrendReport",
+               "cycle_count_ratio", "cycle_sum_bound", "identifiability_trend",
+               "lower_bound", "pairwise_sum", "upper_bound"),
+    "decoder": ("NoFeasibleAssignmentError", "exhaustive_decode", "ml_decode"),
+    "distributions": ("DistributionFamily", "FinitePmf", "bhattacharyya", "make_family",
+                      "tilted_midpoint"),
+    "graphs": ("WeightedCompleteGraph", "check_expansion_identities",
+               "check_mean_gain_bound", "cycle_count", "cycle_gain",
+               "edge_incidence_counts", "enumerate_cycles", "formula_cycle_count"),
+    "mc": ("ExponentFit", "McEstimate", "estimate_error_prob", "pairwise_error_exponent",
+           "permutation_cycles"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    """Import a public name's module on first use (PEP 562) and keep the name."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

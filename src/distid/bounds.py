@@ -26,7 +26,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import graphs
 from .distributions import (DistributionFamily, _check_family_spec, _is_real,
                             _upper_blocks, distance_matrix, make_family)
 
@@ -50,8 +49,10 @@ TREND_SLOPE_TOL = 1e-6
 
 DEFAULT_PAIRS_BUDGET = 10_000
 
-# Fewest blocklengths in the grid of a trend, which fits a slope.
+# Fewest blocklengths in the grid of a trend, which fits a slope, and of a
+# pairwise exponent fit (`mc.pairwise_error_exponent`).
 _TREND_GRID_MIN = 2
+_FIT_GRID_MIN = 3
 
 
 def _check_grid(n_grid: Sequence[int], min_points: int) -> tuple[int, ...]:
@@ -137,6 +138,7 @@ def cycle_sum_bound(family: DistributionFamily, n: int, r_max: int) -> float:
         raise ValueError(f"need 2 <= r_max <= family size, got r_max={r_max}")
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
+    from . import graphs
     dist = distance_matrix(family)
     with np.errstate(over="ignore"):
         w = np.exp(-float(n) * dist)
@@ -154,6 +156,7 @@ def cycle_count_ratio(k: int, r: int) -> float:
 
     Uses C(k,r)(r-1)!/2 for the count; the ratio never exceeds 4^r.
     """
+    from . import graphs
     count = graphs.formula_cycle_count(k, r)  # validates 2 <= r <= k
     n_edges = math.comb(k, 2)
     return float(count) / n_edges ** (r / 2.0)

@@ -43,20 +43,22 @@ the grid, a sweep over pairs_budget, too few exponent fit points); 4 I/O.
 
 CSV output starts with a header row; floats are printed with 17 significant
 digits so values round-trip exactly.  JSON carries the nested reports.
+
+Each subcommand imports only the modules it runs (`mc` and `graphs` load
+inside their runners, `json` only for JSON output), so a call pays no
+start-up for the others.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
-import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from . import graphs, mc
-from .bounds import _cell, _check_grid
+from .bounds import _FIT_GRID_MIN, _TREND_GRID_MIN, _cell, _check_grid
 from .distributions import (_FAMILY_KIND_KEYS, _check_family_spec, _check_seed,
                             make_family, philox_stream)
 
@@ -81,7 +83,7 @@ _KEYS_BY_COMMAND = {
 }
 
 # Fewest blocklengths in an n_grid, where more than one.
-_GRID_MIN = {"exponent": mc._FIT_GRID_MIN, "sweep": bounds_mod._TREND_GRID_MIN}
+_GRID_MIN = {"exponent": _FIT_GRID_MIN, "sweep": _TREND_GRID_MIN}
 
 
 class ConfigError(ValueError):
@@ -208,6 +210,7 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
             r = raw.get("r", "all")
             if r != "all" and (not isinstance(r, int) or isinstance(r, bool)):
                 raise ConfigError(f"key 'r' must be an integer or 'all', got {r!r}")
+            from . import graphs
             graphs._check_enumerable(cfg.k, 2 if r == "all" else r)
             cfg.r = r
             if "trials" not in raw:
@@ -234,6 +237,7 @@ def _run_bounds(cfg: RunConfig):
 
 
 def _run_simulate(cfg: RunConfig):
+    from . import mc
     family = make_family(cfg.family)
     estimates, reports = [], []
     for n in cfg.n_grid:
@@ -249,6 +253,7 @@ def _run_simulate(cfg: RunConfig):
 
 
 def _run_lemma(cfg: RunConfig):
+    from . import graphs
     k = cfg.k
     if cfg.r == "all":
         r_values = list(range(2, k + 1))
@@ -285,6 +290,7 @@ def _run_lemma(cfg: RunConfig):
 
 
 def _run_exponent(cfg: RunConfig):
+    from . import mc
     family = make_family(cfg.family)
     if len(family) != 2:
         raise ConfigError(
@@ -321,6 +327,7 @@ def run(cfg: RunConfig) -> int:
         if cfg.format == "csv":
             text = "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
         else:
+            import json
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         Path(cfg.out).write_text(text, encoding="ascii", newline="\n")
     except ConfigError as exc:
@@ -371,6 +378,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 4
+    except UnicodeDecodeError as exc:
+        print(f"error: config is not UTF-8 text: {exc}", file=sys.stderr)
+        return 2
     try:
         raw = parse_config(text)
         cfg = build_config(args.command, raw, overrides={

@@ -237,33 +237,65 @@ def _first_close_pair(probs: np.ndarray) -> tuple[int, int] | None:
 
 
 # _upper_blocks works in row blocks of about this many (row, column, symbol)
-# entries, so each float64 temporary stays near 256 KiB.
+# entries, so each float64 temporary stays near 256 KiB; the plane sums add
+# in place and need no memory of their own.
 _BLOCK_ENTRIES = 2**15
+
+
+def _plane_sum(planes: np.ndarray) -> np.ndarray:
+    """planes.sum(axis=0), added in place into planes[0] and returned.
+
+    The order is numpy's pairwise summation of a contiguous axis, so the
+    result is bitwise `.sum(axis=-1)` of the same values laid out
+    symbol-last: left to right below 8 terms, eight running sums added as
+    a fixed tree up to 128, and halves (rounded down to a multiple of 8)
+    summed recursively above 128.  Each step adds whole planes.
+    """
+    count = len(planes)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        _plane_sum(planes[:half])
+        planes[0] += _plane_sum(planes[half:])
+        return planes[0]
+    rest = 1
+    if count >= 8:
+        acc, rest = planes[:8], count - count % 8
+        for i in range(8, rest, 8):
+            acc += planes[i:i + 8]
+        acc[0::2] += acc[1::2]
+        acc[0::4] += acc[2::4]
+        acc[0] += acc[4]
+    for plane in planes[rest:]:
+        planes[0] += plane
+    return planes[0]
 
 
 def _bhattacharyya_block(probs_i: np.ndarray, roots_i: np.ndarray,
                          probs_j: np.ndarray, roots_j: np.ndarray,
                          masked: bool) -> np.ndarray:
-    """B(p, q) for every row p of probs_i and q of probs_j, shape (r, c).
+    """B(p, q) for every column p of probs_i and q of probs_j, shape (r, c).
 
-    roots_* are the elementwise square roots of probs_*.  Where the
-    coefficient BC = sum sqrt(p q) is below 1/2 the distance is -log BC,
-    which keeps its relative accuracy as BC -> 0 (+inf exactly when the
-    supports are disjoint).  Elsewhere it is the Hellinger form
-    -log1p(-h) with h = 1/2 ||sqrt p - sqrt q||^2 and sqrt p - sqrt q
-    taken as (q - p) / (sqrt p + sqrt q), so close pmfs keep full
-    relative accuracy instead of cancelling to 0.  masked must be true
-    when some entry is zero: a symbol that both pmfs miss contributes 0
-    instead of 0/0.
+    The arguments are column-major, (m, r) and (m, c), and roots_* are the
+    elementwise square roots of probs_*.  Each symbol's terms form one
+    (r, c) plane of an (m, r, c) array, and `_plane_sum` adds the planes
+    in numpy's pairwise order.  Where the coefficient BC = sum sqrt(p q)
+    is below 1/2 the distance is -log BC, which keeps its relative
+    accuracy as BC -> 0 (+inf exactly when the supports are disjoint).
+    Elsewhere it is the Hellinger form -log1p(-h) with
+    h = 1/2 ||sqrt p - sqrt q||^2 and sqrt p - sqrt q taken as
+    (q - p) / (sqrt p + sqrt q), so close pmfs keep full relative
+    accuracy instead of cancelling to 0.  masked must be true when some
+    entry is zero: a symbol that both pmfs miss contributes 0 instead of
+    0/0.
     """
-    p, root_p = probs_i[:, None, :], roots_i[:, None, :]
-    prod = roots_j * root_p
-    coeff = prod.sum(axis=2)
-    denom = np.add(roots_j, root_p, out=prod)
-    diff = probs_j - p
+    p, root_p = probs_i[:, :, None], roots_i[:, :, None]
+    q, root_q = probs_j[:, None, :], roots_j[:, None, :]
+    diff = q - p
+    denom = root_q + root_p
     np.divide(diff, denom, out=diff, where=(denom > 0) if masked else True)
     diff *= diff
-    half_sq = 0.5 * diff.sum(axis=2)
+    half_sq = 0.5 * _plane_sum(diff)
+    coeff = _plane_sum(np.multiply(root_q, root_p, out=denom))
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(coeff < 0.5, -np.log(coeff), -np.log1p(-half_sq))
 
@@ -277,23 +309,24 @@ def bhattacharyya(p: FinitePmf, q: FinitePmf) -> float:
     if p.alphabet_size != q.alphabet_size:
         raise ValueError(
             f"alphabet sizes differ: {p.alphabet_size} vs {q.alphabet_size}")
-    pp, qq = p.probs[None, :], q.probs[None, :]
+    pp, qq = p.probs[:, None], q.probs[:, None]
     return float(_bhattacharyya_block(pp, np.sqrt(pp), qq, np.sqrt(qq), True)[0, 0])
 
 
 def _upper_blocks(family: DistributionFamily):
     """(lo, hi, block) over the upper triangle of the distance matrix, where
     block holds rows lo..hi against columns lo..A and hi - lo is chosen so
-    it has about 2^15 (row, column, symbol) entries.  The masked divide
-    runs only when some member has a zero."""
-    probs, roots = family._probs, family._roots
-    size, m = probs.shape
+    it has about 2^15 (row, column, symbol) entries.  The kernel reads
+    column-major copies of the family's arrays; the masked divide runs
+    only when some member has a zero."""
+    probs, roots = family._probs.T.copy(), family._roots.T.copy()
+    m, size = probs.shape
     masked = bool(family._zero.any())
     lo = 0
     while lo < size:
         hi = min(size, lo + max(1, _BLOCK_ENTRIES // ((size - lo) * m)))
-        yield lo, hi, _bhattacharyya_block(probs[lo:hi], roots[lo:hi],
-                                           probs[lo:], roots[lo:], masked)
+        yield lo, hi, _bhattacharyya_block(probs[:, lo:hi], roots[:, lo:hi],
+                                           probs[:, lo:], roots[:, lo:], masked)
         lo = hi
 
 

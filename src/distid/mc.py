@@ -35,7 +35,6 @@ tie counts as the event.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -43,8 +42,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .bounds import _cell, _check_grid, _ls_slope
-from .decoder import loglik_from_counts, ml_decode
+from .bounds import _FIT_GRID_MIN, _cell, _check_grid, _ls_slope
 from .distributions import DistributionFamily, FinitePmf, bhattacharyya, philox_stream
 
 __all__ = [
@@ -68,9 +66,6 @@ _SWAP_TRIALS_PER_BLOCK = 2**14
 # Grid points with fewer observed errors than this are excluded from the
 # exponent fit; -log p_hat is severely biased at low counts.
 MIN_ERRORS_FOR_FIT = 50
-
-# Fewest blocklengths in the grid of an exponent fit.
-_FIT_GRID_MIN = 3
 
 
 def permutation_cycles(perm) -> list[list[int]]:
@@ -180,12 +175,14 @@ def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
     """fn(*task) for every task, in task order; one thread pool if workers > 1."""
     if workers == 1 or len(tasks) == 1:
         return [fn(*task) for task in tasks]
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda task: fn(*task), tasks))
 
 
 def _run_error_block(family: DistributionFamily, n: int, seed: int,
                      block: int, block_size: int):
+    from .decoder import loglik_from_counts, ml_decode
     rng = philox_stream(seed, block)
     size = len(family)
     # float64 holds the counts exactly and is what scoring multiplies in

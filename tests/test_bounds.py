@@ -141,6 +141,24 @@ class TestPairwiseSum:
         monkeypatch.setattr(distributions, "_BLOCK_ENTRIES", entries)
         assert [pairwise_sum(fam, n) for n in grid] == want
 
+    # log S as float.hex on the sweep_growing benchmark families and on a
+    # binary grid over [0, 1] (point masses, disjoint pairs), recorded
+    # before the distance kernel summed symbol-major planes; a change to
+    # the order of any sum, here or in numpy, shows.
+    @pytest.mark.parametrize("spec, n, log_s", [
+        *[({"kind": "random-simplex", "size": math.ceil(n ** 1.5), "alphabet": 8,
+            "seed": 7}, n, log_s)
+          for n, log_s in [(16, "0x1.d2135a49f889ap+1"), (36, "0x1.05b6327918b29p+2"),
+                           (64, "0x1.0d005e32b0a96p+2"), (100, "0x1.05ad829867d0ap+2")]],
+        *[({"kind": "binary-grid", "size": size, "theta_min": 0.0, "theta_max": 1.0},
+           n, log_s)
+          for size, n, log_s in [(41, 10, "0x1.6d9a9e6cc1f88p+2"),
+                                 (41, 100, "0x1.200d482828ae8p+2"),
+                                 (300, 30, "0x1.294dfe2e21c9dp+3")]],
+    ])
+    def test_pinned_log_s(self, spec, n, log_s):
+        assert pairwise_sum(make_family(spec), n)[1].hex() == log_s
+
     def test_memory_is_the_terms_vector_and_one_block(self):
         size = 1000
         fam = make_family({"kind": "random-simplex", "size": size,

@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import distid
 from distid import BoundReport, ExponentFit, McEstimate, TrendReport, make_family
 from distid.cli import (
     _KEYS_BY_COMMAND,
@@ -280,6 +285,15 @@ class TestMain:
         cfg_path.write_text(PAIR_CFG + "trails = 7\n")
         assert main(["bounds", "--config", str(cfg_path)]) == 2
 
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_bytes(b"\xff\xfe" + PAIR_CFG.encode())
+        out = tmp_path / "out.csv"
+        assert main(["bounds", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config is not UTF-8 text") and err.count("\n") == 1
+        assert not out.exists()
+
 
 def config_text(entries: dict) -> str:
     return "".join(f"{key} = {value!r}\n" for key, value in entries.items())
@@ -413,3 +427,65 @@ class TestConfigValidation:
                 rows = list(csv.reader(out.read_text().splitlines()))
                 assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows)
         assert sorted(codes) == [0, 2, 3]   # every path ran
+
+
+# Runs in a fresh interpreter: prints the modules loaded after the call.
+LOADED_PROBE = """
+import sys
+from distid.cli import main
+code = main(sys.argv[1:])
+print(" ".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+# Checks the package's lazy names in a fresh interpreter; prints ok.
+PACKAGE_PROBE = """
+import sys
+import distid
+assert not [m for m in sys.modules if m.startswith("distid.")]
+assert set(distid.__all__) <= set(dir(distid))
+from distid import *
+assert all(getattr(distid, name) is globals()[name] for name in distid.__all__)
+assert not hasattr(distid, "no_such_name")
+print("ok")
+"""
+
+# Modules that only simulate, lemma and m >= 3 exponent runs need.
+HEAVY = {"distid.mc", "distid.decoder", "distid.graphs", "concurrent.futures"}
+
+
+def fresh_python(code, *args):
+    """Run code in a new interpreter that imports distid from this tree:
+    (exit code, last line of stdout, stderr)."""
+    src = str(Path(distid.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": path}, text=True, timeout=120)
+    return proc.returncode, (proc.stdout.splitlines() or [""])[-1], proc.stderr
+
+
+class TestImports:
+    """In-process tests cannot see a missing lazy import, because the test
+    files have imported every module already."""
+
+    @pytest.mark.parametrize("command, entries, unloaded", [
+        ("bounds", EXPLICIT, HEAVY),
+        ("sweep", VALID["sweep"], HEAVY),
+        ("exponent", VALID["exponent"], HEAVY - {"distid.mc"}),
+        ("simulate", VALID["simulate"], set()),
+        ("lemma", VALID["lemma"], set()),
+    ])
+    def test_each_subcommand_loads_only_what_it_runs(self, tmp_path, command,
+                                                     entries, unloaded):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_text(entries))
+        # two workers would start a pool if the run dispatched blocks
+        code, loaded, err = fresh_python(LOADED_PROBE, command, "--config", str(cfg_path),
+                                         "--out", str(tmp_path / "out"), "--workers", "2")
+        assert code == 0, err
+        assert "distid.cli" in loaded.split()
+        assert not unloaded & set(loaded.split())
+
+    def test_the_package_loads_a_module_on_first_use_of_its_names(self):
+        code, out, err = fresh_python(PACKAGE_PROBE)
+        assert (code, out) == (0, "ok"), err

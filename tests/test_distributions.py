@@ -353,6 +353,55 @@ class TestBhattacharyya:
         assert peak <= 1.25 * 1000 * 1000 * 8
 
 
+def symbol_last_block(probs_i, probs_j, masked):
+    """The distance kernel on row-major (r, m) and (c, m) pmfs, with its
+    symbol sums taken by numpy's own `.sum(axis=2)`: the reference the
+    plane sums must match bit for bit."""
+    roots_i, roots_j = np.sqrt(probs_i), np.sqrt(probs_j)
+    p, root_p = probs_i[:, None, :], roots_i[:, None, :]
+    coeff = (roots_j * root_p).sum(axis=2)
+    denom = roots_j + root_p
+    diff = probs_j - p
+    np.divide(diff, denom, out=diff, where=(denom > 0) if masked else True)
+    half_sq = 0.5 * (diff * diff).sum(axis=2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(coeff < 0.5, -np.log(coeff), -np.log1p(-half_sq))
+
+
+# Symbol counts on every path of numpy's pairwise summation: left to right
+# below 8, eight running sums up to 128, recursive halves above.
+PLANE_COUNTS = [*range(2, 21), 64, 127, 128, 129, 130, 200, 300]
+BLOCK_SHAPES = [(1, 1), (1, 9), (6, 1), (5, 37)]
+
+
+class TestPlaneSum:
+    @pytest.mark.parametrize("m", PLANE_COUNTS)
+    def test_plane_sum_is_numpy_sum_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        for shape in BLOCK_SHAPES:
+            # magnitudes over ten decades, so the order of the additions shows
+            x = (rng.exponential(1.0, size=(*shape, m))
+                 * 10.0 ** rng.integers(-5, 5, size=(*shape, m)))
+            planes = np.moveaxis(x, -1, 0).copy()
+            got = distributions._plane_sum(planes)
+            assert got.tobytes() == x.sum(axis=-1).tobytes(), shape
+
+    @pytest.mark.parametrize("m", PLANE_COUNTS)
+    def test_kernel_matches_the_symbol_last_sums(self, m):
+        rng = np.random.default_rng(1000 + m)
+        for (r, c), masked in itertools.product(BLOCK_SHAPES, (False, True)):
+            w = rng.exponential(1.0, size=(r + c, m))
+            if masked:   # zeros, symbols both pmfs miss, and disjoint pairs
+                w[rng.random(w.shape) < 0.6] = 0.0
+                w[np.arange(r + c), rng.integers(0, m, size=r + c)] = 1.0
+            probs = w / w.sum(axis=1, keepdims=True)
+            cols_i, cols_j = probs[:r].T.copy(), probs[r:].T.copy()
+            got = distributions._bhattacharyya_block(
+                cols_i, np.sqrt(cols_i), cols_j, np.sqrt(cols_j), masked)
+            want = symbol_last_block(probs[:r], probs[r:], masked)
+            assert got.tobytes() == want.tobytes(), ((r, c), masked)
+
+
 class TestTiltedMidpoint:
     def test_self_midpoint(self):
         p = FinitePmf([0.3, 0.7])
