@@ -11,7 +11,7 @@ finite-n bounds derived from it are
     lower: sqrt(S) / (8 + sqrt(S))  (reported, not asserted)
 
 `lower` is not a lower bound at finite n: on the README pair it exceeds
-the exact error probability (ROADMAP item 1).
+the exact error probability (ROADMAP item 4).
 
 All sums of exponentials run in log domain so that families with
 thousands of members and large n do not underflow.
@@ -101,18 +101,22 @@ def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
     return math.exp(log_s), log_s
 
 
+def _unclamped_upper(s: float) -> float | None:
+    """16 S / (1 - 4 sqrt(S)), or None when 4 sqrt(S) >= 1."""
+    if s < 0:
+        raise ValueError(f"pairwise sum must be nonnegative, got {s}")
+    root = 4.0 * math.sqrt(s)
+    return None if root >= 1.0 else 16.0 * s / (1.0 - root)
+
+
 def upper_bound(s: float) -> float | None:
     """16 S / (1 - 4 sqrt(S)) clamped to 1, or None when 4 sqrt(S) >= 1.
 
     The bound only exists while the geometric series behind it converges,
     hence the applicability cutoff.
     """
-    if s < 0:
-        raise ValueError(f"pairwise sum must be nonnegative, got {s}")
-    root = 4.0 * math.sqrt(s)
-    if root >= 1.0:
-        return None
-    return min(1.0, 16.0 * s / (1.0 - root))
+    raw = _unclamped_upper(s)
+    return None if raw is None else min(1.0, raw)
 
 
 def lower_bound(s: float) -> float:
@@ -162,18 +166,6 @@ def cycle_count_ratio(k: int, r: int) -> float:
     return float(count) / n_edges ** (r / 2.0)
 
 
-def _cell(value) -> str:
-    """One CSV cell: None is nan, bools are true/false, floats keep 17
-    significant digits so they parse back exactly, anything else is str."""
-    if value is None:
-        return "nan"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """Pairwise sum and both bounds for one (family, blocklength) point."""
@@ -189,38 +181,23 @@ class BoundReport:
     @classmethod
     def from_family(cls, family: DistributionFamily, n: int) -> "BoundReport":
         s, log_s = pairwise_sum(family, n)
-        up = upper_bound(s)
-        clamped = False
-        if up is not None:
-            raw = 16.0 * s / (1.0 - 4.0 * math.sqrt(s))
-            clamped = raw > 1.0
+        raw = _unclamped_upper(s)
         return cls(n=n, family_size=len(family), s=s, log_s=log_s,
-                   lower=lower_bound(s), upper=up, upper_clamped=clamped)
+                   lower=lower_bound(s), upper=upper_bound(s),
+                   upper_clamped=raw is not None and raw > 1.0)
 
     @property
     def upper_applicable(self) -> bool:
         return self.upper is not None
 
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["n", "A", "S", "log_S", "upper", "upper_applicable", "lower"]
-
-    def csv_row(self) -> list[str]:
-        return [_cell(v) for v in (self.n, self.family_size, self.s, self.log_s,
-                                   self.upper, self.upper_applicable, self.lower)]
+    def row(self) -> dict:
+        """The report's CSV columns by name."""
+        return {"n": self.n, "A": self.family_size, "S": self.s, "log_S": self.log_s,
+                "upper": self.upper, "upper_applicable": self.upper_applicable,
+                "lower": self.lower}
 
     def to_json_dict(self) -> dict:
-        return {"n": self.n, "A": self.family_size, "S": self.s,
-                "log_S": self.log_s, "upper": self.upper,
-                "upper_applicable": self.upper_applicable,
-                "upper_clamped": self.upper_clamped, "lower": self.lower}
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "BoundReport":
-        return cls(n=int(d["n"]), family_size=int(d["A"]), s=float(d["S"]),
-                   log_s=float(d["log_S"]), lower=float(d["lower"]),
-                   upper=None if d["upper"] is None else float(d["upper"]),
-                   upper_clamped=bool(d["upper_clamped"]))
+        return {**self.row(), "upper_clamped": self.upper_clamped}
 
 
 @dataclass(frozen=True)
@@ -272,21 +249,6 @@ class GrowthRule:
             raise ValueError(f"{self.kind} growth overflows the family size "
                              f"at n={n}") from None
 
-    def _check_sizes(self, n_grid: Sequence[int]) -> None:
-        """Raise ValueError unless the size is >= 2 at every grid point.
-
-        A size that overflows is far above 2 and passes here; `size_at`
-        raises for it when a run needs the size.
-        """
-        for n in n_grid:
-            try:
-                size = self.size_at(n)
-            except ValueError:   # overflow, the only error size_at raises
-                continue
-            if size < 2:
-                raise ValueError(f"family size at n={n} is {size}; "
-                                 f"need >= 2 everywhere on the grid")
-
 
 def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     """Build the size-A_n family for one grid point.
@@ -296,18 +258,18 @@ def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     """
     if template["kind"] != "explicit":
         return make_family({**template, "size": size})
-    pmfs = template["pmfs"]
-    if size > len(pmfs):
-        raise ValueError(
-            f"template provides {len(pmfs)} members but the growth "
-            f"rule requires {size}")
-    return make_family({"kind": "explicit", "pmfs": list(pmfs)[:size]})
+    return make_family({"kind": "explicit", "pmfs": list(template["pmfs"])[:size]})
 
 
 @dataclass(frozen=True)
 class FamilySequenceSpec:
     """A growth rule, a family template (a spec without "size"), and the
-    blocklengths to evaluate."""
+    blocklengths to evaluate.
+
+    The family size must be at least 2, and at most an explicit template's
+    member count, at every grid point.  A size that overflows is far above
+    2 and passes here; `size_at` raises for it when a run needs the size.
+    """
 
     growth: GrowthRule
     template: Mapping
@@ -317,7 +279,19 @@ class FamilySequenceSpec:
         _check_family_spec(self.template, template=True)
         grid = _check_grid(self.n_grid, _TREND_GRID_MIN)
         object.__setattr__(self, "n_grid", grid)
-        self.growth._check_sizes(grid)
+        members = (len(self.template["pmfs"]) if self.template["kind"] == "explicit"
+                   else math.inf)
+        for n in grid:
+            try:
+                size = self.growth.size_at(n)
+            except ValueError:   # overflow, the only error size_at raises
+                continue
+            if size < 2:
+                raise ValueError(f"family size at n={n} is {size}; "
+                                 f"need >= 2 everywhere on the grid")
+            if size > members:
+                raise ValueError(f"template provides {members} members but the "
+                                 f"growth rule requires {size} at n={n}")
 
 
 @dataclass(frozen=True)
@@ -341,30 +315,16 @@ class TrendReport:
     slope: float | None
     verdict: str  # identifiable-trend | not-identifiable-trend | inconclusive
 
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["n", "A", "S", "log_S", "slope", "verdict"]
-
-    def csv_rows(self) -> list[list[str]]:
-        return [[_cell(v) for v in (p.n, p.family_size, p.s, p.log_s,
-                                    self.slope, self.verdict)]
-                for p in self.points]
+    def rows(self) -> list[dict]:
+        """One CSV row per grid point, columns by name."""
+        return [{"n": p.n, "A": p.family_size, "S": p.s, "log_S": p.log_s,
+                 "slope": self.slope, "verdict": self.verdict} for p in self.points]
 
     def to_json_dict(self) -> dict:
         return {"points": [{"n": p.n, "A": p.family_size, "S": p.s,
                             "log_S": p.log_s} for p in self.points],
                 "window": self.window, "slope": self.slope,
                 "verdict": self.verdict}
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "TrendReport":
-        pts = tuple(TrendPoint(n=int(p["n"]), family_size=int(p["A"]),
-                               s=float(p["S"]), log_s=float(p["log_S"]))
-                    for p in d["points"])
-        slope = d["slope"]
-        return cls(points=pts, window=int(d["window"]),
-                   slope=None if slope is None else float(slope),
-                   verdict=str(d["verdict"]))
 
 
 def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -37,12 +37,15 @@ Keys
 
 Exit codes: 0 success; 2 the config text alone decides the error (say
 family.size = 1, a 2-point exponent grid, growth.size = 2.5, growth that
-gives a family size below 2 on the grid, lemma r = 7 with k = 4); 3 a run
+gives a family size below 2 on the grid, an explicit sweep template with
+fewer members than the growth asks for, lemma r = 7 with k = 4); 3 a run
 found it (duplicate members, growth overflow along
 the grid, a sweep over pairs_budget, too few exponent fit points); 4 I/O.
 
-CSV output starts with a header row; floats are printed with 17 significant
-digits so values round-trip exactly.  JSON carries the nested reports.
+Each runner gives its CSV rows as dicts from column name to value, and
+`run` alone writes them: a header row of the first row's keys, then one
+line of `_cell`s per row.  Floats are printed with 17 significant digits
+so values round-trip exactly.  JSON carries the nested reports.
 
 Each subcommand imports only the modules it runs (`mc` and `graphs` load
 inside their runners, `json` only for JSON output), so a call pays no
@@ -58,7 +61,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import bounds as bounds_mod
-from .bounds import _FIT_GRID_MIN, _TREND_GRID_MIN, _cell, _check_grid
+from .bounds import _FIT_GRID_MIN, _TREND_GRID_MIN, _check_grid
 from .distributions import (_FAMILY_KIND_KEYS, _check_family_spec, _check_seed,
                             make_family, philox_stream)
 
@@ -135,7 +138,7 @@ class RunConfig:
     format: str = "csv"
     workers: int = 1
     family: dict | None = None
-    growth: bounds_mod.GrowthRule | None = None
+    spec: bounds_mod.FamilySequenceSpec | None = None   # sweep's family sequence
     n_grid: tuple[int, ...] | None = None   # n = N is stored as (N,)
     trials: int = 10_000
     k: int | None = None
@@ -216,10 +219,10 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
             if "trials" not in raw:
                 cfg.trials = 1
         elif command == "sweep":
-            cfg.growth = bounds_mod.GrowthRule._from_spec(
+            growth = bounds_mod.GrowthRule._from_spec(
                 {k.partition(".")[2]: v for k, v in raw.items()
                  if k.startswith("growth.")})
-            cfg.growth._check_sizes(cfg.n_grid)
+            cfg.spec = bounds_mod.FamilySequenceSpec(growth, cfg.family, cfg.n_grid)
             if "pairs_budget" in raw:
                 cfg.pairs_budget = _expect(raw, "pairs_budget", int, "an integer")
                 if cfg.pairs_budget < 1:
@@ -232,7 +235,7 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
 def _run_bounds(cfg: RunConfig):
     family = make_family(cfg.family)
     reports = [bounds_mod.BoundReport.from_family(family, n) for n in cfg.n_grid]
-    return (bounds_mod.BoundReport.csv_header(), [r.csv_row() for r in reports],
+    return ([r.row() for r in reports],
             {"command": "bounds", "reports": [r.to_json_dict() for r in reports]})
 
 
@@ -244,12 +247,11 @@ def _run_simulate(cfg: RunConfig):
         estimates.append(mc.estimate_error_prob(
             family, n, cfg.trials, cfg.seed, workers=cfg.workers))
         reports.append(bounds_mod.BoundReport.from_family(family, n))
-    header = (mc.McEstimate.csv_header(len(family))
-              + bounds_mod.BoundReport.csv_header()[2:])  # n, A are already there
-    rows = [est.csv_row() + rep.csv_row()[2:] for est, rep in zip(estimates, reports)]
-    return header, rows, {"command": "simulate",
-                          "estimates": [e.to_json_dict() for e in estimates],
-                          "bounds": [r.to_json_dict() for r in reports]}
+    # the report's n and A equal the estimate's and keep their place
+    rows = [{**est.row(), **rep.row()} for est, rep in zip(estimates, reports)]
+    return rows, {"command": "simulate",
+                  "estimates": [e.to_json_dict() for e in estimates],
+                  "bounds": [r.to_json_dict() for r in reports]}
 
 
 def _run_lemma(cfg: RunConfig):
@@ -259,8 +261,7 @@ def _run_lemma(cfg: RunConfig):
         r_values = list(range(2, k + 1))
     else:
         r_values = [cfg.r]
-    header = ["kind", "k", "r", "trial", "lhs", "rhs", "holds"]
-    rows: list[list[str]] = []
+    rows: list[dict] = []
     checks, expansions = [], []
     for r in r_values:
         for trial in range(cfg.trials):
@@ -269,15 +270,15 @@ def _run_lemma(cfg: RunConfig):
             graph = graphs.WeightedCompleteGraph(k, weights)
             res = graphs.check_mean_gain_bound(graph, r)
             checks.append((trial, res))
-            rows.append([_cell(v) for v in ("mean-gain", k, r, trial,
-                                             res.lhs, res.rhs, res.holds)])
+            rows.append({"kind": "mean-gain", "k": k, "r": r, "trial": trial,
+                         "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds})
         if r % 2 == 0 and k <= 6:
             exp_res = graphs.check_expansion_identities(k, r, seed=cfg.seed)
             expansions.append(exp_res)
             rhs = exp_res.incidence * exp_res.num_edges ** (r // 2)
-            rows.append([_cell(v) for v in ("expansion", k, r, 0,
-                                             exp_res.total_elements, rhs, exp_res.ok)])
-    return header, rows, {
+            rows.append({"kind": "expansion", "k": k, "r": r, "trial": 0,
+                         "lhs": exp_res.total_elements, "rhs": rhs, "holds": exp_res.ok})
+    return rows, {
         "command": "lemma",
         "mean_gain": [{"k": res.k, "r": res.r, "trial": trial,
                        "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds}
@@ -297,20 +298,17 @@ def _run_exponent(cfg: RunConfig):
             f"exponent needs a family of exactly 2 members, got {len(family)}")
     fit = mc.pairwise_error_exponent(family[0], family[1], cfg.n_grid,
                                      cfg.trials, cfg.seed, workers=cfg.workers)
-    return (mc.ExponentFit.csv_header(), fit.csv_rows(),
-            {"command": "exponent", "fit": fit.to_json_dict()})
+    return fit.rows(), {"command": "exponent", "fit": fit.to_json_dict()}
 
 
 def _run_sweep(cfg: RunConfig):
-    spec = bounds_mod.FamilySequenceSpec(
-        growth=cfg.growth, template=cfg.family, n_grid=cfg.n_grid)
-    report = bounds_mod.identifiability_trend(spec, pairs_budget=cfg.pairs_budget)
+    report = bounds_mod.identifiability_trend(cfg.spec, pairs_budget=cfg.pairs_budget)
     print(f"verdict: {report.verdict}")
-    return (bounds_mod.TrendReport.csv_header(), report.csv_rows(),
-            {"command": "sweep", "trend": report.to_json_dict()})
+    return report.rows(), {"command": "sweep", "trend": report.to_json_dict()}
 
 
-# Each runner returns (CSV header, CSV rows, JSON payload); `run` writes one.
+# Each runner returns (CSV rows, all with the same keys; JSON payload), and
+# `run` writes one of the two.
 _RUNNERS = {
     "bounds": _run_bounds,
     "simulate": _run_simulate,
@@ -320,12 +318,25 @@ _RUNNERS = {
 }
 
 
+def _cell(value) -> str:
+    """One CSV cell: None is nan, bools are true/false, floats keep 17
+    significant digits so they parse back exactly, anything else is str."""
+    if value is None:
+        return "nan"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return "%.17g" % value
+    return str(value)
+
+
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        header, rows, payload = _RUNNERS[cfg.command](cfg)
+        rows, payload = _RUNNERS[cfg.command](cfg)
         if cfg.format == "csv":
-            text = "\n".join(",".join(cells) for cells in [header, *rows]) + "\n"
+            lines = [rows[0].keys(), *(map(_cell, row.values()) for row in rows)]
+            text = "".join(",".join(cells) + "\n" for cells in lines)
         else:
             import json
             text = json.dumps(payload, indent=2, sort_keys=True) + "\n"

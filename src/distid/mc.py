@@ -38,11 +38,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bounds import _FIT_GRID_MIN, _cell, _check_grid, _ls_slope
+from .bounds import _FIT_GRID_MIN, _check_grid, _ls_slope
 from .distributions import DistributionFamily, FinitePmf, bhattacharyya, philox_stream
 
 __all__ = [
@@ -134,18 +134,13 @@ class McEstimate:
     r_histogram: dict[int, int]
     single_cycle_fraction: float
 
-    @staticmethod
-    def csv_header(family_size: int) -> list[str]:
-        base = ["n", "A", "trials", "errors", "p_hat", "stderr"]
-        base += [f"r{r}_count" for r in range(2, family_size + 1)]
-        base.append("single_cycle_fraction")
-        return base
-
-    def csv_row(self) -> list[str]:
-        hist = [self.r_histogram.get(r, 0) for r in range(2, self.family_size + 1)]
-        return [_cell(v) for v in (self.n, self.family_size, self.trials, self.errors,
-                                   self.p_hat, self.stderr, *hist,
-                                   self.single_cycle_fraction)]
+    def row(self) -> dict:
+        """The estimate's CSV columns by name: one r{r}_count per r in 2..A."""
+        return {"n": self.n, "A": self.family_size, "trials": self.trials,
+                "errors": self.errors, "p_hat": self.p_hat, "stderr": self.stderr,
+                **{f"r{r}_count": self.r_histogram.get(r, 0)
+                   for r in range(2, self.family_size + 1)},
+                "single_cycle_fraction": self.single_cycle_fraction}
 
     def to_json_dict(self) -> dict:
         return {"n": self.n, "A": self.family_size, "trials": self.trials,
@@ -154,16 +149,6 @@ class McEstimate:
                 "stderr_is_placeholder": self.stderr_is_placeholder,
                 "r_histogram": {str(k): v for k, v in sorted(self.r_histogram.items())},
                 "single_cycle_fraction": self.single_cycle_fraction}
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "McEstimate":
-        return cls(n=int(d["n"]), family_size=int(d["A"]),
-                   trials=int(d["trials"]), errors=int(d["errors"]),
-                   p_hat=float(d["p_hat"]), stderr=float(d["stderr"]),
-                   stderr_is_placeholder=bool(d["stderr_is_placeholder"]),
-                   r_histogram={int(k): int(v)
-                                for k, v in d["r_histogram"].items()},
-                   single_cycle_fraction=float(d["single_cycle_fraction"]))
 
 
 def _trial_blocks(trials: int, per_block: int = TRIALS_PER_BLOCK) -> list[tuple[int, int]]:
@@ -259,29 +244,17 @@ class ExponentFit:
     slope: float
     target: float
 
-    @staticmethod
-    def csv_header() -> list[str]:
-        return ["n", "trials", "errors", "p_hat", "used_in_fit", "slope", "target"]
-
-    def csv_rows(self) -> list[list[str]]:
-        return [[_cell(v) for v in (n, self.trials, e, p, u, self.slope, self.target)]
-                for n, e, p, u in zip(self.n_grid, self.errors,
-                                      self.p_hats, self.used)]
+    def rows(self) -> list[dict]:
+        """One CSV row per grid point, columns by name."""
+        return [{"n": n, "trials": self.trials, "errors": e, "p_hat": p,
+                 "used_in_fit": u, "slope": self.slope, "target": self.target}
+                for n, e, p, u in zip(self.n_grid, self.errors, self.p_hats, self.used)]
 
     def to_json_dict(self) -> dict:
         return {"n_grid": list(self.n_grid), "trials": self.trials,
                 "errors": list(self.errors), "p_hats": list(self.p_hats),
                 "used": list(self.used), "slope": self.slope,
                 "target": self.target}
-
-    @classmethod
-    def from_json_dict(cls, d: Mapping) -> "ExponentFit":
-        return cls(n_grid=tuple(int(x) for x in d["n_grid"]),
-                   trials=int(d["trials"]),
-                   errors=tuple(int(x) for x in d["errors"]),
-                   p_hats=tuple(float(x) for x in d["p_hats"]),
-                   used=tuple(bool(x) for x in d["used"]),
-                   slope=float(d["slope"]), target=float(d["target"]))
 
 
 def _swap_terms(p: FinitePmf, q: FinitePmf) -> tuple[np.ndarray, list]:

@@ -10,7 +10,6 @@ from distid import (
     BoundReport,
     FamilySequenceSpec,
     GrowthRule,
-    TrendReport,
     bhattacharyya,
     cycle_count_ratio,
     cycle_sum_bound,
@@ -293,24 +292,27 @@ class TestBoundReport:
             16 * rep.s / (1 - 4 * math.sqrt(rep.s)), rel=1e-12)
         assert not rep.upper_clamped
 
+    def test_clamped_region(self):
+        rep = BoundReport.from_family(PAIR, 14)
+        assert rep.upper == 1.0 and rep.upper_clamped
+        assert 16 * rep.s / (1 - 4 * math.sqrt(rep.s)) > 1.0
+
     def test_json_round_trip(self):
-        for n in (5, 10, 40, 200):
+        # n = 5 and 10 have no upper bound, n = 14 a clamped one
+        for n in (5, 10, 14, 40, 200):
             rep = BoundReport.from_family(PAIR, n)
-            again = BoundReport.from_json_dict(
-                json.loads(json.dumps(rep.to_json_dict())))
-            assert again == rep
+            d = rep.to_json_dict()
+            assert json.loads(json.dumps(d)) == d
+            assert (d["S"], d["log_S"], d["upper"], d["lower"]) == (
+                rep.s, rep.log_s, rep.upper, rep.lower)
 
     def test_json_round_trip_with_infinite_log(self):
         fam = make_family([(1.0, 0.0), (0.0, 1.0)])
         rep = BoundReport.from_family(fam, 3)
         assert rep.log_s == -math.inf
-        again = BoundReport.from_json_dict(
-            json.loads(json.dumps(rep.to_json_dict())))
-        assert again == rep
-
-    def test_csv_row_shape(self):
-        rep = BoundReport.from_family(PAIR, 10)
-        assert len(rep.csv_row()) == len(BoundReport.csv_header())
+        d = rep.to_json_dict()
+        assert json.loads(json.dumps(d)) == d
+        assert d["log_S"] == -math.inf and d["upper"] == 0.0
 
 
 class TestGrowthRule:
@@ -441,19 +443,31 @@ class TestIdentifiabilityTrend:
         assert len(built) == 3
 
     def test_template_too_small(self):
+        # the spec itself is refused, before any run
+        with pytest.raises(ValueError, match="^template provides 2 members but the "
+                                             "growth rule requires 4 at n=10$"):
+            FamilySequenceSpec(
+                GrowthRule("constant", 4),
+                {"kind": "explicit", "pmfs": [[0.5, 0.5], [0.9, 0.1]]},
+                (10, 20))
+
+    def test_explicit_template_with_overflowing_growth_waits_for_the_run(self):
         spec = FamilySequenceSpec(
-            GrowthRule("constant", 4),
+            GrowthRule("exponential", 5.0),
             {"kind": "explicit", "pmfs": [[0.5, 0.5], [0.9, 0.1]]},
-            (10, 20))
-        with pytest.raises(ValueError, match="growth"):
+            (1000, 2000))
+        with pytest.raises(ValueError, match="overflows"):
             identifiability_trend(spec)
 
     def test_json_round_trip(self):
-        spec = FamilySequenceSpec(
-            GrowthRule("constant", 2),
-            {"kind": "binary-grid", "theta_min": 0.2, "theta_max": 0.8},
-            (10, 20, 30, 40))
-        report = identifiability_trend(spec)
-        again = TrendReport.from_json_dict(
-            json.loads(json.dumps(report.to_json_dict())))
-        assert again == report
+        # a fitted slope, and a disjoint pair's None slope and -inf log S
+        for template, slope_is_none in [
+                ({"kind": "binary-grid", "theta_min": 0.2, "theta_max": 0.8}, False),
+                ({"kind": "explicit", "pmfs": [[1.0, 0.0], [0.0, 1.0]]}, True)]:
+            report = identifiability_trend(FamilySequenceSpec(
+                GrowthRule("constant", 2), template, (10, 20, 30, 40)))
+            assert (report.slope is None) == slope_is_none
+            d = report.to_json_dict()
+            assert json.loads(json.dumps(d)) == d
+            assert d["slope"] == report.slope
+            assert [p["log_S"] for p in d["points"]] == [p.log_s for p in report.points]

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import distid
-from distid import BoundReport, ExponentFit, McEstimate, TrendReport, make_family
+from distid import (
+    BoundReport,
+    FamilySequenceSpec,
+    GrowthRule,
+    estimate_error_prob,
+    identifiability_trend,
+    make_family,
+    pairwise_error_exponent,
+)
 from distid.cli import (
     _KEYS_BY_COMMAND,
     DEFAULT_SEED,
@@ -134,10 +142,11 @@ class TestRunCommands:
         code, out = run_command(tmp_path, "bounds", PAIR_CFG, fmt="json")
         assert code == 0
         payload = json.loads(out.read_text())
-        reports = [BoundReport.from_json_dict(d) for d in payload["reports"]]
         fam = make_family([(0.5, 0.5), (0.9, 0.1)])
-        assert reports == [BoundReport.from_family(fam, 10),
-                           BoundReport.from_family(fam, 40)]
+        reports = [BoundReport.from_family(fam, n) for n in (10, 40)]
+        assert reports[0].upper is None
+        assert payload == {"command": "bounds",
+                           "reports": [r.to_json_dict() for r in reports]}
 
     def test_simulate_csv_and_determinism(self, tmp_path):
         text = PAIR_CFG + "trials = 2000\nseed = 12\n"
@@ -155,9 +164,12 @@ class TestRunCommands:
         code, out = run_command(tmp_path, "simulate", text, fmt="json")
         assert code == 0
         payload = json.loads(out.read_text())
-        estimates = [McEstimate.from_json_dict(d) for d in payload["estimates"]]
-        assert len(estimates) == 2
-        assert all(e.trials == 500 for e in estimates)
+        fam = make_family([(0.5, 0.5), (0.9, 0.1)])
+        assert payload["estimates"] == [
+            estimate_error_prob(fam, n, 500, DEFAULT_SEED).to_json_dict()
+            for n in (10, 40)]
+        assert payload["bounds"] == [BoundReport.from_family(fam, n).to_json_dict()
+                                     for n in (10, 40)]
 
     def test_simulate_disjoint_pair_zero_errors(self, tmp_path):
         text = ('family.kind = "explicit"\n'
@@ -202,8 +214,9 @@ class TestRunCommands:
                 "n_grid = [5, 10, 15]\ntrials = 20000\n")
         code, out = run_command(tmp_path, "exponent", text, fmt="json")
         payload = json.loads(out.read_text())
-        fit = ExponentFit.from_json_dict(payload["fit"])
-        assert fit.n_grid == (5, 10, 15)
+        fam = make_family([(0.5, 0.5), (0.9, 0.1)])
+        fit = pairwise_error_exponent(fam[0], fam[1], (5, 10, 15), 20000, DEFAULT_SEED)
+        assert payload["fit"] == fit.to_json_dict()
 
     def test_sweep_csv_and_json(self, tmp_path):
         text = ('family.kind = "binary-grid"\n'
@@ -217,8 +230,25 @@ class TestRunCommands:
         assert all(l.endswith("identifiable-trend") for l in lines[1:])
         code, out = run_command(tmp_path, "sweep", text, fmt="json")
         payload = json.loads(out.read_text())
-        report = TrendReport.from_json_dict(payload["trend"])
-        assert report.verdict == "identifiable-trend"
+        report = identifiability_trend(FamilySequenceSpec(
+            GrowthRule("constant", 2),
+            {"kind": "binary-grid", "theta_min": 0.2, "theta_max": 0.8},
+            (10, 20, 30, 40)))
+        assert payload["trend"] == report.to_json_dict()
+
+    def test_sweep_of_disjoint_pair_has_no_slope(self, tmp_path):
+        text = ('family.kind = "explicit"\n'
+                "family.pmfs = [[1.0, 0.0], [0.0, 1.0]]\n"
+                'growth.kind = "constant"\ngrowth.size = 2\n'
+                "n_grid = [1, 2, 3]\n")
+        code, out = run_command(tmp_path, "sweep", text)
+        assert code == 0
+        assert out.read_text().splitlines()[1:] == [
+            f"{n},2,0,-inf,nan,identifiable-trend" for n in (1, 2, 3)]
+        code, out = run_command(tmp_path, "sweep", text, fmt="json")
+        trend = json.loads(out.read_text())["trend"]
+        assert trend["slope"] is None
+        assert [p["log_S"] for p in trend["points"]] == [-math.inf] * 3
 
     def test_precondition_violation_exits_3(self, tmp_path):
         text = ('family.kind = "explicit"\n'
@@ -378,6 +408,9 @@ class TestConfigValidation:
         pytest.param("sweep", {**GRID_TEMPLATE, "growth.kind": "polynomial",
                                "growth.degree": 0.1, "n_grid": [1, 2]}, 2,
                      "family size at n=1 is 1", id="growth-size-below-2"),
+        pytest.param("sweep", {**SWEEP, "growth.size": 3}, 2,
+                     "template provides 2 members but the growth rule requires 3",
+                     id="template-too-short"),
         pytest.param("lemma", {"k": 4, "r": 7}, 2, "r=7", id="lemma-r-over-k"),
         # a run finds these
         pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], [0.5, 0.5]]}, 3,

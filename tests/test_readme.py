@@ -1,10 +1,44 @@
+import hashlib
 import re
 from pathlib import Path
+
+import pytest
 
 import distid
 from distid import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# sha256 of each README example's output, recorded with numpy 2.4.6 on
+# Python 3.11.7.  sim.cfg and exp.cfg draw through numpy's Philox generator
+# and its samplers, so another numpy release may change their digests.
+GOLDEN = {
+    ("bounds.cfg", "csv"): "4fa4c61c1c7f33b475e387e603f5b3317c8690721fc7bbaa22ef9d5738fbda84",
+    ("bounds.cfg", "json"): "191d2ba65a8ebfad93fae4a484ecbdf3a5e844eff6655fcb7c5195d694a1ab47",
+    ("sim.cfg", "csv"): "5473f112d2e0c3ea936728ed43b892291caa256259d509d0d5937936e6453d8c",
+    ("sim.cfg", "json"): "3d0d26ea687216e6d05ae79fdc2fa1649bfaa47976901efd0fbc2202cdc2d7b0",
+    ("lemma.cfg", "csv"): "0204e2812bf73cddd6c765ef02e7e556ea05bdd6541eb9d5851d0f66116c13c9",
+    ("lemma.cfg", "json"): "a02fa73458842382df1155eaf15f6461c395671a1f64b13442eae0b86001036d",
+    ("exp.cfg", "csv"): "25e541d7f7db7f40340f6ae009098899ebb4ad847f83bab9032837aff31af8c5",
+    ("exp.cfg", "json"): "ac4cd3f9e1046c6f019f941dd48c58d18641d2bfcde792bde9a0f8757208fa21",
+    ("sweep.cfg", "csv"): "0533a12fa0139ecb449e0212619a590547e3bac4d20f17385e0bfaabdea9b4b8",
+    ("sweep.cfg", "json"): "1fc56400721e655988a3a8ac428f6059870b958c7b5b6e85d3514e716c815002",
+}
+
+
+def readme_configs() -> dict:
+    """{config name: (subcommand, config text)} of the README examples; the
+    usage block names each one's subcommand:
+    "distid <command> --config <name>.cfg"."""
+    text = README.read_text()
+    command_of = dict((name, command) for command, name in
+                      re.findall(r"^distid (\w+) +--config (\w+\.cfg)", text, re.M))
+    configs = {}
+    for block in re.findall(r"^```ini\n(.*?)^```", text, re.M | re.S):
+        name = re.match(r"# (\w+\.cfg)", block).group(1)
+        configs[name] = (command_of[name], block)
+    assert len(configs) == len(command_of) == 5
+    return configs
 
 
 def test_every_public_name_is_in_the_readme():
@@ -14,14 +48,16 @@ def test_every_public_name_is_in_the_readme():
 
 
 def test_every_readme_config_validates():
-    # the usage block names each example config's subcommand:
-    # "distid <command> --config <name>.cfg"
-    text = README.read_text()
-    command_of = dict((name, command) for command, name in
-                      re.findall(r"^distid (\w+) +--config (\w+\.cfg)", text, re.M))
-    blocks = re.findall(r"^```ini\n(.*?)^```", text, re.M | re.S)
-    assert len(blocks) == len(command_of) == 5
-    for block in blocks:
-        name = re.match(r"# (\w+\.cfg)", block).group(1)
-        cfg = cli.build_config(command_of[name], cli.parse_config(block))
-        assert cfg.command == command_of[name]
+    for command, block in readme_configs().values():
+        cfg = cli.build_config(command, cli.parse_config(block))
+        assert cfg.command == command
+
+
+@pytest.mark.parametrize("name, fmt", sorted(GOLDEN))
+def test_readme_example_bytes(tmp_path, name, fmt):
+    command, text = readme_configs()[name]
+    cfg_path, out = tmp_path / name, tmp_path / f"out.{fmt}"
+    cfg_path.write_text(text)
+    assert cli.main([command, "--config", str(cfg_path), "--out", str(out),
+                     "--format", fmt]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name, fmt]
