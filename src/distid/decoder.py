@@ -6,17 +6,22 @@ distribution, and the decoder returns the permutation maximizing the
 total log-likelihood.
 A mapping's score is a correctly rounded sum (math.fsum), so it does not
 depend on row order and rows with identical scores tie exactly.
-`ml_decode` takes one (A, A) score matrix or a (B, A, A) stack and makes
-one assignment solve per call: Jonker-Volgenant shortest augmenting
-paths on negated scores, run in numpy in lockstep over the stack, with
-the per-matrix float operations of the one-matrix algorithm.  Ties are
-then settled among the edges that are tight (zero reduced cost under
-that solve's duals), only for the matrices where some row has a tight
-smaller column held by a later row.  In numpy, rows with identical
-scores (a class) take their class's columns in increasing order, and a
-boolean closure looks for cycles of tight edges between classes.  Only
-a matrix with such a cycle goes on to the Python cheapest-cycle search,
-which confirms every move by an exact score comparison.
+`ml_decode` takes one (A, A) score matrix or a (B, A, A) stack, or a
+(U, A) table of distinct score rows with a (B, A) index of each
+matrix's rows into it (a dense stack is reduced to that form by its
+rows' bytes), and makes one assignment solve per call:
+Jonker-Volgenant shortest augmenting paths on negated scores, run in
+numpy in lockstep over the stack, with the per-matrix float operations
+of the one-matrix algorithm.  Rows are added in bit-reversed order, and
+a matrix whose path is done idles until half the lockstep's matrices
+are, which then augment and leave together.  Ties are then settled
+among the edges that are tight (zero reduced cost under that solve's
+duals), only for the matrices where some row has a tight smaller column
+held by a later row.  In numpy, rows on the same table row (a class)
+take their class's columns in increasing order, and a boolean closure
+looks for cycles of tight edges between classes.  Only a matrix with
+such a cycle goes on to the Python cheapest-cycle search, which
+confirms every move by an exact score comparison.
 `exhaustive_decode` enumerates all A! permutations and serves as the
 oracle.  Both resolve score ties by returning the lexicographically
 smallest mapping vector.
@@ -71,11 +76,13 @@ def loglik_from_counts(counts: np.ndarray, family: DistributionFamily) -> np.nda
     return np.where(hits > 0, -np.inf, base)
 
 
-def _validate_scores(scores, stacked: bool) -> np.ndarray:
-    """Scores as float64: one (A, A) matrix, or with stacked also a (B, A, A) stack."""
+def _validate_scores(scores, ndims: tuple[int, ...], square: bool = True) -> np.ndarray:
+    """Scores as float64 with one of ndims dimensions: square matrices, or
+    with square False one (U, A) table of score rows."""
     arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim not in ((2, 3) if stacked else (2,)) or arr.shape[-1] != arr.shape[-2]:
-        raise ValueError(f"score matrix must be square, got shape {arr.shape}")
+    if arr.ndim not in ndims or square and arr.shape[-1] != arr.shape[-2]:
+        shape = "matrix must be square" if square else "table must have shape (U, A)"
+        raise ValueError(f"score {shape}, got shape {arr.shape}")
     if arr.shape[-1] < 2:
         raise ValueError("score matrix must be at least 2x2")
     if np.isnan(arr).any():
@@ -85,41 +92,77 @@ def _validate_scores(scores, stacked: bool) -> np.ndarray:
     return arr
 
 
+def _validate_rows(rows, table: np.ndarray) -> np.ndarray:
+    """Row numbers into a score table: (A,) for one matrix, (B, A) for a stack."""
+    index = np.asarray(rows)
+    size = table.shape[1]
+    if index.dtype.kind not in "iu" or index.ndim not in (1, 2) or index.shape[-1] != size:
+        raise ValueError(f"rows must be integers of shape (A,) or (B, A) with A = {size}, "
+                         f"got {index.dtype} of shape {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= len(table)):
+        raise ValueError(f"rows must lie in 0..{len(table) - 1}")
+    return index.astype(np.int64, copy=False)
+
+
 def _mapping_score(rows: list[list[float]], mapping) -> float:
     # correctly rounded, so independent of row order: rows with identical
     # scores tie exactly; _refine sums its mappings the same way
     return math.fsum(map(list.__getitem__, rows, mapping))
 
 
-def _solve_lockstep(scores: np.ndarray, forbidden: np.ndarray):
+def _insertion_order(size: int) -> list[int]:
+    """Rows 0..size-1 in bit-reversed order (0, 4, 2, 6, 1, 5, 3, 7 at size 8).
+
+    Count rows come in member order, and neighbouring members compete for
+    neighbouring columns; rows spread out over the family first find free
+    columns in fewer augmenting steps than rows added in order (334
+    lockstep steps against 528 on a binary-grid A = 32 block at n = 40).
+    """
+    bits = (size - 1).bit_length()
+    order = (int(f"{i:0{bits}b}"[::-1], 2) for i in range(1 << bits))
+    return [i for i in order if i < size]
+
+
+def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray):
     """Jonker-Volgenant shortest augmenting paths over a stack, in lockstep.
 
-    Minimizes the cost -S over the perfect matchings of each (A, A) trial
-    of scores, with a -inf score costing forbidden[b].  Rows are added one
-    at a time; for row i each step scans one cost row of every trial still
-    searching, gathered from the stack (no cost copy is built), and a
-    trial leaves the step loop once its path reaches a free column.  Each
-    trial sees the float operations of the one-matrix loop in its order:
-    slack (c - u[row]) - v[j], strict < updates, the first column of least
-    slack, u += delta on the rows of visited columns, v -= delta on the
-    visited columns and min_slack -= delta on the others.  So its mapping
-    and duals do not depend on the rest of the stack.  Returns (mapping,
-    u, v), each of shape (B, A).
+    Trial b's score matrix is table[index[b]]: row r of it is row
+    index[b, r] of the (U, A) table.  The solve minimizes the cost -S
+    over the perfect matchings of each trial, with a -inf score costing
+    forbidden[b].  Rows are added one at a time, in `_insertion_order`;
+    for row i each step scans one cost row of every lane (a trial still
+    searching), read from the table, so no cost matrix is built.  Each
+    trial sees the float operations of the one-matrix loop in that row
+    order: slack (c - u[row]) - v[j], strict < updates, the first column
+    of least slack, u += delta on the rows of visited columns, v -= delta
+    on the visited columns and min_slack -= delta on the others.  So its
+    mapping and duals do not depend on the rest of the stack.
+
+    A lane whose path reaches a free column idles, with delta 0, until
+    half the lanes idle; then those lanes augment, write back and leave
+    in one batch.  Meanwhile it keeps stepping: the columns of its path
+    are all visited (min_slack -inf), so no slack moves their origin, and
+    adding 0.0 leaves every dual's bits alone, as the duals start at +0.0
+    and a sum is -0.0 only when both its terms are.
+    Returns (mapping, u, v), each of shape (B, A).
     """
-    trials, size = scores.shape[:2]
+    trials, size = index.shape
+    capped = (table == -np.inf).any()
+
+    def cost_rows(rows, forbidden):
+        s = table[rows]
+        if capped:
+            return np.where(s == -np.inf, forbidden[:, None], -s)
+        return np.negative(s, out=s)
+
     u = np.zeros((trials, size))
     v = np.zeros((trials, size))
     match = np.full((trials, size + 1), size)   # row on each column; size = free
-
-    def cost_rows(trial, row):
-        s = scores[trial, row]
-        return np.where(s == -np.inf, forbidden[trial, None], -s)
-
     every = np.arange(trials)
-    for i in range(size):
+    for i in _insertion_order(size):
         match[:, size] = i                      # the virtual column holds row i
         # first step, from the virtual column: only row i is in the tree
-        min_slack = (cost_rows(every, i) - u[:, i, None]) - v
+        min_slack = (cost_rows(index[:, i], forbidden) - u[:, i, None]) - v
         j_cur = min_slack.argmin(axis=1)
         delta = min_slack[every, j_cur]
         u[:, i] += delta
@@ -129,48 +172,61 @@ def _solve_lockstep(scores: np.ndarray, forbidden: np.ndarray):
         idx = np.flatnonzero(~done)
         if not len(idx):
             continue
-        # the trials still searching, and their state in the same order;
-        # a visited column's min_slack is -inf, so no update reaches it
-        lu, lv, lm = u[idx], v[idx], match[idx]
+        # the lanes, and their state in the same order; a visited column's
+        # min_slack is -inf, so no update reaches it
+        lu, lv, lm, lrows, lcap = u[idx], v[idx], match[idx], index[idx], forbidden[idx]
         j_cur, min_slack = j_cur[idx], min_slack[idx]
         origin = np.full((len(idx), size), size)
         visited = np.zeros((len(idx), size), dtype=bool)
         in_tree = np.zeros((len(idx), size), dtype=bool)   # rows of visited columns
         in_tree[:, i] = True
+        live = np.ones(len(idx), dtype=bool)
+        end = np.empty(len(idx), dtype=np.int64)   # each idle lane's free column
+        idle = 0
+        pos = np.arange(len(idx))
         while True:
-            pos = np.arange(len(idx))
             row = lm[pos, j_cur]
+            np.minimum(row, size - 1, out=row)      # an idle lane's column may be free
             visited[pos, j_cur] = True
             in_tree[pos, row] = True
             min_slack[pos, j_cur] = -np.inf
-            slack = (cost_rows(idx, row) - lu[pos, row][:, None]) - lv
+            slack = (cost_rows(lrows[pos, row], lcap) - lu[pos, row][:, None]) - lv
             better = slack < min_slack
             np.copyto(min_slack, slack, where=better)
             np.copyto(origin, j_cur[:, None], where=better)
             masked = np.where(visited, np.inf, min_slack)
             j_cur = masked.argmin(axis=1)
-            delta = masked[pos, j_cur][:, None]
-            np.add(lu, delta, out=lu, where=in_tree)
-            np.subtract(lv, delta, out=lv, where=visited)
+            delta = np.where(live, masked[pos, j_cur], 0.0)[:, None]
+            lu = np.where(in_tree, lu + delta, lu)
+            lv = np.where(visited, lv - delta, lv)
             min_slack -= delta
-            done = lm[pos, j_cur] == size
-            if not done.any():
+            hit = (lm[pos, j_cur] == size) & live
+            if not hit.any():
                 continue
-            # augment along the path back to the virtual column
-            walk = np.flatnonzero(done)
-            col = j_cur[walk]
+            end[hit] = j_cur[hit]
+            live &= ~hit
+            idle += int(np.count_nonzero(hit))
+            if 2 * idle < len(idx):
+                continue
+            # augment the idle lanes along their paths back to the virtual column
+            gone = np.flatnonzero(~live)
+            walk, col = gone, end[gone]
             while len(walk):
                 prev = origin[walk, col]
                 lm[walk, col] = lm[walk, prev]
                 more = prev != size
                 walk, col = walk[more], prev[more]
-            u[idx[done]], v[idx[done]], match[idx[done]] = lu[done], lv[done], lm[done]
-            left = ~done
-            if not left.any():
+            back = idx[gone]
+            u[back], v[back], match[back] = lu[gone], lv[gone], lm[gone]
+            keep = np.flatnonzero(live)
+            if not len(keep):
                 break
-            idx, lu, lv, lm = idx[left], lu[left], lv[left], lm[left]
-            j_cur, min_slack, origin = j_cur[left], min_slack[left], origin[left]
-            visited, in_tree = visited[left], in_tree[left]
+            idx, lu, lv, lm = idx[keep], lu[keep], lv[keep], lm[keep]
+            lrows, lcap, j_cur = lrows[keep], lcap[keep], j_cur[keep]
+            min_slack, origin = min_slack[keep], origin[keep]
+            visited, in_tree = visited[keep], in_tree[keep]
+            live, end, idle = live[keep], end[keep], 0
+            pos = np.arange(len(idx))
     mapping = np.empty((trials, size), dtype=np.int64)
     mapping[every[:, None], match[:, :size]] = np.arange(size)
     return mapping, u, v
@@ -253,45 +309,32 @@ def _refine(matrix: np.ndarray, mapping: list[int], tight, gate: float) -> list[
     return mapping
 
 
-def _settle_classes(scores: np.ndarray, mapping: np.ndarray, tight: np.ndarray):
-    """Identical-row ties of a (B, A, A) stack, settled in numpy.
+def _settle_classes(index: np.ndarray, mapping: np.ndarray, tight: np.ndarray):
+    """Identical-row ties of a stack, settled in numpy.
 
-    Rows with exactly equal scores form a class.  Any assignment of a
-    class's columns to its rows has the same fsum score, and the
-    lexicographically smallest gives them in increasing order: the
-    canonical mapping.  Any other optimum differs from it by alternating
-    cycles of tight edges.  Rows of one class share their duals and so
-    their tight columns, so a cycle that leaves a class shortens to a
-    cycle of the digraph over columns with c -> c' when the row on c is
-    tight on c' and the row on c' is in another class.  A trial whose
-    digraph has no cycle is thus settled by the canonical mapping.
+    Rows on the same score-table row (index) form a class.  Any
+    assignment of a class's columns to its rows has the same fsum score,
+    and the lexicographically smallest gives them in increasing order:
+    the canonical mapping.  Any other optimum differs from it by
+    alternating cycles of tight edges.  Rows of one class share their
+    duals and so their tight columns, so a cycle that leaves a class
+    shortens to a cycle of the digraph over columns with c -> c' when the
+    row on c is tight on c' and the row on c' is in another class.  A
+    trial whose digraph has no cycle is thus settled by the canonical
+    mapping.  (Distinct table rows with equal scores are distinct
+    classes: their ties are cycles, which the exact search settles.)
     Returns the canonical mappings and, per trial, whether its digraph
     has a cycle.
     """
     trials, size = mapping.shape
     rows = np.arange(size)
     every = np.arange(trials)[:, None]
-    # each row's class is its first equal row: the candidates are the
-    # rows at or before it with the same two key columns, and a candidate
-    # that differs elsewhere is dropped (the row itself always matches)
-    candidate = rows[:, None] <= rows
-    for c in {size // 3, 2 * size // 3}:
-        key = scores[:, :, c]
-        candidate = candidate & (key[:, :, None] == key[:, None, :])
-    first = candidate.argmax(axis=1)
-    b, k = np.nonzero(first != rows)
-    while len(b):
-        i = first[b, k]
-        differ = (scores[b, i] != scores[b, k]).any(axis=1)
-        b, i, k = b[differ], i[differ], k[differ]
-        candidate[b, i, k] = False
-        first[b, k] = candidate[b, :, k].argmax(axis=1)
     # canonical form: the classes' rows, and their columns, in class order
     owner = np.empty_like(mapping)
     owner[every, mapping] = rows
-    label = np.take_along_axis(first, owner, axis=1)   # class of each column
+    label = np.take_along_axis(index, owner, axis=1)   # class of each column
     canonical = np.empty_like(mapping)
-    canonical[every, np.argsort(first * size + rows, axis=1)] = np.argsort(
+    canonical[every, np.argsort(index * size + rows, axis=1)] = np.argsort(
         label * size + rows, axis=1)
     owner[every, canonical] = rows
     reach = (tight[every, owner] & (label[:, :, None] != label[:, None, :])).astype(np.float32)
@@ -302,30 +345,42 @@ def _settle_classes(scores: np.ndarray, mapping: np.ndarray, tight: np.ndarray):
     return canonical, (reach * reach.transpose(0, 2, 1)).any(axis=(1, 2))
 
 
-def ml_decode(scores) -> np.ndarray:
+def ml_decode(scores, rows=None) -> np.ndarray:
     """Permutation maximizing sum_i entry[i][mapping[i]], for each matrix.
 
     scores is one (A, A) matrix, giving an (A,) mapping, or a (B, A, A)
     stack, giving (B, A) mappings; each matrix is decoded on its own.
-    Among maximizers the lexicographically smallest mapping vector is
-    returned.  Raises NoFeasibleAssignmentError when every permutation
-    of some matrix has score -inf.
+    With rows, scores is a (U, A) table of score rows instead, and rows
+    holds row numbers into it: one matrix's (A,) or a stack's (B, A),
+    with matrix b being table[rows[b]].  A dense stack is decoded in that
+    form, on its distinct rows.  Among maximizers the lexicographically
+    smallest mapping vector is returned.  Raises NoFeasibleAssignmentError
+    when every permutation of some matrix has score -inf.
     """
-    arr = _validate_scores(scores, stacked=True)
-    stack = arr if arr.ndim == 3 else arr[None]
-    trials, size = stack.shape[:2]
-    finite = stack > -np.inf
-    # largest |finite score| of each matrix, with no (B, A, A) temporary
-    # beyond the finite mask
-    scale = np.maximum(stack.max(axis=(1, 2), where=finite, initial=0.0),
-                       -stack.min(axis=(1, 2), where=finite, initial=0.0))
-    del finite
+    if rows is None:
+        arr = _validate_scores(scores, ndims=(2, 3))
+        size = arr.shape[-1]
+        flat = np.ascontiguousarray(arr.reshape(-1, size))
+        # distinct rows, found by their bytes
+        keys, inverse = np.unique(flat.view(np.dtype((np.void, 8 * size))).ravel(),
+                                  return_inverse=True)
+        table, index = keys.view(np.float64).reshape(-1, size), inverse.reshape(arr.shape[:-1])
+    else:
+        table = _validate_scores(scores, ndims=(2,), square=False)
+        index = _validate_rows(rows, table)
+    single = index.ndim == 1
+    index = index[None] if single else index
+    trials, size = index.shape
+    finite = table > -np.inf
+    # largest |finite score| of each matrix, from its rows'
+    row_scale = np.maximum(table.max(axis=1, where=finite, initial=0.0),
+                           -table.min(axis=1, where=finite, initial=0.0))
+    scale = row_scale[index].max(axis=1, initial=0.0)
     # a feasible assignment costs at most size * scale, one with a
     # forbidden edge at least forbidden - (size - 1) * scale
     forbidden = 2.0 * size * scale + 2.0
-    mapping, u, v = _solve_lockstep(stack, forbidden)
-    trial_idx = np.arange(trials)[:, None]
-    if (stack[trial_idx, np.arange(size), mapping] == -np.inf).any():
+    mapping, u, v = _solve_lockstep(table, index, forbidden)
+    if (table[index, mapping] == -np.inf).any():
         raise NoFeasibleAssignmentError(
             "no permutation avoids zero-probability scores")
 
@@ -339,28 +394,29 @@ def ml_decode(scores) -> np.ndarray:
     gate = _TIE_GATE_REL * np.maximum(1.0, scale)
     cols = np.arange(size)
     owner = np.empty_like(mapping)
-    owner[trial_idx, mapping] = cols
-    tight = np.empty(stack.shape, dtype=bool)
+    owner[np.arange(trials)[:, None], mapping] = cols
+    tight = np.empty((trials, size, size), dtype=bool)
     refine = np.zeros(trials, dtype=bool)
     for i in range(size):
         # a -inf score gives +inf and is never tight
-        tight[:, i] = ((-stack[:, i] - u[:, i, None]) - v) <= gate[:, None]
+        tight[:, i] = ((-table[index[:, i]] - u[:, i, None]) - v) <= gate[:, None]
         refine |= (tight[:, i] & (cols < mapping[:, i, None]) & (owner > i)).any(axis=1)
     flagged = np.flatnonzero(refine)
     chunk = max(1, _TIE_CHUNK_ENTRIES // (size * size))
     cyclic = []
     for lo in range(0, len(flagged), chunk):
         idx = flagged[lo:lo + chunk]
-        mapping[idx], has_cycle = _settle_classes(stack[idx], mapping[idx], tight[idx])
+        mapping[idx], has_cycle = _settle_classes(index[idx], mapping[idx], tight[idx])
         cyclic += idx[has_cycle].tolist()
     for t in cyclic:
+        matrix = table[index[t]]
         i, j = np.nonzero(tight[t])
-        reduced = ((-stack[t, i, j] - u[t, i]) - v[t, j]).tolist()
+        reduced = ((-matrix[i, j] - u[t, i]) - v[t, j]).tolist()
         edges = [{} for _ in range(size)]
         for row, col, slack in zip(i.tolist(), j.tolist(), reduced):
             edges[row][col] = slack
-        mapping[t] = _refine(stack[t], mapping[t].tolist(), edges, float(gate[t]))
-    return mapping if arr.ndim == 3 else mapping[0]
+        mapping[t] = _refine(matrix, mapping[t].tolist(), edges, float(gate[t]))
+    return mapping[0] if single else mapping
 
 
 def exhaustive_decode(matrix) -> np.ndarray:
@@ -369,7 +425,7 @@ def exhaustive_decode(matrix) -> np.ndarray:
     Same contract as ml_decode, including the lexicographic tie rule.
     Guarded to matrices of size <= 10.
     """
-    arr = _validate_scores(matrix, stacked=False)
+    arr = _validate_scores(matrix, ndims=(2,))
     size = arr.shape[0]
     if size > EXHAUSTIVE_MAX_SIZE:
         raise ValueError(

@@ -12,16 +12,17 @@ Only the symbol counts are drawn (one multinomial per row): the decoder
 and every error statistic depend on the observations through the counts
 alone.
 
-Each block is scored in sub-chunks of about 2^14 score entries
-(`_SCORE_CHUNK_ENTRIES`), so no scoring temporary grows with the block,
-and the whole block is then decoded by one `ml_decode` call on its
-(block, A, A) score stack.
+Each block scores only its distinct count rows, once each, into a
+(U, A) table (in sub-chunks of about 2^14 score entries,
+`_SCORE_CHUNK_ENTRIES`, so no scoring temporary grows with the block),
+and decodes all its trials by one `ml_decode` call on that table and
+each trial's row numbers into it.  No (block, A, A) score stack is
+built: a binary block at n = 40 has at most 41 distinct rows.
 Error trials are classified in numpy, by one vectorised cycle walk.
 Blocks run on threads when workers > 1.  The decode of a block is many
-small numpy steps, which hold the GIL between them; with identical-row
-ties settled in numpy, two threads speed up `estimate_error_prob` about
-1.3x on A = 16 blocks and little at A = 4, where blocks are short (2
-vCPUs; the README gives the runs).
+small numpy steps, which hold the GIL between them; two threads speed
+up `estimate_error_prob` about 1.25x on A = 16 blocks and about 1.1x at
+A = 4, where blocks are short (2 vCPUs; the README gives the runs).
 
 `pairwise_error_exponent` simulates no trial of a binary pair: its swap
 event compares the two rows' symbol-0 counts, so the event probability
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Sequence
 
@@ -55,8 +55,8 @@ __all__ = [
 
 TRIALS_PER_BLOCK = 4096
 
-# A block is scored in sub-chunks of about this many matrix entries, so each
-# float64 (chunk, A, A) scoring temporary stays near 128 KiB at any A.
+# A block's distinct count rows are scored in sub-chunks of about this many
+# score entries, so each float64 scoring temporary stays near 128 KiB at any A.
 _SCORE_CHUNK_ENTRIES = 2**14
 
 # Trials per swap-event block of `pairwise_error_exponent` on m >= 3
@@ -165,21 +165,64 @@ def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
         return list(pool.map(lambda task: fn(*task), tasks))
 
 
+def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, inverse) of the distinct rows of a 2-D integer array:
+    rows[reps] holds one copy of each, and rows[reps][inverse] == rows.
+
+    Each row's columns are read as the digits of one integer key, in a
+    mixed radix of the columns' value ranges, and the keys are made
+    unique once: far cheaper than unique(axis=0), or than sorting rows as
+    byte strings.  A column with more values than rows is ranked first,
+    and the keys are ranked whenever the next digit could overflow, so
+    every key stays below 2^62.
+    """
+    key = np.zeros(len(rows), dtype=np.int64)
+    span = 1   # every key is below span
+    for column in rows.T:
+        low = column.min()
+        radix = int(column.max()) - int(low) + 1
+        if radix > len(rows):
+            _, column = np.unique(column, return_inverse=True)
+            low, radix = 0, int(column.max()) + 1
+        if span * radix > 2**62:
+            _, key = np.unique(key, return_inverse=True)
+            span = int(key.max()) + 1
+        key = key * radix + (column - low)
+        span *= radix
+    _, inverse = np.unique(key, return_inverse=True)
+    reps = np.empty(inverse.max() + 1, dtype=np.int64)
+    reps[inverse] = np.arange(len(rows))
+    return reps, inverse
+
+
 def _run_error_block(family: DistributionFamily, n: int, seed: int,
                      block: int, block_size: int):
     from .decoder import loglik_from_counts, ml_decode
     rng = philox_stream(seed, block)
-    size = len(family)
-    # float64 holds the counts exactly and is what scoring multiplies in
-    counts = np.empty((block_size, size, family.alphabet_size))
+    size, symbols = len(family), family.alphabet_size
+    counts = np.empty((block_size, size, symbols), dtype=np.int64)
     for i, probs in enumerate(family.prob_matrix()):
         counts[:, i, :] = rng.multinomial(n, probs, size=block_size)
-    scores = np.empty((block_size, size, size))
+    # distinct count rows, each scored once; a row's last count is n
+    # minus the others
+    flat = counts.reshape(-1, symbols)
+    reps, index = _distinct_rows(flat[:, :-1])
+    # scored in slabs of A distinct rows (zero rows pad the last), so each
+    # scoring call returns a stack of square (A, A) score matrices, which
+    # the benchmark's traced run decodes (`scipy_ref_ratio` in
+    # bench/run.py); float64 holds the counts exactly and is what scoring
+    # multiplies in
+    slabs = -(-len(reps) // size)
+    distinct = np.zeros((slabs, size, symbols))
+    distinct.reshape(-1, symbols)[:len(reps)] = flat[reps]
+    del counts, flat, reps   # the decode below needs only the index
+    table = np.empty((slabs * size, size))
     chunk = max(1, _SCORE_CHUNK_ENTRIES // (size * size))
-    for lo in range(0, block_size, chunk):
-        scores[lo:lo + chunk] = loglik_from_counts(counts[lo:lo + chunk], family)
-    del counts   # the decode below does not need it
-    decoded = ml_decode(scores)
+    for lo in range(0, slabs, chunk):
+        table[lo * size:(lo + chunk) * size] = loglik_from_counts(
+            distinct[lo:lo + chunk], family).reshape(-1, size)
+    del distinct
+    decoded = ml_decode(table, rows=index.reshape(block_size, size))
     wrong = (decoded != np.arange(size)).sum(axis=1)
     errors = np.flatnonzero(wrong)
     hist = {int(r): int(c) for r, c in zip(*np.unique(wrong[errors], return_counts=True))}
@@ -261,6 +304,7 @@ def _swap_terms(p: FinitePmf, q: FinitePmf) -> tuple[np.ndarray, list]:
     """Each symbol's term of the swap statistic: its float log(p[s] / q[s])
     and its exact ratio p[s] / q[s]; log 0 and ratio 1 on a symbol that
     either member gives probability 0."""
+    from fractions import Fraction
     live = (p.probs > 0) & (q.probs > 0)
     logs = np.log(np.where(live, p.probs, 1.0) / np.where(live, q.probs, 1.0))
     ratios = [Fraction(a) / Fraction(b) if ok else 1
@@ -290,12 +334,10 @@ def _swap_event(p: FinitePmf, q: FinitePmf, terms: tuple[np.ndarray, list],
     band = 1e-12 * (np.abs(as_float) @ (1.0 + np.abs(logs)))
     near = np.flatnonzero(np.abs(stat) <= band)
     if near.size:
-        # distinct rows, found by their bytes: far cheaper than unique(axis=0)
-        rows = np.ascontiguousarray(diffs[near])
-        keys = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
-        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        rows = diffs[near]
+        reps, inverse = _distinct_rows(rows)
         exact = [math.prod(r ** d for r, d in zip(ratios, row)) >= 1
-                 for row in rows[first].tolist()]
+                 for row in rows[reps].tolist()]
         event[near] = np.array(exact)[inverse]
     dead = (counts_q[:, p.probs <= 0].any(axis=1)
             | counts_p[:, q.probs <= 0].any(axis=1))
@@ -334,6 +376,7 @@ def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
     c_hi >= c_lo sums the pmf of c_lo against the suffix sums of the pmf
     of c_hi.
     """
+    from fractions import Fraction
     p0, p1, q0, q1 = map(Fraction, (*p.probs.tolist(), *q.probs.tolist()))
     lo, hi = (p, q) if p0 * q1 > p1 * q0 else (q, p)
     suffix = np.cumsum(_binomial_pmf(n, hi.probs)[::-1])[::-1]

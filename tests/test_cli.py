@@ -505,7 +505,7 @@ class TestImports:
         ("bounds", EXPLICIT, HEAVY),
         ("sweep", VALID["sweep"], HEAVY),
         ("exponent", VALID["exponent"], HEAVY - {"distid.mc"}),
-        ("simulate", VALID["simulate"], set()),
+        ("simulate", VALID["simulate"], {"fractions"}),
         ("lemma", VALID["lemma"], set()),
     ])
     def test_each_subcommand_loads_only_what_it_runs(self, tmp_path, command,

@@ -317,15 +317,21 @@ class TestIdenticalRowTies:
             assert_matches_exhaustive(scores)
 
 
-def one_matrix_solve(cost):
+def bit_reversed(size):
+    """0..size-1 ordered by their bits read from the lowest up."""
+    bits = (size - 1).bit_length()
+    return sorted(range(size), key=lambda i: [(i >> k) & 1 for k in range(bits)])
+
+
+def one_matrix_solve(cost, order):
     """Shortest-augmenting-path assignment on one finite cost matrix (lists).
 
     The textbook loop that decoder._solve_lockstep runs in lockstep over a
-    stack; returns (row_to_col, u, v).
+    stack, adding the rows in the given order; returns (row_to_col, u, v).
     """
     n = len(cost)
     u, v, match = [0.0] * (n + 1), [0.0] * (n + 1), [n] * (n + 1)
-    for i in range(n):
+    for i in order:
         match[n], j_cur = i, n
         min_slack, origin, visited = [INF] * (n + 1), [n] * (n + 1), [False] * (n + 1)
         while True:
@@ -377,23 +383,53 @@ class TestStackContract:
         # a matrix's mapping does not depend on its neighbours in the stack
         assert np.array_equal(ml_decode(stack[::-1]), decoded[::-1])
 
-    @pytest.mark.parametrize("size", [2, 5, 12])
+    @pytest.mark.parametrize("size", [2, 5, 12, 32])
     def test_lockstep_solve_matches_the_one_matrix_loop(self, size):
         # same mapping and bit-identical duals: ties in slack, -inf entries
-        # at their forbidden cost, and trials leaving the lockstep at
-        # different steps must not change any trial's float operations
-        stack = self.mixed_stack(size)
-        _, scores = count_scores(tie_prone_family("binary-grid", size), 3, 60, seed=46)
-        stack = np.concatenate([stack, scores])
+        # at their forbidden cost, count rows shared between trials, and
+        # lanes finishing at different steps must not change any trial's
+        # float operations
+        if size == 32:   # a Monte Carlo block's shape: long, ragged searches
+            family = make_family({"kind": "binary-grid", "size": size,
+                                  "theta_min": 0.1, "theta_max": 0.9})
+            _, stack = count_scores(family, 40, 64, seed=46)
+        else:
+            _, scores = count_scores(tie_prone_family("binary-grid", size), 3, 60, seed=46)
+            stack = np.concatenate([self.mixed_stack(size), scores])
+        table, index = np.unique(stack.reshape(-1, size), axis=0, return_inverse=True)
+        index = index.reshape(len(stack), size)
         scale = np.abs(np.where(np.isinf(stack), 0.0, stack)).max(axis=(1, 2))
         forbidden = 2.0 * size * scale + 2.0
-        mapping, u, v = decoder._solve_lockstep(stack, forbidden)
+        mapping, u, v = decoder._solve_lockstep(table, index, forbidden)
         for b, matrix in enumerate(stack.tolist()):
             cost = [[forbidden[b] if x == -INF else -x for x in row] for row in matrix]
-            expected = one_matrix_solve(cost)
+            expected = one_matrix_solve(cost, bit_reversed(size))
             assert mapping[b].tolist() == expected[0]
             assert u[b].tobytes() == np.array(expected[1]).tobytes()
             assert v[b].tobytes() == np.array(expected[2]).tobytes()
+
+    @pytest.mark.parametrize("families", [
+        [tie_prone_family("binary-grid", size) for size in range(2, 7)],
+        [make_family({"kind": "random-simplex", "size": size, "alphabet": 3, "seed": 5})
+         for size in range(2, 7)],
+        # p(0) = p(1) in every member: count rows (a, b, c) and (b, a, c)
+        # differ but score alike, so ties between different table rows
+        # must be settled exactly
+        [make_family([[.25, .25, .5], [.1, .1, .8], [.3, .3, .4]])],
+    ], ids=["binary-grid", "random-simplex", "equal-score-rows"])
+    def test_row_table_decodes_like_its_stack(self, families):
+        for family in families:
+            size = len(family)
+            for n in (1, 2, 3, 5):
+                counts, _ = count_scores(family, n, 64, seed=90 + size)
+                distinct, index = np.unique(counts.reshape(-1, family.alphabet_size),
+                                            axis=0, return_inverse=True)
+                table = loglik_from_counts(distinct, family)
+                index = index.reshape(len(counts), size)
+                decoded = ml_decode(table, rows=index)
+                assert decoded.tolist() == ml_decode(table[index]).tolist() == [
+                    brute_force_decode(matrix) for matrix in table[index]]
+                assert ml_decode(table, rows=index[0]).tolist() == decoded[0].tolist()
 
     def test_shapes(self):
         assert ml_decode(np.zeros((3, 3))).shape == (3,)
@@ -405,6 +441,14 @@ class TestStackContract:
             ml_decode(np.zeros((1, 2, 3, 3)))
         with pytest.raises(ValueError, match="square"):
             exhaustive_decode(np.zeros((1, 3, 3)))
+        table = np.zeros((4, 3))
+        assert ml_decode(table, rows=[0, 3, 3]).shape == (3,)
+        assert ml_decode(table, rows=np.zeros((2, 3), dtype=np.int32)).shape == (2, 3)
+        for rows in ([0, 1], [0.0, 1.0, 2.0], [[[0, 1, 2]]], [0, 1, 4], [-1, 0, 1]):
+            with pytest.raises(ValueError, match="rows"):
+                ml_decode(table, rows=rows)
+        with pytest.raises(ValueError, match="table"):
+            ml_decode(np.zeros((2, 4, 3)), rows=[0, 1, 2])
 
     def test_one_infeasible_trial_raises(self):
         stack = self.mixed_stack(4)

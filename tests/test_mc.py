@@ -19,6 +19,7 @@ from distid.mc import (
     TRIALS_PER_BLOCK,
     _binary_swap_prob,
     _binomial_pmf,
+    _distinct_rows,
     _run_error_block,
     _single_cycle,
     _swap_event,
@@ -93,6 +94,36 @@ class TestPermutationCycles:
             for perm in itertools.permutations(range(size)):
                 if sum(p != i for i, p in enumerate(perm)) == 2:
                     assert len(permutation_cycles(list(perm))) == 1
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("shape, low, high", [
+        ((4096, 1), 0, 41),             # a binary block's symbol-0 counts
+        ((500, 3), -2, 3),              # count differences
+        ((1000, 1), 0, 10**15),         # more values than rows: ranked
+        ((300, 6), -10**12, 10**12),    # ranked, and the keys ranked again
+        ((60, 70), 0, 2),               # 2^70 keys: ranked on the way
+        ((1, 4), 0, 3),
+        ((5, 0), 0, 1),                 # no columns: one distinct row
+    ])
+    def test_matches_unique_rows(self, shape, low, high):
+        rows = philox_stream(62, shape[1]).integers(low, high, size=shape)
+        rows[1::3] = rows[::3][:len(rows[1::3])]   # plant repeats
+        reps, inverse = _distinct_rows(rows)
+        assert np.array_equal(rows[reps][inverse], rows)
+        assert len(reps) == len({tuple(r) for r in rows.tolist()})
+
+    def test_keys_that_would_wrap_stay_distinct(self):
+        # 70 binary columns: unranked, the first column's digit 2^69 wraps
+        # to 0 in int64; a column spanning 2^63 values: unranked, key 2
+        # times that radix wraps to key 0
+        wide = np.zeros((3, 70), dtype=np.int64)
+        wide[1, 0] = 1
+        wide[2] = 1
+        span = np.array([[0, -2**62], [1, 2**62 - 1], [2, -2**62]])
+        for rows in (wide, span):
+            reps, inverse = _distinct_rows(rows)
+            assert len(reps) == 3 and np.array_equal(rows[reps][inverse], rows)
 
 
 def sorted_decode(counts):
@@ -229,6 +260,21 @@ class TestEstimateErrorProb:
                 tracemalloc.stop()
             assert errors > 512 if n == 20 else errors == 0
             assert peak < 16 * 2**20
+
+    def test_tie_heavy_block_memory_follows_the_distinct_count_rows(self):
+        # binary-grid A = 32 at n = 40, 1024 trials: at most 41 distinct
+        # count rows, so the block holds no (1024, 32, 32) score stack
+        # (8 MiB); it peaked near 11.5 MiB when it did
+        fam = make_family({"kind": "binary-grid", "size": 32,
+                           "theta_min": 0.1, "theta_max": 0.9})
+        tracemalloc.start()
+        try:
+            errors, _, _ = _run_error_block(fam, 40, 0x5EED, 0, 1024)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert errors == 1024
+        assert peak < 5 * 2**20
 
     def test_matches_exact_enumeration(self):
         est = estimate_error_prob(PAIR, 12, 20_000, seed=8)
