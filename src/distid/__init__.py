@@ -16,40 +16,6 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "DistributionFamily",
-    "ExponentFit",
-    "FamilySequenceSpec",
-    "FinitePmf",
-    "GrowthRule",
-    "McEstimate",
-    "NoFeasibleAssignmentError",
-    "TrendReport",
-    "WeightedCompleteGraph",
-    "bhattacharyya",
-    "check_expansion_identities",
-    "check_mean_gain_bound",
-    "cycle_count",
-    "cycle_count_ratio",
-    "cycle_gain",
-    "cycle_sum_bound",
-    "edge_incidence_counts",
-    "enumerate_cycles",
-    "estimate_error_prob",
-    "exhaustive_decode",
-    "formula_cycle_count",
-    "identifiability_trend",
-    "lower_bound",
-    "make_family",
-    "ml_decode",
-    "pairwise_error_exponent",
-    "pairwise_sum",
-    "permutation_cycles",
-    "tilted_midpoint",
-    "upper_bound",
-]
-
 # The public names each module defines.
 _EXPORTS = {
     "bounds": ("BoundReport", "FamilySequenceSpec", "GrowthRule", "TrendReport",
@@ -65,6 +31,7 @@ _EXPORTS = {
            "permutation_cycles"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):

@@ -14,14 +14,15 @@ Jonker-Volgenant shortest augmenting paths on negated scores, run in
 numpy in lockstep over the stack, with the per-matrix float operations
 of the one-matrix algorithm.  Rows are added in bit-reversed order, and
 a matrix whose path is done idles until half the lockstep's matrices
-are, which then augment and leave together.  Ties are then settled
-among the edges that are tight (zero reduced cost under that solve's
-duals), only for the matrices where some row has a tight smaller column
-held by a later row.  In numpy, rows on the same table row (a class)
-take their class's columns in increasing order, and a boolean closure
-looks for cycles of tight edges between classes.  Only a matrix with
-such a cycle goes on to the Python cheapest-cycle search, which
-confirms every move by an exact score comparison.
+are, which then augment and leave together.  Ties are then settled in
+one pass over chunks of consecutive matrices, among the edges that are
+tight (zero reduced cost under that solve's duals), only for the
+matrices where some row has a tight smaller column held by a later row.
+In numpy, rows on the same table row (a class) take their class's
+columns in increasing order, and a boolean closure looks for cycles of
+tight edges between classes.  Only a matrix with such a cycle goes on
+to the Python cheapest-cycle search, which confirms every move by an
+exact score comparison.  No tie array grows with the stack.
 `exhaustive_decode` enumerates all A! permutations and serves as the
 oracle.  Both resolve score ties by returning the lexicographically
 smallest mapping vector.
@@ -50,8 +51,8 @@ EXHAUSTIVE_MAX_SIZE = 10
 # confirms each move by an exact score comparison.
 _TIE_GATE_REL = 1e-9
 
-# Trials with a tight lexicographic alternative are settled in sub-chunks of
-# about this many score entries, so no tie temporary grows with the stack.
+# The tie pass takes the stack in chunks of about this many score entries,
+# so no tie temporary grows with the stack.
 _TIE_CHUNK_ENTRIES = 2**16
 
 
@@ -106,7 +107,7 @@ def _validate_rows(rows, table: np.ndarray) -> np.ndarray:
 
 def _mapping_score(rows: list[list[float]], mapping) -> float:
     # correctly rounded, so independent of row order: rows with identical
-    # scores tie exactly; _refine sums its mappings the same way
+    # scores tie exactly
     return math.fsum(map(list.__getitem__, rows, mapping))
 
 
@@ -273,18 +274,18 @@ def _tight_path(tight, mapping, owner, row, start, gate):
     return None
 
 
-def _refine(matrix: np.ndarray, mapping: list[int], tight, gate: float) -> list[int]:
+def _refine(rows: list[list[float]], mapping: list[int], tight, gate: float) -> list[int]:
     """The lexicographically smallest optimum reachable from mapping.
 
     Row i can take a smaller free column j exactly when an alternating
     cycle of tight edges through the later rows closes from j back to
     mapping[i] at no loss; the cheapest such cycle is confirmed by an
-    exact score comparison.  Moves run along tight edges only, so the
-    duals and the tight lists (tight[i] maps each tight column of row i,
-    in increasing order, to its reduced cost) stay valid.
+    exact score comparison over rows, the score matrix as lists.  Moves
+    run along tight edges only, so the duals and the tight lists (tight[i]
+    maps each tight column of row i, in increasing order, to its reduced
+    cost) stay valid.
     """
-    rows = np.arange(len(mapping))
-    best_score = math.fsum(matrix[rows, mapping].tolist())
+    best_score = _mapping_score(rows, mapping)
     owner = [0] * len(mapping)
     for i, j in enumerate(mapping):
         owner[j] = i
@@ -301,7 +302,7 @@ def _refine(matrix: np.ndarray, mapping: list[int], tight, gate: float) -> list[
             candidate = mapping.copy()
             for row, col in moves:
                 candidate[row] = col
-            if math.fsum(matrix[rows, candidate].tolist()) == best_score:
+            if _mapping_score(rows, candidate) == best_score:
                 mapping = candidate
                 for row, col in moves:
                     owner[col] = row
@@ -388,34 +389,32 @@ def ml_decode(scores, rows=None) -> np.ndarray:
     # within the gate; every optimal assignment uses only tight edges.  A
     # trial needs the lexicographic refinement only if some row i has a
     # tight column j < mapping[i] owned by a later row: without one, no
-    # tied mapping is smaller.  The flagged trials take their canonical
-    # class order, and those with a tight cycle between classes go on to
-    # the exact refinement.
+    # tied mapping is smaller.  Chunk by chunk, the flagged trials take their
+    # canonical class order, and those with a tight cycle between classes go
+    # on to the exact refinement.
     gate = _TIE_GATE_REL * np.maximum(1.0, scale)
     cols = np.arange(size)
-    owner = np.empty_like(mapping)
-    owner[np.arange(trials)[:, None], mapping] = cols
-    tight = np.empty((trials, size, size), dtype=bool)
-    refine = np.zeros(trials, dtype=bool)
-    for i in range(size):
-        # a -inf score gives +inf and is never tight
-        tight[:, i] = ((-table[index[:, i]] - u[:, i, None]) - v) <= gate[:, None]
-        refine |= (tight[:, i] & (cols < mapping[:, i, None]) & (owner > i)).any(axis=1)
-    flagged = np.flatnonzero(refine)
     chunk = max(1, _TIE_CHUNK_ENTRIES // (size * size))
-    cyclic = []
-    for lo in range(0, len(flagged), chunk):
-        idx = flagged[lo:lo + chunk]
-        mapping[idx], has_cycle = _settle_classes(index[idx], mapping[idx], tight[idx])
-        cyclic += idx[has_cycle].tolist()
-    for t in cyclic:
-        matrix = table[index[t]]
-        i, j = np.nonzero(tight[t])
-        reduced = ((-matrix[i, j] - u[t, i]) - v[t, j]).tolist()
-        edges = [{} for _ in range(size)]
-        for row, col, slack in zip(i.tolist(), j.tolist(), reduced):
-            edges[row][col] = slack
-        mapping[t] = _refine(matrix, mapping[t].tolist(), edges, float(gate[t]))
+    for lo in range(0, trials, chunk):
+        c = slice(lo, lo + chunk)
+        part = mapping[c]                       # a view: settled trials write through
+        # (-score - u) - v in place: one float array; -inf gives +inf, never tight
+        reduced = table[index[c]]
+        np.negative(reduced, out=reduced)
+        reduced -= u[c, :, None]
+        reduced -= v[c, None, :]
+        tight = reduced <= gate[c, None, None]
+        owner = np.empty_like(part)
+        owner[np.arange(len(part))[:, None], part] = cols
+        flagged = np.flatnonzero((tight & (cols < part[:, :, None])
+                                  & (owner[:, None, :] > cols[:, None])).any(axis=(1, 2)))
+        part[flagged], has_cycle = _settle_classes(index[c][flagged], part[flagged],
+                                                   tight[flagged])
+        for t in flagged[has_cycle]:
+            edges = [dict(zip(np.flatnonzero(row).tolist(), slack[row].tolist()))
+                     for row, slack in zip(tight[t], reduced[t])]
+            part[t] = _refine(table[index[lo + t]].tolist(), part[t].tolist(), edges,
+                              float(gate[lo + t]))
     return mapping[0] if single else mapping
 
 

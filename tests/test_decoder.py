@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,17 +271,75 @@ class TestCountDerivedScores:
         assert len(solves) == 1
 
 
-class TestIdenticalRowTies:
-    def count_refines(self, monkeypatch):
-        calls = []
-        refine = decoder._refine
-        monkeypatch.setattr(decoder, "_refine",
-                            lambda *args: calls.append(1) or refine(*args))
-        return calls
+def cross_class_stack():
+    """Every row and column permutation of a matrix whose distinct rows 0
+    and 1 tie exactly: [0, 1, 2] and [1, 0, 2] both score 3."""
+    matrix = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    return np.array([matrix[list(r)][:, list(c)]
+                     for r in itertools.permutations(range(3))
+                     for c in itertools.permutations(range(3))])
 
+
+def copy_rows(rng, scores, share=0.4):
+    """scores with about share of each matrix's rows copied from another row."""
+    trials, size, _ = scores.shape
+    source = np.where(rng.random((trials, size)) < share,
+                      rng.integers(0, size, size=(trials, size)), np.arange(size))
+    return scores[np.arange(trials)[:, None], source]
+
+
+def duplicated_integer_stacks():
+    """Integer stacks at A = 2..8 with copied rows and -inf entries; some
+    matrices are infeasible."""
+    rng = philox_stream(48)
+    for size, trials in [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40), (7, 16), (8, 6)]:
+        scores = copy_rows(rng, rng.integers(0, 3, size=(trials, size, size)).astype(float))
+        scores[rng.random(scores.shape) < 0.15] = -INF
+        yield scores
+
+
+def stress_stacks():
+    """Seeded tie-heavy stacks at A = 2..8: small integer scores nudged by
+    +-1e-15 or +-1e-12, -inf entries and copied rows, each matrix kept
+    feasible by one random permutation of finite entries."""
+    rng = philox_stream(2024)
+    for size, trials in [(2, 1000), (3, 1000), (4, 1000), (5, 1000), (6, 800), (7, 600),
+                         (8, 600)]:
+        base = rng.integers(-2, 3, size=(trials, size, size)).astype(float)
+        base += rng.choice([0.0, 1e-15, -1e-15, 1e-12, -1e-12], size=base.shape,
+                           p=[0.6, 0.1, 0.1, 0.1, 0.1])
+        base[rng.random(base.shape) < 0.15] = -INF
+        scores = copy_rows(rng, base)
+        kept = (np.arange(trials)[:, None], np.arange(size),
+                rng.permuted(np.tile(np.arange(size), (trials, 1)), axis=1))
+        scores[kept] = np.where(scores[kept] == -INF, 0.0, scores[kept])
+        yield scores
+
+
+def drop_infeasible(stack):
+    """The matrices of a stack that some permutation scores above -inf."""
+    keep = []
+    for matrix in stack:
+        try:
+            ml_decode(matrix)
+            keep.append(matrix)
+        except NoFeasibleAssignmentError:
+            pass
+    return np.array(keep)
+
+
+def count_refines(monkeypatch):
+    """A list that gains one entry per decoder._refine call."""
+    calls = []
+    refine = decoder._refine
+    monkeypatch.setattr(decoder, "_refine", lambda *args: calls.append(1) or refine(*args))
+    return calls
+
+
+class TestIdenticalRowTies:
     def test_count_ties_never_reach_the_fallback(self, monkeypatch):
         # identical count rows are settled in numpy, in canonical class order
-        calls = self.count_refines(monkeypatch)
+        calls = count_refines(monkeypatch)
         family = make_family({"kind": "binary-grid", "size": 32,
                               "theta_min": 0.1, "theta_max": 0.9})
         counts, scores = count_scores(family, 40, 256, seed=81)
@@ -297,24 +357,76 @@ class TestIdenticalRowTies:
     def test_cross_class_tie_reaches_the_fallback(self, monkeypatch):
         # rows 0 and 1 differ, and [0, 1, 2] ties [1, 0, 2] exactly: no
         # class order settles that, so the closure must send it on
-        calls = self.count_refines(monkeypatch)
-        matrix = np.array([[0.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
-        stack = np.array([matrix[list(r)][:, list(c)]
-                          for r in itertools.permutations(range(3))
-                          for c in itertools.permutations(range(3))])
+        calls = count_refines(monkeypatch)
+        stack = cross_class_stack()
         assert ml_decode(stack).tolist() == [exhaustive_decode(m).tolist() for m in stack]
         assert calls
 
     def test_duplicated_integer_rows_with_infeasible_entries(self):
-        rng = philox_stream(48)
-        for size, trials in [(2, 60), (3, 60), (4, 60), (5, 60), (6, 40), (7, 16), (8, 6)]:
-            scores = rng.integers(0, 3, size=(trials, size, size)).astype(float)
-            # about 40% of the rows copy another row of their matrix
-            source = np.where(rng.random((trials, size)) < 0.4,
-                              rng.integers(0, size, size=(trials, size)), np.arange(size))
-            scores = scores[np.arange(trials)[:, None], source]
-            scores[rng.random(scores.shape) < 0.15] = -INF
+        for scores in duplicated_integer_stacks():
             assert_matches_exhaustive(scores)
+
+
+class TestTieBookkeeping:
+    # sha256 of the stress set's mappings, decoded as stacks and through
+    # rows=, recorded before the tie pass went over the stack in chunks
+    STRESS_DIGEST = "3d2bbbf8d0762074640012c77e07752990cbd63b46ec836881a98ae403a41d53"
+
+    def test_stress_set_tie_decisions_are_pinned(self):
+        digest = hashlib.sha256()
+        for scores in stress_stacks():
+            size = scores.shape[-1]
+            table, index = np.unique(scores.reshape(-1, size), axis=0, return_inverse=True)
+            digest.update(ml_decode(scores).tobytes())
+            digest.update(ml_decode(table, rows=index.reshape(-1, size)).tobytes())
+        assert digest.hexdigest() == self.STRESS_DIGEST
+
+    @pytest.mark.parametrize("per_chunk", [1, 7])
+    def test_chunk_size_does_not_move_a_mapping(self, monkeypatch, per_chunk):
+        # one trial per chunk, and 7, which divides none of the stacks
+        family = make_family({"kind": "binary-grid", "size": 32,
+                              "theta_min": 0.1, "theta_max": 0.9})
+        _, grid = count_scores(family, 40, 48, seed=80)
+        cross = cross_class_stack()
+        stacks = [grid, cross, *map(drop_infeasible, duplicated_integer_stacks())]
+        expected = [ml_decode(stack) for stack in stacks]
+        calls = count_refines(monkeypatch)
+        for stack, mapping in zip(stacks, expected):
+            monkeypatch.setattr(decoder, "_TIE_CHUNK_ENTRIES", per_chunk * stack.shape[-1] ** 2)
+            before = len(calls)
+            assert np.array_equal(ml_decode(stack), mapping)
+            if stack is cross:   # its ties still reach the exact search
+                assert len(calls) > before
+
+    def test_tie_pass_memory_is_bounded_by_the_chunk(self, monkeypatch):
+        # after the solve, no array holds an entry per score of the stack:
+        # the peak stays below one byte per entry, B * A^2
+        trials, size = 1024, 64
+        family = make_family({"kind": "binary-grid", "size": size,
+                              "theta_min": 0.1, "theta_max": 0.9})
+        rng = philox_stream(84)
+        counts = np.stack([rng.multinomial(40, m.probs, size=trials) for m in family], axis=1)
+        distinct, index = np.unique(counts.reshape(-1, 2), axis=0, return_inverse=True)
+        table, index = loglik_from_counts(distinct, family), index.reshape(trials, size)
+        recorded = []
+        solve = decoder._solve_lockstep
+
+        def record(*args):
+            result = solve(*args)
+            recorded.extend(a.copy() for a in result)
+            return result
+
+        monkeypatch.setattr(decoder, "_solve_lockstep", record)
+        expected = ml_decode(table, rows=index)
+        monkeypatch.setattr(decoder, "_solve_lockstep", lambda *args: tuple(recorded))
+        tracemalloc.start()
+        try:
+            decoded = ml_decode(table, rows=index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(decoded, expected)
+        assert peak < trials * size * size
 
 
 def bit_reversed(size):
