@@ -146,24 +146,24 @@ def cycle_sum_bound(family: DistributionFamily, n: int, r_max: int) -> float:
     dist = distance_matrix(family)
     with np.errstate(over="ignore"):
         w = np.exp(-float(n) * dist)
-    iu = np.triu_indices(size, k=1)
-    graph = graphs.WeightedCompleteGraph(size, w[iu])
-    total = 0.0
-    for r in range(2, r_max + 1):
-        for cycle in graphs.enumerate_cycles(size, r):
-            total += graphs.cycle_gain(graph, cycle)
-    return total
+    weights = w[np.triu_indices(size, k=1)]
+    gains = np.concatenate([graphs._gains(weights, graphs._cycle_edges(size, r))
+                            for r in range(2, r_max + 1)])
+    return float(np.cumsum(gains)[-1])  # in cycle order, not np.sum's pairwise order
 
 
 def cycle_count_ratio(k: int, r: int) -> float:
     """Closed-form cycle count over (edge count)^(r/2).
 
-    Uses C(k,r)(r-1)!/2 for the count; the ratio never exceeds 4^r.
+    Uses C(k,r)(r-1)!/2 for the count; the ratio never exceeds 4^r.  The
+    even power of the edge count stays an exact integer and an odd r
+    divides by one sqrt, so no float power overflows.
     """
     from . import graphs
     count = graphs.formula_cycle_count(k, r)  # validates 2 <= r <= k
     n_edges = math.comb(k, 2)
-    return float(count) / n_edges ** (r / 2.0)
+    ratio = float(count / n_edges ** (r // 2))
+    return ratio / math.sqrt(n_edges) if r % 2 else ratio
 
 
 @dataclass(frozen=True)

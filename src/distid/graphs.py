@@ -1,11 +1,13 @@
 """Cycle enumeration in weighted complete graphs and mean-gain checks.
 
-The gain of a cycle is the product of its edge weights; a 2-cycle is an
-unordered pair whose single edge is traversed twice, so its gain is the
-squared weight.  With that convention every pair counts as one 2-cycle
+The gain of a cycle is the product of its edge weights in cycle order;
+edge c joins vertex c to vertex c+1 (mod r), so a 2-cycle (an unordered
+pair) traverses its single edge twice and its gain is the squared
+weight.  With that convention every pair counts as one 2-cycle
 (N = C(k,2)), while the closed-form cycle count C(k,r)(r-1)!/2 is used
 for r >= 3 and, where a formula-consistent value is needed at r = 2,
-halves to C(k,2)/2; both counts are exposed.
+halves to C(k,2)/2; both counts are exposed.  Gains, their sums and edge
+incidences all read one cached table of cycle edges per (k, r).
 
 The central inequality checked here: the arithmetic mean of all length-r
 cycle gains is at most ((sum of squared edge weights) / edge count)^(r/2),
@@ -42,9 +44,10 @@ ENUMERATION_MAX_VERTICES = 10
 MEAN_GAIN_REL_TOL = 1e-12
 
 
-def pair_index(k: int, i: int, j: int) -> int:
-    """Position of the unordered pair (i, j), i < j, in lexicographic order."""
-    if not 0 <= i < j < k:
+def pair_index(k: int, i, j):
+    """Position of the unordered pair (i, j), i < j, in lexicographic order;
+    elementwise on integer arrays."""
+    if not np.all((0 <= i) & (i < j) & (j < k)):
         raise ValueError(f"need 0 <= i < j < k, got i={i}, j={j}, k={k}")
     return i * (2 * k - i - 1) // 2 + (j - i - 1)
 
@@ -85,11 +88,6 @@ class WeightedCompleteGraph:
     def num_edges(self) -> int:
         return self._k * (self._k - 1) // 2
 
-    def weight(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        return float(self._weights[pair_index(self._k, i, j)])
-
     def __repr__(self) -> str:
         return f"WeightedCompleteGraph(k={self._k})"
 
@@ -107,24 +105,21 @@ def _check_enumerable(k: int, r: int) -> None:
             f"got k={k}")
 
 
-@lru_cache(maxsize=None)
 def enumerate_cycles(k: int, r: int) -> tuple[tuple[int, ...], ...]:
     """All simple length-r cycles of K_k, each once, in canonical form.
 
     Canonical form lists the smallest vertex first and orients the cycle
-    so the second vertex is smaller than the last; generating only
+    so the second vertex is no larger than the last (equal only for
+    r = 2, where every unordered pair is one cycle); generating only
     canonical orientations makes duplicates structurally impossible.
-    For r = 2 every unordered pair is one cycle.
     """
     _check_enumerable(k, r)
-    if r == 2:
-        return tuple((i, j) for i in range(k) for j in range(i + 1, k))
     out = []
     for combo in itertools.combinations(range(k), r):
         first = combo[0]
         rest = combo[1:]
         for perm in itertools.permutations(rest):
-            if perm[0] < perm[-1]:
+            if perm[0] <= perm[-1]:
                 out.append((first, *perm))
     return tuple(out)
 
@@ -148,30 +143,37 @@ def formula_cycle_count(k: int, r: int) -> Fraction:
     return Fraction(math.comb(k, r) * math.factorial(r - 1), 2)
 
 
+def _edges(k: int, verts: np.ndarray) -> np.ndarray:
+    """Pair indices of the edges of each row of verts, in cycle order."""
+    succ = np.roll(verts, -1, axis=-1)
+    return pair_index(k, np.minimum(verts, succ), np.maximum(verts, succ))
+
+
+@lru_cache(maxsize=None)
+def _cycle_edges(k: int, r: int) -> np.ndarray:
+    """Read-only (N, r) edge table of enumerate_cycles(k, r)."""
+    # int8 holds every pair index and intermediate for k <= 10
+    edges = _edges(k, np.array(enumerate_cycles(k, r), dtype=np.int8))
+    edges.flags.writeable = False
+    return edges
+
+
+def _gains(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Gain of each row of an edge table, multiplied in cycle order from 1.0."""
+    gains = np.ones(len(edges))
+    for column in edges.T:
+        gains *= weights[column]
+    return gains
+
+
 def cycle_gain(graph: WeightedCompleteGraph, cycle) -> float:
     """Product of the edge weights along a cycle; 2-cycles square their edge."""
     verts = tuple(int(v) for v in cycle)
     if any(not 0 <= v < graph.k for v in verts):
         raise ValueError(f"cycle vertices must lie in [0, {graph.k})")
-    if len(set(verts)) != len(verts):
-        raise ValueError("cycle vertices must be distinct")
-    if len(verts) == 2:
-        return graph.weight(verts[0], verts[1]) ** 2
-    gain = 1.0
-    for a, b in zip(verts, verts[1:]):
-        gain *= graph.weight(a, b)
-    gain *= graph.weight(verts[-1], verts[0])
-    return gain
-
-
-def _cycle_edge_indices(k: int, cycle: tuple[int, ...]) -> list[int]:
-    if len(cycle) == 2:
-        e = pair_index(k, cycle[0], cycle[1])
-        return [e, e]  # traversed out and back
-    edges = [pair_index(k, min(a, b), max(a, b))
-             for a, b in zip(cycle, cycle[1:])]
-    edges.append(pair_index(k, min(cycle[-1], cycle[0]), max(cycle[-1], cycle[0])))
-    return edges
+    if len(verts) < 2 or len(set(verts)) != len(verts):
+        raise ValueError("a cycle needs at least 2 distinct vertices")
+    return float(_gains(graph.weights, _edges(graph.k, np.array([verts])))[0])
 
 
 def edge_incidence_counts(k: int, r: int) -> np.ndarray:
@@ -180,11 +182,7 @@ def edge_incidence_counts(k: int, r: int) -> np.ndarray:
     Every edge is hit the same number of times: cycle_count(k,r) * r
     divided by the edge count (2-cycles contribute their edge twice).
     """
-    counts = np.zeros(k * (k - 1) // 2, dtype=np.int64)
-    for cycle in enumerate_cycles(k, r):
-        for e in _cycle_edge_indices(k, cycle):
-            counts[e] += 1
-    return counts
+    return np.bincount(_cycle_edges(k, r).ravel(), minlength=k * (k - 1) // 2)
 
 
 @dataclass(frozen=True)
@@ -202,11 +200,8 @@ def check_mean_gain_bound(graph: WeightedCompleteGraph, r: int) -> MeanGainCheck
     holds is lhs <= rhs up to 1e-12 relative slack; uniform weights give
     exact equality.
     """
-    cycles = enumerate_cycles(graph.k, r)
-    total = 0.0
-    for c in cycles:
-        total += cycle_gain(graph, c)
-    lhs = total / len(cycles)
+    gains = _gains(graph.weights, _cycle_edges(graph.k, r))
+    lhs = float(np.cumsum(gains)[-1]) / len(gains)  # in cycle order, not pairwise
     mean_sq = float((graph.weights * graph.weights).sum()) / graph.num_edges
     rhs = mean_sq ** (r / 2.0)
     holds = lhs <= rhs + MEAN_GAIN_REL_TOL * rhs

@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from distid import DistributionFamily
+from distid import DistributionFamily, enumerate_cycles
 
 
 def binomial_pmf(n: int, p: float) -> list[float]:
@@ -207,3 +207,39 @@ def count_simple_cycles_brute(k: int, r: int) -> int:
     total = math.perm(k, r)
     assert total % (2 * r) == 0
     return total // (2 * r)
+
+
+def cycle_gains_loop(k: int, weights, r: int) -> list[float]:
+    """Gain of each cycle of enumerate_cycles(k, r), one Python loop per
+    cycle: the product of its edge weights in cycle order, w * w for a
+    2-cycle.  weights are in lexicographic pair order."""
+    w = dict(zip(itertools.combinations(range(k), 2), map(float, weights)))
+    gains = []
+    for cycle in enumerate_cycles(k, r):
+        ws = [w[min(a, b), max(a, b)] for a, b in zip(cycle, cycle[1:] + cycle[:1])]
+        if r == 2:
+            gains.append(ws[0] * ws[0])
+            continue
+        gain = 1.0
+        for x in ws:
+            gain *= x
+        gains.append(gain)
+    return gains
+
+
+def sum_in_order(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def edge_incidence_loop(k: int, r: int) -> list[int]:
+    """Edge traversal counts over enumerate_cycles(k, r), counted per cycle;
+    a 2-cycle traverses its edge out and back."""
+    position = {pair: e for e, pair in enumerate(itertools.combinations(range(k), 2))}
+    counts = [0] * len(position)
+    for cycle in enumerate_cycles(k, r):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            counts[position[min(a, b), max(a, b)]] += 1
+    return counts

@@ -22,7 +22,7 @@ from distid import (
 from distid import bounds, distributions
 from distid.distributions import distance_matrix, philox_stream
 
-from oracles import naive_pairwise_sum
+from oracles import cycle_gains_loop, naive_pairwise_sum, sum_in_order
 
 PAIR = make_family([(0.5, 0.5), (0.9, 0.1)])
 
@@ -253,12 +253,35 @@ class TestCycleSumBound:
         with pytest.raises(ValueError, match="r_max"):
             cycle_sum_bound(PAIR, 5, 3)
 
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_matches_loop_oracle_bitwise(self, size):
+        fam = make_family({"kind": "random-simplex", "size": size,
+                           "alphabet": 3, "seed": 70 + size})
+        n = 4
+        weights = np.exp(-n * distance_matrix(fam))[np.triu_indices(size, k=1)]
+        gains = []
+        for r_max in range(2, size + 1):
+            gains += cycle_gains_loop(size, weights, r_max)
+            assert cycle_sum_bound(fam, n, r_max) == sum_in_order(gains)
+
 
 class TestCycleCountRatio:
     def test_examples(self):
         assert cycle_count_ratio(4, 4) == pytest.approx(3.0 / 36.0, rel=1e-15)
         assert cycle_count_ratio(5, 3) == pytest.approx(10.0 / 10.0**1.5, rel=1e-15)
         assert cycle_count_ratio(4, 2) == pytest.approx(0.5, rel=1e-15)
+
+    @pytest.mark.parametrize("k, r", [(4, 4), (5, 3), (152, 152), (200, 200)])
+    def test_exact_rational_oracle(self, k, r):
+        # the float power of the edge count overflowed from k = r = 152 on
+        n = math.comb(k, 2)
+        count = Fraction(math.comb(k, r) * math.factorial(r - 1), 2)
+        ratio = cycle_count_ratio(k, r)
+        if r % 2 == 0:
+            assert ratio == float(count / n ** (r // 2))
+        else:
+            exact_square = count * count / n**r
+            assert abs(Fraction(ratio) ** 2 / exact_square - 1) <= 4 * 2.0**-52
 
     def test_guards(self):
         with pytest.raises(ValueError):
@@ -268,7 +291,7 @@ class TestCycleCountRatio:
 
     def test_power_bound_oracle_recomputation(self):
         # independent exact-rational recomputation of the same inequality
-        for k in (2, 3, 8, 17, 40, 64):
+        for k in range(2, 201):
             n = math.comb(k, 2)
             for r in range(2, k + 1):
                 count = Fraction(math.comb(k, r) * math.factorial(r - 1), 2)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -197,6 +198,26 @@ class TestRunCommands:
         mean_rows = [l for l in lines if l.startswith("mean-gain")]
         assert len(mean_rows) == 2 * 4  # r in 2..5, two trials each
         assert all(l.endswith(",true") for l in mean_rows)
+
+    # sha256 of lemma output at k = 7, 8, 9 (r = "all", two trials, the
+    # default seed), recorded with numpy 2.4.6 on Python 3.11.7; the
+    # weights are drawn through numpy's Philox generator
+    LEMMA_GOLDEN = {
+        (7, "csv"): "66662124a915e2f0f8463fb77eaad8116bfadc7724c718a89bfe505c25f1a696",
+        (7, "json"): "04a763a9c0af7d31f9274e0461f4c20d0deb9d40d9095784f8391413f6db506f",
+        (8, "csv"): "a35b78d0831147b80969d0baf342a244e34b6716f1ff091f6c872e342bc28284",
+        (8, "json"): "b740622c61893f2576a7305988f2fe8aa536fe1acf116446a274fd76cd92797e",
+        (9, "csv"): "1dbd7f25208ea35c194cd1c3abf918dff6417a0aa89db426a3e2a0a517238eba",
+        (9, "json"): "ec468880d379c3deb003da54c0ad178f148d1b381cafdf2ba87241945e85a594",
+    }
+
+    @pytest.mark.parametrize("k, fmt", sorted(LEMMA_GOLDEN))
+    def test_lemma_bytes(self, tmp_path, k, fmt):
+        code, out = run_command(tmp_path, "lemma", f'k = {k}\nr = "all"\ntrials = 2\n',
+                                fmt=fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digest == self.LEMMA_GOLDEN[k, fmt]
 
     def test_exponent_csv(self, tmp_path):
         text = ('family.kind = "explicit"\n'
@@ -506,7 +527,7 @@ class TestImports:
         ("sweep", VALID["sweep"], HEAVY),
         ("exponent", VALID["exponent"], HEAVY - {"distid.mc"}),
         ("simulate", VALID["simulate"], {"fractions"}),
-        ("lemma", VALID["lemma"], set()),
+        ("lemma", VALID["lemma"], HEAVY - {"distid.graphs"}),
     ])
     def test_each_subcommand_loads_only_what_it_runs(self, tmp_path, command,
                                                      entries, unloaded):

@@ -17,7 +17,8 @@ from distid import (
 from distid.distributions import philox_stream
 from distid.graphs import pair_index
 
-from oracles import count_simple_cycles_brute
+from oracles import (count_simple_cycles_brute, cycle_gains_loop,
+                     edge_incidence_loop, sum_in_order)
 
 
 def random_graph(rng, k):
@@ -107,6 +108,17 @@ class TestCycleGain:
         g = WeightedCompleteGraph(4, np.ones(6))
         with pytest.raises(ValueError, match="distinct"):
             cycle_gain(g, (0, 1, 1))
+        with pytest.raises(ValueError, match="distinct"):
+            cycle_gain(g, (2,))
+
+    def test_two_cycle_gain_is_the_rounded_exact_square(self):
+        # libm pow rounds this square up one ulp; w * w is correctly rounded
+        w = 0.9503546630566793
+        exact = float(Fraction(w) ** 2)
+        assert exact == 0.9031739855935743
+        g = WeightedCompleteGraph(2, [w])
+        assert cycle_gain(g, (0, 1)) == exact
+        assert check_mean_gain_bound(g, 2).lhs == exact
 
 
 class TestMeanGainBound:
@@ -156,6 +168,24 @@ class TestMeanGainBound:
         g = WeightedCompleteGraph(4, np.zeros(6))
         res = check_mean_gain_bound(g, 3)
         assert res.lhs == 0.0 and res.rhs == 0.0 and res.holds
+
+
+class TestLoopOracle:
+    """Bitwise agreement with one Python loop per cycle."""
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_mean_gain_lhs(self, k):
+        rng = philox_stream(52, k)
+        for r in range(2, k + 1):
+            weights = rng.random(k * (k - 1) // 2)
+            gains = cycle_gains_loop(k, weights, r)
+            lhs = check_mean_gain_bound(WeightedCompleteGraph(k, weights), r).lhs
+            assert lhs == sum_in_order(gains) / len(gains)
+
+    @pytest.mark.parametrize("k", range(2, 9))
+    def test_edge_incidence_counts(self, k):
+        for r in range(2, k + 1):
+            assert edge_incidence_counts(k, r).tolist() == edge_incidence_loop(k, r)
 
 
 class TestEdgeIncidence:
