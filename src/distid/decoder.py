@@ -133,104 +133,150 @@ def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray)
     forbidden[b].  Rows are added one at a time, in `_insertion_order`;
     for row i each step scans one cost row of every lane (a trial still
     searching), read from the table, so no cost matrix is built.  Each
-    trial sees the float operations of the one-matrix loop in that row
-    order: slack (c - u[row]) - v[j], strict < updates, the first column
-    of least slack, u += delta on the rows of visited columns, v -= delta
-    on the visited columns and min_slack -= delta on the others.  So its
+    trial sees the values of the one-matrix loop in that row order:
+    slack (c - u[row]) - v, strict < updates, the first column of least
+    slack, u += delta on the rows of visited columns, v -= delta on the
+    visited columns and min_slack -= delta on the others.  So its
     mapping and duals do not depend on the rest of the stack.
 
+    A step makes few passes over the (lanes, A) state.  The lanes hold
+    w = -v, and the slack is w - (score + u[row]): the same value, with
+    the score's negation folded into the subtraction.  A visited column
+    has w and min_slack +inf, so its slack never improves and argmin
+    skips it with no mask.  Its duals move to a (step, lane) record
+    instead: each step's visited column, the u of its row and its w, so
+    a step adds delta only to the entries visited so far.  min_slack
+    takes np.minimum with the slack, and a column's origin is the last
+    step whose slack was below min_slack, kept by np.maximum.
+
     A lane whose path reaches a free column idles, with delta 0, until
-    half the lanes idle; then those lanes augment, write back and leave
-    in one batch.  Meanwhile it keeps stepping: the columns of its path
-    are all visited (min_slack -inf), so no slack moves their origin, and
-    adding 0.0 leaves every dual's bits alone, as the duals start at +0.0
-    and a sum is -0.0 only when both its terms are.
+    half the lanes idle; then those lanes write their duals back and
+    leave in one batch, and every path augments once the row's lanes are
+    all gone.  An idle lane keeps visiting columns: adding 0.0 leaves
+    their duals' values alone, and the u read for the free column's
+    (absent) row is written back to a scratch entry.  Only the sign of a
+    zero can differ from the one-matrix loop, and no output shows it: u
+    is never -0.0 in either (it starts at +0.0, and a sum is -0.0 only
+    when both its terms are), and v is read back as 0.0 - w.
     Returns (mapping, u, v), each of shape (B, A).
     """
     trials, size = index.shape
     capped = (table == -np.inf).any()
-
-    def cost_rows(rows, forbidden):
-        s = table[rows]
-        if capped:
-            return np.where(s == -np.inf, forbidden[:, None], -s)
-        return np.negative(s, out=s)
-
-    u = np.zeros((trials, size))
-    v = np.zeros((trials, size))
-    match = np.full((trials, size + 1), size)   # row on each column; size = free
+    width = size + 1                    # match's column `size` is the virtual column
+    # u[row, trial]; the last entry of u_flat is scratch
+    u_flat = np.zeros(size * trials + 1)
+    u = u_flat[:-1].reshape(size, trials)
+    w = np.zeros((trials, size))        # -v
+    match = np.full((trials, width), size, dtype=np.int32)   # row on each column; size = free
+    step_type = np.int8 if size <= 128 else np.int32
+    origins = np.empty((trials, size), dtype=step_type)      # each column's origin step
+    visits = np.empty((trials, width), dtype=np.int32)       # each step's visited column
+    ends = np.empty(trials, dtype=np.int64)                  # each path's free column
+    first = np.empty((trials, size))
+    w_flat, match_flat, index_flat = w.ravel(), match.ravel(), index.ravel()
     every = np.arange(trials)
-    for i in _insertion_order(size):
-        match[:, size] = i                      # the virtual column holds row i
+    neg_cap = -forbidden
+    scratch = size * trials
+
+    def slack_rows(rows, u_row, w_lanes, neg_cap, out):
+        s = table.take(rows, axis=0, out=out, mode="clip")
+        if capped:
+            np.copyto(s, neg_cap[:, None], where=s == -np.inf)
+        s += u_row[:, None]
+        return np.subtract(w_lanes, s, out=s)
+
+    for k, i in enumerate(_insertion_order(size)):
+        match[:, size] = i              # the virtual column holds row i
         # first step, from the virtual column: only row i is in the tree
-        min_slack = (cost_rows(index[:, i], forbidden) - u[:, i, None]) - v
+        min_slack = slack_rows(index[:, i], u[i], w, neg_cap, first)
         j_cur = min_slack.argmin(axis=1)
-        delta = min_slack[every, j_cur]
-        u[:, i] += delta
-        min_slack -= delta[:, None]
-        done = match[every, j_cur] == size
-        match[every[done], j_cur[done]] = i
-        idx = np.flatnonzero(~done)
+        delta = min_slack.take(every * size + j_cur)
+        u[i] += delta
+        cell = every * width + j_cur
+        row = match_flat.take(cell)
+        done = row == size
+        match_flat.put(cell[done], i)
+        entered = idx = np.flatnonzero(~done)
         if not len(idx):
             continue
-        # the lanes, and their state in the same order; a visited column's
-        # min_slack is -inf, so no update reaches it
-        lu, lv, lm, lrows, lcap = u[idx], v[idx], match[idx], index[idx], forbidden[idx]
-        j_cur, min_slack = j_cur[idx], min_slack[idx]
-        origin = np.full((len(idx), size), size)
-        visited = np.zeros((len(idx), size), dtype=bool)
-        in_tree = np.zeros((len(idx), size), dtype=bool)   # rows of visited columns
-        in_tree[:, i] = True
-        live = np.ones(len(idx), dtype=bool)
-        end = np.empty(len(idx), dtype=np.int64)   # each idle lane's free column
+        # the lanes; k rows are matched, so a path visits at most k columns
+        lanes = len(idx)
+        min_slack = first[idx]
+        min_slack -= delta[idx, None]
+        lw, j_cur, row, lcap = w[idx], j_cur[idx], row[idx], neg_cap[idx]
+        origin = np.zeros((lanes, size), dtype=step_type)   # step 0: the virtual column
+        duals = np.empty((2, k + 1, lanes))   # per step: u of the row, w of the column
+        duals[0, 0], duals[1, 0] = u[i, idx], 0.0
+        visit = np.empty((k + 1, lanes), dtype=np.int32)
+        visit[0] = size
+        slack = np.empty((lanes, size))
+        better = np.empty((lanes, size), dtype=bool)
+        stamp = np.empty((lanes, size), dtype=step_type)
+        live = np.ones(lanes, dtype=bool)
+        end = np.empty(lanes, dtype=np.int64)    # each idle lane's free column
         idle = 0
-        pos = np.arange(len(idx))
+        base, mbase, pos = idx * size, idx * width, np.arange(lanes) * size
+        s = 1
         while True:
-            row = lm[pos, j_cur]
-            np.minimum(row, size - 1, out=row)      # an idle lane's column may be free
-            visited[pos, j_cur] = True
-            in_tree[pos, row] = True
-            min_slack[pos, j_cur] = -np.inf
-            slack = (cost_rows(lrows[pos, row], lcap) - lu[pos, row][:, None]) - lv
-            better = slack < min_slack
-            np.copyto(min_slack, slack, where=better)
-            np.copyto(origin, j_cur[:, None], where=better)
-            masked = np.where(visited, np.inf, min_slack)
-            j_cur = masked.argmin(axis=1)
-            delta = np.where(live, masked[pos, j_cur], 0.0)[:, None]
-            lu = np.where(in_tree, lu + delta, lu)
-            lv = np.where(visited, lv - delta, lv)
-            min_slack -= delta
-            hit = (lm[pos, j_cur] == size) & live
+            u_row = u_flat.take(row * trials + idx, mode="clip")
+            cell = pos + j_cur
+            duals[0, s], duals[1, s], visit[s] = u_row, lw.take(cell), j_cur
+            lw.put(cell, np.inf)
+            min_slack.put(cell, np.inf)
+            slack_rows(index_flat.take(base + row, mode="clip"), u_row, lw, lcap, slack)
+            np.less(slack, min_slack, out=better)
+            np.minimum(min_slack, slack, out=min_slack)
+            np.multiply(better, s, out=stamp, dtype=step_type, casting="unsafe")
+            np.maximum(origin, stamp, out=origin)
+            j_cur = min_slack.argmin(axis=1)
+            delta = min_slack.take(pos + j_cur)
+            if idle:
+                delta[~live] = 0.0
+            s += 1
+            duals[:, :s] += delta
+            min_slack -= delta[:, None]
+            row = match_flat.take(mbase + j_cur)
+            hit = row == size
+            if idle:
+                hit &= live
             if not hit.any():
                 continue
             end[hit] = j_cur[hit]
             live &= ~hit
             idle += int(np.count_nonzero(hit))
-            if 2 * idle < len(idx):
+            if 2 * idle < lanes:
                 continue
-            # augment the idle lanes along their paths back to the virtual column
+            # the idle lanes write back their duals, through the matching
+            # before any augmentation, and their paths
             gone = np.flatnonzero(~live)
-            walk, col = gone, end[gone]
-            while len(walk):
-                prev = origin[walk, col]
-                lm[walk, col] = lm[walk, prev]
-                more = prev != size
-                walk, col = walk[more], prev[more]
             back = idx[gone]
-            u[back], v[back], match[back] = lu[gone], lv[gone], lm[gone]
+            gone_duals = duals[:, :s].take(gone, axis=2)
+            gone_visit = visit[:s].take(gone, axis=1)
+            rows = match_flat.take(mbase[gone] + gone_visit)
+            u_flat.put(np.where(rows < size, rows * trials + back, scratch), gone_duals[0])
+            w_flat.put(base[gone] + gone_visit[1:], gone_duals[1, 1:])
+            origins[back], visits[back, :s], ends[back] = origin[gone], gone_visit.T, end[gone]
             keep = np.flatnonzero(live)
             if not len(keep):
                 break
-            idx, lu, lv, lm = idx[keep], lu[keep], lv[keep], lm[keep]
-            lrows, lcap, j_cur = lrows[keep], lcap[keep], j_cur[keep]
-            min_slack, origin = min_slack[keep], origin[keep]
-            visited, in_tree = visited[keep], in_tree[keep]
-            live, end, idle = live[keep], end[keep], 0
-            pos = np.arange(len(idx))
+            lanes = len(keep)
+            idx, base, mbase = idx[keep], base[keep], mbase[keep]
+            j_cur, row, lcap = j_cur[keep], row[keep], lcap[keep]
+            min_slack, origin, lw = min_slack[keep], origin[keep], lw[keep]
+            duals, visit = duals.take(keep, axis=2), visit.take(keep, axis=1)
+            slack, better, stamp = slack[:lanes], better[:lanes], stamp[:lanes]
+            live, end, pos, idle = live[:lanes], end[:lanes], pos[:lanes], 0
+            live[:] = True
+        # augment every searching trial along its path back to the virtual column
+        walk, col = entered, ends[entered]
+        while len(walk):
+            prev = visits[walk, origins[walk, col]]
+            match[walk, col] = match[walk, prev]
+            more = prev != size
+            walk, col = walk[more], prev[more]
     mapping = np.empty((trials, size), dtype=np.int64)
     mapping[every[:, None], match[:, :size]] = np.arange(size)
-    return mapping, u, v
+    return mapping, u.T.copy(), 0.0 - w
 
 
 def _tight_path(tight, mapping, owner, row, start, gate):

@@ -15,6 +15,7 @@ from distid import (
 from distid import decoder
 from distid.decoder import loglik_from_counts
 from distid.distributions import philox_stream
+from distid.mc import _run_error_block
 
 from oracles import exact_decodes
 
@@ -495,19 +496,33 @@ class TestStackContract:
         # a matrix's mapping does not depend on its neighbours in the stack
         assert np.array_equal(ml_decode(stack[::-1]), decoded[::-1])
 
-    @pytest.mark.parametrize("size", [2, 5, 12, 32])
-    def test_lockstep_solve_matches_the_one_matrix_loop(self, size):
+    def lockstep_stack(self, case):
+        if case == 32:   # a Monte Carlo block's shape: long, ragged searches
+            family = make_family({"kind": "binary-grid", "size": 32,
+                                  "theta_min": 0.1, "theta_max": 0.9})
+            return count_scores(family, 40, 64, seed=46)[1]
+        if case == "capped-16":   # many lanes, idling and leaving in several batches
+            rng = philox_stream(47)
+            stack = rng.normal(size=(320, 16, 16))
+            stack[rng.random(stack.shape) < 0.15] = -INF
+            return stack
+        if case == "random-simplex-32":   # rows that do not repeat
+            family = make_family({"kind": "random-simplex", "size": 32, "alphabet": 8,
+                                  "seed": 11})
+            stack = count_scores(family, 200, 40, seed=49)[1]
+            assert len(np.unique(stack.reshape(-1, 32), axis=0)) == 40 * 32
+            return stack
+        _, scores = count_scores(tie_prone_family("binary-grid", case), 3, 60, seed=46)
+        return np.concatenate([self.mixed_stack(case), scores])
+
+    @pytest.mark.parametrize("case", [2, 5, 12, 32, "capped-16", "random-simplex-32"])
+    def test_lockstep_solve_matches_the_one_matrix_loop(self, case):
         # same mapping and bit-identical duals: ties in slack, -inf entries
         # at their forbidden cost, count rows shared between trials, and
         # lanes finishing at different steps must not change any trial's
         # float operations
-        if size == 32:   # a Monte Carlo block's shape: long, ragged searches
-            family = make_family({"kind": "binary-grid", "size": size,
-                                  "theta_min": 0.1, "theta_max": 0.9})
-            _, stack = count_scores(family, 40, 64, seed=46)
-        else:
-            _, scores = count_scores(tie_prone_family("binary-grid", size), 3, 60, seed=46)
-            stack = np.concatenate([self.mixed_stack(size), scores])
+        stack = self.lockstep_stack(case)
+        size = stack.shape[-1]
         table, index = np.unique(stack.reshape(-1, size), axis=0, return_inverse=True)
         index = index.reshape(len(stack), size)
         scale = np.abs(np.where(np.isinf(stack), 0.0, stack)).max(axis=(1, 2))
@@ -519,6 +534,31 @@ class TestStackContract:
             assert mapping[b].tolist() == expected[0]
             assert u[b].tobytes() == np.array(expected[1]).tobytes()
             assert v[b].tobytes() == np.array(expected[2]).tobytes()
+
+    # sha256 of the (mapping, u, v) bytes of the lockstep solve on the block
+    # of the benchmark's binary-grid A = 32 workload (n = 40, 1,024 trials,
+    # seed 0x5EED, block 0), recorded before the step was rewritten
+    LARGE_BLOCK_DIGEST = "442c20f5bfae8a875e22fc250adab122ed33a1eb72fb9e9aaf74098a6fff800e"
+
+    def test_lockstep_solve_is_pinned_on_a_monte_carlo_block(self, monkeypatch):
+        family = make_family({"kind": "binary-grid", "size": 32,
+                              "theta_min": 0.1, "theta_max": 0.9})
+        solves = []
+        solve = decoder._solve_lockstep
+
+        def record(*args):   # copies: the tie pass settles mappings in place
+            result = solve(*args)
+            solves.append([a.copy() for a in result])
+            return result
+
+        monkeypatch.setattr(decoder, "_solve_lockstep", record)
+        _run_error_block(family, 40, 0x5EED, 0, 1024)
+        (mapping, u, v), = solves
+        assert mapping.shape == u.shape == v.shape == (1024, 32)
+        digest = hashlib.sha256()
+        for part in (mapping.astype(np.int64), u, v):
+            digest.update(np.ascontiguousarray(part).tobytes())
+        assert digest.hexdigest() == self.LARGE_BLOCK_DIGEST
 
     @pytest.mark.parametrize("families", [
         [tie_prone_family("binary-grid", size) for size in range(2, 7)],
