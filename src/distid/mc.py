@@ -63,6 +63,10 @@ _SCORE_CHUNK_ENTRIES = 2**14
 # symbols.  Each block draws from its own stream, so the output depends on it.
 _SWAP_TRIALS_PER_BLOCK = 2**14
 
+# A binary swap-event term below e^-_LOG_NEGLIGIBLE is 0.0 in float64, so
+# `_binary_swap_prob` builds no pmf where every term is.
+_LOG_NEGLIGIBLE = 750.0
+
 # Grid points with fewer observed errors than this are excluded from the
 # exponent fit; -log p_hat is severely biased at low counts.
 MIN_ERRORS_FOR_FIT = 50
@@ -352,17 +356,28 @@ def _run_swap_block(p: FinitePmf, q: FinitePmf, terms: tuple[np.ndarray, list],
     return int(np.count_nonzero(_swap_event(p, q, terms, counts_p, counts_q)))
 
 
-def _binomial_pmf(n: int, probs: np.ndarray) -> np.ndarray:
-    """Pmf of a binary row's symbol-0 count over 0..n, from lgamma log-pmfs."""
-    p0, p1 = probs.tolist()
-    if p0 == 0.0 or p1 == 0.0:   # a point mass
-        pmf = np.zeros(n + 1)
-        pmf[n if p1 == 0.0 else 0] = 1.0
-        return pmf
-    counts = np.arange(n + 1)
-    log_choose = [math.lgamma(n + 1) - math.lgamma(c + 1) - math.lgamma(n - c + 1)
-                  for c in range(n + 1)]
-    return np.exp(log_choose + counts * math.log(p0) + (n - counts) * math.log(p1))
+def _binomial_pmfs(n: int, rows, first: int = 0, last: int | None = None) -> list:
+    """Pmfs of binary rows' symbol-0 counts over first..last (default 0..n),
+    from lgamma log-pmfs; log C(n, c) is built once for all the rows."""
+    last = n if last is None else last
+    counts = np.arange(first, last + 1)
+    top = math.lgamma(n + 1)
+    log_choose = [top - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                  for c in range(first, last + 1)]
+    pmfs = []
+    for p0, p1 in (row.tolist() for row in rows):
+        if p0 == 0.0 or p1 == 0.0:   # a point mass
+            pmfs.append((counts == (n if p1 == 0.0 else 0)).astype(float))
+        else:
+            pmfs.append(np.exp(log_choose + counts * math.log(p0)
+                               + (n - counts) * math.log(p1)))
+    return pmfs
+
+
+def _exceeds(a: float, b: float, c: float, d: float) -> bool:
+    """Whether a * b > c * d exactly, for floats a..d >= 0."""
+    (an, ad), (bn, bd), (cn, cd), (dn, dd) = (x.as_integer_ratio() for x in (a, b, c, d))
+    return an * bn * cd * dd > cn * dn * ad * bd
 
 
 def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
@@ -370,17 +385,29 @@ def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
 
     With c the symbol-0 counts, the statistic is
     (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the event is c_q >= c_p
-    when p[0] q[1] > p[1] q[0], compared as exact fractions, and
-    c_q <= c_p otherwise.  (A member with a zero is a point mass, so a
-    count on its zero symbol never occurs.)  The probability of
-    c_hi >= c_lo sums the pmf of c_lo against the suffix sums of the pmf
-    of c_hi.
+    when p[0] q[1] > p[1] q[0], compared exactly, and c_q <= c_p
+    otherwise.  (A member with a zero is a point mass, so a count on its
+    zero symbol never occurs.)  The probability of c_hi >= c_lo sums the
+    pmf of c_lo against the suffix sums of the pmf of c_hi.
+
+    Terms below e^-750 are 0.0 in float64 (exp underflows below -745.2).
+    The event's probability is at most e^(-2nB), B the Bhattacharyya
+    distance, so it is 0.0 once 2nB > 750.  Otherwise a count more than
+    sqrt(375 n) from a member's mean n p[0] has pmf below
+    e^(-2 (c - n p[0])^2 / n) <= e^-750 (Hoeffding), so the sums run only
+    over the counts within that reach of either mean: every term they
+    leave out is 0.0, and the result is the full sum's.
     """
-    from fractions import Fraction
-    p0, p1, q0, q1 = map(Fraction, (*p.probs.tolist(), *q.probs.tolist()))
-    lo, hi = (p, q) if p0 * q1 > p1 * q0 else (q, p)
-    suffix = np.cumsum(_binomial_pmf(n, hi.probs)[::-1])[::-1]
-    return math.fsum(_binomial_pmf(n, lo.probs) * suffix)
+    if 2.0 * n * bhattacharyya(p, q) > _LOG_NEGLIGIBLE:
+        return 0.0
+    (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()
+    lo, hi = (p, q) if _exceeds(p0, q1, p1, q0) else (q, p)
+    reach = math.sqrt(_LOG_NEGLIGIBLE / 2.0 * n) + 1.0
+    first = max(0, math.floor(n * min(p0, q0) - reach))
+    last = min(n, math.ceil(n * max(p0, q0) + reach))
+    pmf_lo, pmf_hi = _binomial_pmfs(n, (lo.probs, hi.probs), first, last)
+    suffix = np.cumsum(pmf_hi[::-1])[::-1]
+    return math.fsum(pmf_lo * suffix)
 
 
 def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],

@@ -508,13 +508,14 @@ print("ok")
 HEAVY = {"distid.mc", "distid.decoder", "distid.graphs", "concurrent.futures"}
 
 
-def fresh_python(code, *args):
+def fresh_python(code, *args, timeout=120):
     """Run code in a new interpreter that imports distid from this tree:
     (exit code, last line of stdout, stderr)."""
     src = str(Path(distid.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, text=True, timeout=120)
+                          env={**os.environ, "PYTHONPATH": path}, text=True,
+                          timeout=timeout)
     return proc.returncode, (proc.stdout.splitlines() or [""])[-1], proc.stderr
 
 
@@ -525,7 +526,8 @@ class TestImports:
     @pytest.mark.parametrize("command, entries, unloaded", [
         ("bounds", EXPLICIT, HEAVY),
         ("sweep", VALID["sweep"], HEAVY),
-        ("exponent", VALID["exponent"], HEAVY - {"distid.mc"}),
+        # a binary pair compares exact products without fractions or decimal
+        ("exponent", VALID["exponent"], HEAVY - {"distid.mc"} | {"fractions", "decimal"}),
         ("simulate", VALID["simulate"], {"fractions"}),
         ("lemma", VALID["lemma"], HEAVY - {"distid.graphs"}),
     ])
@@ -543,3 +545,36 @@ class TestImports:
     def test_the_package_loads_a_module_on_first_use_of_its_names(self):
         code, out, err = fresh_python(PACKAGE_PROBE)
         assert (code, out) == (0, "ok"), err
+
+
+# Runs in a fresh interpreter: prints the peak RSS in MiB after the call.
+RSS_PROBE = """
+import resource, sys
+from distid.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+sys.exit(code)
+"""
+
+
+class TestBinaryExponentScale:
+    @pytest.mark.parametrize("pmfs, n, exit_code", [
+        # the swap probability underflows: no pmf is built, and too few
+        # grid points keep 50 events
+        ([[0.5, 0.5], [0.9, 0.1]], 10000000, 3),
+        ([[0.5, 0.5], [0.9, 0.1]], 4611686018427387904, 3),   # 2^62
+        # a close pair, whose probability stays near 1/2: only the counts
+        # near the means are summed
+        ([[0.5, 0.5], [0.5001, 0.4999]], 10000000, 0),
+    ])
+    def test_a_large_blocklength_takes_bounded_time_and_memory(self, tmp_path, pmfs, n,
+                                                               exit_code):
+        # summing the pmfs over all n + 1 counts took 15 s and 800 MiB at
+        # n = 10^7, and did not end at 2^62
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_text({"family.kind": "explicit", "family.pmfs": pmfs,
+                                         "n_grid": [10, 20, n], "trials": 2000}))
+        code, peak_mib, err = fresh_python(RSS_PROBE, "exponent", "--config", str(cfg_path),
+                                           "--out", str(tmp_path / "out.csv"), timeout=60)
+        assert code == exit_code, err
+        assert float(peak_mib) < 100
