@@ -435,32 +435,35 @@ def ml_decode(scores, rows=None) -> np.ndarray:
     # within the gate; every optimal assignment uses only tight edges.  A
     # trial needs the lexicographic refinement only if some row i has a
     # tight column j < mapping[i] owned by a later row: without one, no
-    # tied mapping is smaller.  Chunk by chunk, the flagged trials take their
-    # canonical class order, and those with a tight cycle between classes go
-    # on to the exact refinement.
+    # tied mapping is smaller, and the identity has none.  Chunk by chunk
+    # over the other trials, the flagged ones take their canonical class
+    # order, and those with a tight cycle between classes go on to the
+    # exact refinement.
     gate = _TIE_GATE_REL * np.maximum(1.0, scale)
     cols = np.arange(size)
+    moved = np.flatnonzero((mapping != cols).any(axis=1))
     chunk = max(1, _TIE_CHUNK_ENTRIES // (size * size))
-    for lo in range(0, trials, chunk):
-        c = slice(lo, lo + chunk)
-        part = mapping[c]                       # a view: settled trials write through
-        # (-score - u) - v in place: one float array; -inf gives +inf, never tight
-        reduced = table[index[c]]
-        np.negative(reduced, out=reduced)
-        reduced -= u[c, :, None]
-        reduced -= v[c, None, :]
-        tight = reduced <= gate[c, None, None]
+    for lo in range(0, len(moved), chunk):
+        trial = moved[lo:lo + chunk]
+        part = mapping[trial]
+        # (-score - u) - v as -v - (score + u), in place: the same value in
+        # one float array; -inf gives +inf, never tight
+        reduced = table.take(index[trial], axis=0)
+        reduced += u[trial, :, None]
+        np.subtract(-v[trial, None, :], reduced, out=reduced)
+        tight = reduced <= gate[trial, None, None]
         owner = np.empty_like(part)
         owner[np.arange(len(part))[:, None], part] = cols
         flagged = np.flatnonzero((tight & (cols < part[:, :, None])
                                   & (owner[:, None, :] > cols[:, None])).any(axis=(1, 2)))
-        part[flagged], has_cycle = _settle_classes(index[c][flagged], part[flagged],
+        part[flagged], has_cycle = _settle_classes(index[trial[flagged]], part[flagged],
                                                    tight[flagged])
         for t in flagged[has_cycle]:
             edges = [dict(zip(np.flatnonzero(row).tolist(), slack[row].tolist()))
                      for row, slack in zip(tight[t], reduced[t])]
-            part[t] = _refine(table[index[lo + t]].tolist(), part[t].tolist(), edges,
-                              float(gate[lo + t]))
+            part[t] = _refine(table[index[trial[t]]].tolist(), part[t].tolist(), edges,
+                              float(gate[trial[t]]))
+        mapping[trial[flagged]] = part[flagged]
     return mapping[0] if single else mapping
 
 
