@@ -11,13 +11,17 @@ depend on row order and rows with identical scores tie exactly.
 matrix's rows into it (a dense stack is reduced to that form by its
 rows' bytes), and makes one assignment solve per call:
 Jonker-Volgenant shortest augmenting paths on negated scores, run in
-numpy in lockstep over the stack, with the per-matrix float operations
-of the one-matrix algorithm.  Rows are added in bit-reversed order, and
-a matrix whose path is done idles until half the lockstep's matrices
-are, which then augment and leave together.  Ties are then settled in
-one pass over chunks of consecutive matrices, among the edges that are
-tight (zero reduced cost under that solve's duals), only for the
-matrices where some row has a tight smaller column held by a later row.
+numpy in lockstep over the stack, with the per-matrix values of the
+one-matrix algorithm.  Rows are added in bit-reversed order.  Each step
+makes a few passes over the searching matrices' (matrices, A) state and
+updates the duals of the columns visited so far, kept per step.  A
+matrix whose path is done idles until half the lockstep's matrices are,
+which then write back their duals and leave together, and the row's
+paths augment at its end.  Ties are then settled in one pass over
+chunks of the matrices not decoded to the identity, among the edges
+that are tight (zero reduced cost under that solve's duals), only for
+the matrices where some row has a tight smaller column held by a later
+row.
 In numpy, rows on the same table row (a class) take their class's
 columns in increasing order, and a boolean closure looks for cycles of
 tight edges between classes.  Only a matrix with such a cycle goes on
@@ -155,43 +159,48 @@ def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray)
     all gone.  An idle lane keeps visiting columns: adding 0.0 leaves
     their duals' values alone, and the u read for the free column's
     (absent) row is written back to a scratch entry.  Only the sign of a
-    zero can differ from the one-matrix loop, and no output shows it: u
-    is never -0.0 in either (it starts at +0.0, and a sum is -0.0 only
-    when both its terms are), and v is read back as 0.0 - w.
+    zero can differ from the one-matrix loop (the folded negation,
+    np.minimum and w may each give -0.0 for +0.0), and no output shows
+    it: comparisons and argmin treat the two alike, u is never -0.0 in
+    either (it starts at +0.0, and a sum is -0.0 only when both its terms
+    are), and v is read back as 0.0 - w, which is +0.0 for either zero.
     Returns (mapping, u, v), each of shape (B, A).
     """
     trials, size = index.shape
     capped = (table == -np.inf).any()
     width = size + 1                    # match's column `size` is the virtual column
-    # u[row, trial]; the last entry of u_flat is scratch
-    u_flat = np.zeros(size * trials + 1)
-    u = u_flat[:-1].reshape(size, trials)
+    # u is a view of u_flat, whose last entry is scratch
+    u_flat = np.zeros(trials * size + 1)
+    u = u_flat[:-1].reshape(trials, size)
     w = np.zeros((trials, size))        # -v
     match = np.full((trials, width), size, dtype=np.int32)   # row on each column; size = free
     step_type = np.int8 if size <= 128 else np.int32
-    origins = np.empty((trials, size), dtype=step_type)      # each column's origin step
+    origins = np.empty((trials, width), dtype=step_type)     # each column's origin step
     visits = np.empty((trials, width), dtype=np.int32)       # each step's visited column
     ends = np.empty(trials, dtype=np.int64)                  # each path's free column
     first = np.empty((trials, size))
     w_flat, match_flat, index_flat = w.ravel(), match.ravel(), index.ravel()
+    origins_flat, visits_flat = origins.ravel(), visits.ravel()
     every = np.arange(trials)
     neg_cap = -forbidden
-    scratch = size * trials
+    scratch = trials * size
 
-    def slack_rows(rows, u_row, w_lanes, neg_cap, out):
+    def slack_rows(rows, u_row, w_lanes, cap, out):
+        # (cost - u) - v as w - (score + u), in out (unbuffered with
+        # mode="clip"); -forbidden stands in for a -inf score
         s = table.take(rows, axis=0, out=out, mode="clip")
         if capped:
-            np.copyto(s, neg_cap[:, None], where=s == -np.inf)
+            np.copyto(s, cap[:, None], where=s == -np.inf)
         s += u_row[:, None]
         return np.subtract(w_lanes, s, out=s)
 
     for k, i in enumerate(_insertion_order(size)):
         match[:, size] = i              # the virtual column holds row i
         # first step, from the virtual column: only row i is in the tree
-        min_slack = slack_rows(index[:, i], u[i], w, neg_cap, first)
+        min_slack = slack_rows(index[:, i], u[:, i], w, neg_cap, first)
         j_cur = min_slack.argmin(axis=1)
         delta = min_slack.take(every * size + j_cur)
-        u[i] += delta
+        u[:, i] += delta
         cell = every * width + j_cur
         row = match_flat.take(cell)
         done = row == size
@@ -206,7 +215,7 @@ def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray)
         lw, j_cur, row, lcap = w[idx], j_cur[idx], row[idx], neg_cap[idx]
         origin = np.zeros((lanes, size), dtype=step_type)   # step 0: the virtual column
         duals = np.empty((2, k + 1, lanes))   # per step: u of the row, w of the column
-        duals[0, 0], duals[1, 0] = u[i, idx], 0.0
+        duals[0, 0], duals[1, 0] = u[idx, i], 0.0   # the virtual column's w is unused
         visit = np.empty((k + 1, lanes), dtype=np.int32)
         visit[0] = size
         slack = np.empty((lanes, size))
@@ -216,22 +225,27 @@ def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray)
         end = np.empty(lanes, dtype=np.int64)    # each idle lane's free column
         idle = 0
         base, mbase, pos = idx * size, idx * width, np.arange(lanes) * size
+        cell = pos + j_cur
         s = 1
         while True:
-            u_row = u_flat.take(row * trials + idx, mode="clip")
-            cell = pos + j_cur
-            duals[0, s], duals[1, s], visit[s] = u_row, lw.take(cell), j_cur
+            # visit j_cur: the row on an idle lane's free column is `size`,
+            # so it reads the next trial's or the scratch entry
+            flat = base + row
+            u_row = u_flat.take(flat, out=duals[0, s], mode="clip")
+            lw.take(cell, out=duals[1, s])
+            visit[s] = j_cur
             lw.put(cell, np.inf)
             min_slack.put(cell, np.inf)
-            slack_rows(index_flat.take(base + row, mode="clip"), u_row, lw, lcap, slack)
+            slack_rows(index_flat.take(flat, mode="clip"), u_row, lw, lcap, slack)
             np.less(slack, min_slack, out=better)
             np.minimum(min_slack, slack, out=min_slack)
             np.multiply(better, s, out=stamp, dtype=step_type, casting="unsafe")
             np.maximum(origin, stamp, out=origin)
             j_cur = min_slack.argmin(axis=1)
-            delta = min_slack.take(pos + j_cur)
+            cell = pos + j_cur
+            delta = min_slack.take(cell)
             if idle:
-                delta[~live] = 0.0
+                delta *= live   # an idle lane's min_slack is finite: it never visits every column
             s += 1
             duals[:, :s] += delta
             min_slack -= delta[:, None]
@@ -239,24 +253,25 @@ def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray)
             hit = row == size
             if idle:
                 hit &= live
-            if not hit.any():
+            hits = np.count_nonzero(hit)
+            if not hits:
                 continue
-            end[hit] = j_cur[hit]
-            live &= ~hit
-            idle += int(np.count_nonzero(hit))
+            np.copyto(end, j_cur, where=hit)
+            live ^= hit
+            idle += hits
             if 2 * idle < lanes:
                 continue
             # the idle lanes write back their duals, through the matching
             # before any augmentation, and their paths
-            gone = np.flatnonzero(~live)
-            back = idx[gone]
+            gone = (~live).nonzero()[0]
+            back, gone_base = idx[gone], base[gone]
             gone_duals = duals[:, :s].take(gone, axis=2)
             gone_visit = visit[:s].take(gone, axis=1)
             rows = match_flat.take(mbase[gone] + gone_visit)
-            u_flat.put(np.where(rows < size, rows * trials + back, scratch), gone_duals[0])
-            w_flat.put(base[gone] + gone_visit[1:], gone_duals[1, 1:])
-            origins[back], visits[back, :s], ends[back] = origin[gone], gone_visit.T, end[gone]
-            keep = np.flatnonzero(live)
+            u_flat.put(np.where(rows < size, gone_base + rows, scratch), gone_duals[0])
+            w_flat.put(gone_base + gone_visit[1:], gone_duals[1, 1:])
+            origins[back, :size], visits[back, :s], ends[back] = origin[gone], gone_visit.T, end[gone]
+            keep = live.nonzero()[0]
             if not len(keep):
                 break
             lanes = len(keep)
@@ -267,16 +282,19 @@ def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray)
             slack, better, stamp = slack[:lanes], better[:lanes], stamp[:lanes]
             live, end, pos, idle = live[:lanes], end[:lanes], pos[:lanes], 0
             live[:] = True
-        # augment every searching trial along its path back to the virtual column
-        walk, col = entered, ends[entered]
-        while len(walk):
-            prev = visits[walk, origins[walk, col]]
-            match[walk, col] = match[walk, prev]
+            cell = pos + j_cur
+        # augment every searching trial along its path back to the virtual
+        # column; at is each trial's offset into match, origins and visits
+        at, col = entered * width, ends[entered]
+        while len(at):
+            cur = at + col
+            prev = visits_flat.take(at + origins_flat.take(cur))
+            match_flat.put(cur, match_flat.take(at + prev))
             more = prev != size
-            walk, col = walk[more], prev[more]
+            at, col = at[more], prev[more]
     mapping = np.empty((trials, size), dtype=np.int64)
     mapping[every[:, None], match[:, :size]] = np.arange(size)
-    return mapping, u.T.copy(), 0.0 - w
+    return mapping, u, 0.0 - w
 
 
 def _tight_path(tight, mapping, owner, row, start, gate):

@@ -27,7 +27,10 @@ A = 4, where blocks are short (2 vCPUs; the README gives the runs).
 `pairwise_error_exponent` simulates no trial of a binary pair: its swap
 event compares the two rows' symbol-0 counts, so the event probability
 has a closed form, and a grid point's event count is one binomial draw
-with that probability.  Pairs on three or more symbols draw multinomial
+with that probability.  The closed form sums only the counts within
+sqrt(375 n) of either member's mean, where a term can be nonzero in
+float64, and none once the probability's bound e^(-2nB) underflows, so
+its cost grows like sqrt(n), not n.  Pairs on three or more symbols draw multinomial
 counts in blocks of 2^14 trials (`_SWAP_TRIALS_PER_BLOCK`); a trial whose
 float statistic is a near tie is decided on exact pmf ratios, so a real
 tie counts as the event.
@@ -356,10 +359,9 @@ def _run_swap_block(p: FinitePmf, q: FinitePmf, terms: tuple[np.ndarray, list],
     return int(np.count_nonzero(_swap_event(p, q, terms, counts_p, counts_q)))
 
 
-def _binomial_pmfs(n: int, rows, first: int = 0, last: int | None = None) -> list:
-    """Pmfs of binary rows' symbol-0 counts over first..last (default 0..n),
-    from lgamma log-pmfs; log C(n, c) is built once for all the rows."""
-    last = n if last is None else last
+def _binomial_pmfs(n: int, rows, first: int, last: int) -> list:
+    """Pmfs of binary rows' symbol-0 counts over first..last, from lgamma
+    log-pmfs; log C(n, c) is built once for all the rows."""
     counts = np.arange(first, last + 1)
     top = math.lgamma(n + 1)
     log_choose = [top - math.lgamma(c + 1) - math.lgamma(n - c + 1)

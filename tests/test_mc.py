@@ -426,5 +426,5 @@ class TestBinomialPmf:
     @pytest.mark.parametrize("n,p0", [(10, 0.5), (80, 0.9), (400, 0.03),
                                       (5000, 0.5), (7, 0.0), (7, 1.0)])
     def test_matches_the_oracle(self, n, p0):
-        pmf, = _binomial_pmfs(n, [np.array([p0, 1.0 - p0])])
+        pmf, = _binomial_pmfs(n, [np.array([p0, 1.0 - p0])], 0, n)
         assert np.abs(pmf - np.array(binomial_pmf(n, p0))).max() < 1e-12
