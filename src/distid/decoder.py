@@ -244,8 +244,8 @@ def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray)
             j_cur = min_slack.argmin(axis=1)
             cell = pos + j_cur
             delta = min_slack.take(cell)
-            if idle:
-                delta *= live   # an idle lane's min_slack is finite: it never visits every column
+            if idle:   # an idle lane's delta is finite, as it never visits every column
+                delta *= live
             s += 1
             duals[:, :s] += delta
             min_slack -= delta[:, None]
@@ -270,7 +270,8 @@ def _solve_lockstep(table: np.ndarray, index: np.ndarray, forbidden: np.ndarray)
             rows = match_flat.take(mbase[gone] + gone_visit)
             u_flat.put(np.where(rows < size, gone_base + rows, scratch), gone_duals[0])
             w_flat.put(gone_base + gone_visit[1:], gone_duals[1, 1:])
-            origins[back, :size], visits[back, :s], ends[back] = origin[gone], gone_visit.T, end[gone]
+            origins[back, :size], visits[back, :s] = origin[gone], gone_visit.T
+            ends[back] = end[gone]
             keep = live.nonzero()[0]
             if not len(keep):
                 break

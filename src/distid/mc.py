@@ -21,8 +21,10 @@ built: a binary block at n = 40 has at most 41 distinct rows.
 Error trials are classified in numpy, by one vectorised cycle walk.
 Blocks run on threads when workers > 1.  The decode of a block is many
 small numpy steps, which hold the GIL between them; two threads speed
-up `estimate_error_prob` about 1.25x on A = 16 blocks and about 1.1x at
-A = 4, where blocks are short (2 vCPUs; the README gives the runs).
+up `estimate_error_prob` about 1.3x on A = 16 blocks and not at all at
+A = 4, where blocks are short, and each thread holds its own block's
+arrays: a `simulate` call at A = 4 peaks at 41.3 MiB with two workers
+against 38.2 MiB with one (2 vCPUs; the README gives the runs).
 
 `pairwise_error_exponent` simulates no trial of a binary pair: its swap
 event compares the two rows' symbol-0 counts, so the event probability
@@ -30,10 +32,10 @@ has a closed form, and a grid point's event count is one binomial draw
 with that probability.  The closed form sums only the counts within
 sqrt(375 n) of either member's mean, where a term can be nonzero in
 float64, and none once the probability's bound e^(-2nB) underflows, so
-its cost grows like sqrt(n), not n.  Pairs on three or more symbols draw multinomial
-counts in blocks of 2^14 trials (`_SWAP_TRIALS_PER_BLOCK`); a trial whose
-float statistic is a near tie is decided on exact pmf ratios, so a real
-tie counts as the event.
+its cost grows like sqrt(n), not n.  Pairs on three or more symbols
+draw multinomial counts in blocks of 2^14 trials
+(`_SWAP_TRIALS_PER_BLOCK`); a trial whose float statistic is a near tie
+is decided on exact pmf ratios, so a real tie counts as the event.
 """
 
 from __future__ import annotations
@@ -392,10 +394,11 @@ def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
     zero symbol never occurs.)  The probability of c_hi >= c_lo sums the
     pmf of c_lo against the suffix sums of the pmf of c_hi.
 
-    Terms below e^-750 are 0.0 in float64 (exp underflows below -745.2).
-    The event's probability is at most e^(-2nB), B the Bhattacharyya
-    distance, so it is 0.0 once 2nB > 750.  Otherwise a count more than
-    sqrt(375 n) from a member's mean n p[0] has pmf below
+    A term below e^-750 comes out 0.0: exp underflows below -745.1, and
+    the margin covers lgamma's rounding at every n whose counts fit in
+    memory.  The event's probability is at most e^(-2nB), B the
+    Bhattacharyya distance, so it is 0.0 once 2nB > 750.  Otherwise a
+    count more than sqrt(375 n) from a member's mean n p[0] has pmf below
     e^(-2 (c - n p[0])^2 / n) <= e^-750 (Hoeffding), so the sums run only
     over the counts within that reach of either mean: every term they
     leave out is 0.0, and the result is the full sum's.

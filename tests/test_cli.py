@@ -569,8 +569,8 @@ class TestBinaryExponentScale:
     ])
     def test_a_large_blocklength_takes_bounded_time_and_memory(self, tmp_path, pmfs, n,
                                                                exit_code):
-        # summing the pmfs over all n + 1 counts took 15 s and 800 MiB at
-        # n = 10^7, and did not end at 2^62
+        # summing the pmfs over all n + 1 counts took 15 s and 800 MiB on
+        # the close pair at n = 10^7, and cannot end at 2^62
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config_text({"family.kind": "explicit", "family.pmfs": pmfs,
                                          "n_grid": [10, 20, n], "trials": 2000}))
