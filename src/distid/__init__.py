@@ -4,9 +4,10 @@ Given one i.i.d. sequence per member of a family of distinct
 distributions, permuted by an unknown assignment, this package decodes
 the assignment by maximum likelihood, evaluates the pairwise
 Bhattacharyya sum that governs when identification is possible as the
-family grows with the blocklength, and verifies the finite-blocklength
-error bounds by Monte Carlo simulation and exhaustive combinatorial
-checks.
+family grows with the blocklength, estimates the error probability by
+Monte Carlo simulation to set against the finite-blocklength bounds,
+and checks the cycle-gain inequality behind the upper bound on every
+cycle of small weighted complete graphs.
 
 The public names below load their module on first use, so importing the
 package, or a CLI subcommand, pays only for the modules it runs.
@@ -21,11 +22,10 @@ _EXPORTS = {
     "bounds": ("BoundReport", "FamilySequenceSpec", "GrowthRule", "TrendReport",
                "cycle_count_ratio", "cycle_sum_bound", "identifiability_trend",
                "lower_bound", "pairwise_sum", "upper_bound"),
-    "decoder": ("NoFeasibleAssignmentError", "exhaustive_decode", "ml_decode"),
+    "decoder": ("NoFeasibleAssignmentError", "ml_decode"),
     "distributions": ("DistributionFamily", "FinitePmf", "bhattacharyya", "make_family",
                       "tilted_midpoint"),
-    "graphs": ("WeightedCompleteGraph", "check_expansion_identities",
-               "check_mean_gain_bound", "cycle_count", "cycle_gain",
+    "graphs": ("check_mean_gain_bound", "cycle_count", "cycle_gain",
                "edge_incidence_counts", "enumerate_cycles", "formula_cycle_count"),
     "mc": ("ExponentFit", "McEstimate", "estimate_error_prob", "pairwise_error_exponent",
            "permutation_cycles"),

@@ -27,15 +27,12 @@ columns in increasing order, and a boolean closure looks for cycles of
 tight edges between classes.  Only a matrix with such a cycle goes on
 to the Python cheapest-cycle search, which confirms every move by an
 exact score comparison.  No tie array grows with the stack.
-`exhaustive_decode` enumerates all A! permutations and serves as the
-oracle.  Both resolve score ties by returning the lexicographically
-smallest mapping vector.
+Score ties resolve to the lexicographically smallest mapping vector.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 
 import numpy as np
@@ -45,10 +42,7 @@ from .distributions import DistributionFamily
 __all__ = [
     "NoFeasibleAssignmentError",
     "ml_decode",
-    "exhaustive_decode",
 ]
-
-EXHAUSTIVE_MAX_SIZE = 10
 
 # Reduced-cost slack below which an edge counts as tight: the lexicographic
 # refinement moves rows only along the cheapest cycle of tight edges and
@@ -484,32 +478,3 @@ def ml_decode(scores, rows=None) -> np.ndarray:
                               float(gate[trial[t]]))
         mapping[trial[flagged]] = part[flagged]
     return mapping[0] if single else mapping
-
-
-def exhaustive_decode(matrix) -> np.ndarray:
-    """Literal argmax over all permutations; oracle for ml_decode.
-
-    Same contract as ml_decode, including the lexicographic tie rule.
-    Guarded to matrices of size <= 10.
-    """
-    arr = _validate_scores(matrix, ndims=(2,))
-    size = arr.shape[0]
-    if size > EXHAUSTIVE_MAX_SIZE:
-        raise ValueError(
-            f"exhaustive search is limited to size <= {EXHAUSTIVE_MAX_SIZE}, "
-            f"got {size}")
-    rows = arr.tolist()
-    best_score = -math.inf
-    best: tuple[int, ...] | None = None
-    for perm in itertools.permutations(range(size)):
-        score = _mapping_score(rows, perm)
-        if score == -math.inf:
-            continue
-        if score > best_score or (score == best_score and
-                                  (best is None or perm < best)):
-            best_score = score
-            best = perm
-    if best is None:
-        raise NoFeasibleAssignmentError(
-            "no permutation avoids zero-probability scores")
-    return np.asarray(best, dtype=np.int64)

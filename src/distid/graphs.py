@@ -24,10 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import philox_stream
-
 __all__ = [
-    "WeightedCompleteGraph",
     "pair_index",
     "enumerate_cycles",
     "cycle_count",
@@ -36,8 +33,6 @@ __all__ = [
     "edge_incidence_counts",
     "MeanGainCheck",
     "check_mean_gain_bound",
-    "ExpansionCheck",
-    "check_expansion_identities",
 ]
 
 ENUMERATION_MAX_VERTICES = 10
@@ -52,44 +47,19 @@ def pair_index(k: int, i, j):
     return i * (2 * k - i - 1) // 2 + (j - i - 1)
 
 
-class WeightedCompleteGraph:
-    """Complete graph on k vertices with nonnegative edge weights.
-
-    Weights are indexed by unordered pair (i, j), i < j, in lexicographic
-    order, so the vector has length k(k-1)/2.
-    """
-
-    __slots__ = ("_k", "_weights")
-
-    def __init__(self, k: int, weights):
-        if k < 2:
-            raise ValueError(f"need at least 2 vertices, got {k}")
-        arr = np.asarray(weights, dtype=np.float64)
-        expected = k * (k - 1) // 2
-        if arr.shape != (expected,):
-            raise ValueError(
-                f"K_{k} needs {expected} edge weights, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise ValueError("edge weights must be finite and nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        self._k = int(k)
-        self._weights = arr
-
-    @property
-    def k(self) -> int:
-        return self._k
-
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
-
-    @property
-    def num_edges(self) -> int:
-        return self._k * (self._k - 1) // 2
-
-    def __repr__(self) -> str:
-        return f"WeightedCompleteGraph(k={self._k})"
+def _edge_weights(k: int, weights) -> np.ndarray:
+    """The edge weights of K_k as float64, one per unordered pair (i, j),
+    i < j, in lexicographic order: k(k-1)/2 finite nonnegative values."""
+    if k < 2:
+        raise ValueError(f"need at least 2 vertices, got {k}")
+    arr = np.asarray(weights, dtype=np.float64)
+    expected = k * (k - 1) // 2
+    if arr.shape != (expected,):
+        raise ValueError(
+            f"K_{k} needs {expected} edge weights, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ValueError("edge weights must be finite and nonnegative")
+    return arr
 
 
 def _check_cycle_range(k: int, r: int) -> None:
@@ -166,14 +136,16 @@ def _gains(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return gains
 
 
-def cycle_gain(graph: WeightedCompleteGraph, cycle) -> float:
-    """Product of the edge weights along a cycle; 2-cycles square their edge."""
+def cycle_gain(k: int, weights, cycle) -> float:
+    """Product of the edge weights of K_k along a cycle; 2-cycles square
+    their edge.  weights are in lexicographic pair order."""
+    weights = _edge_weights(k, weights)
     verts = tuple(int(v) for v in cycle)
-    if any(not 0 <= v < graph.k for v in verts):
-        raise ValueError(f"cycle vertices must lie in [0, {graph.k})")
+    if any(not 0 <= v < k for v in verts):
+        raise ValueError(f"cycle vertices must lie in [0, {k})")
     if len(verts) < 2 or len(set(verts)) != len(verts):
         raise ValueError("a cycle needs at least 2 distinct vertices")
-    return float(_gains(graph.weights, _edges(graph.k, np.array([verts])))[0])
+    return float(_gains(weights, _edges(k, np.array([verts])))[0])
 
 
 def edge_incidence_counts(k: int, r: int) -> np.ndarray:
@@ -194,102 +166,16 @@ class MeanGainCheck:
     holds: bool
 
 
-def check_mean_gain_bound(graph: WeightedCompleteGraph, r: int) -> MeanGainCheck:
-    """Mean cycle gain versus the squared-weight power mean.
+def check_mean_gain_bound(k: int, weights, r: int) -> MeanGainCheck:
+    """Mean length-r cycle gain of K_k versus the squared-weight power mean.
 
-    holds is lhs <= rhs up to 1e-12 relative slack; uniform weights give
-    exact equality.
+    weights are in lexicographic pair order.  holds is lhs <= rhs up to
+    1e-12 relative slack; uniform weights give exact equality.
     """
-    gains = _gains(graph.weights, _cycle_edges(graph.k, r))
+    weights = _edge_weights(k, weights)
+    gains = _gains(weights, _cycle_edges(k, r))
     lhs = float(np.cumsum(gains)[-1]) / len(gains)  # in cycle order, not pairwise
-    mean_sq = float((graph.weights * graph.weights).sum()) / graph.num_edges
+    mean_sq = float((weights * weights).sum()) / len(weights)
     rhs = mean_sq ** (r / 2.0)
     holds = lhs <= rhs + MEAN_GAIN_REL_TOL * rhs
-    return MeanGainCheck(k=graph.k, r=r, lhs=lhs, rhs=rhs, holds=holds)
-
-
-@dataclass(frozen=True)
-class ExpansionCheck:
-    """Counting identities behind the mean-gain bound, for even r.
-
-    Expanding incidence * (a_1^2 + ... + a_n^2)^(r/2) into unit-coefficient
-    elements (incidence = cycles through one edge = N r / n):
-      * total elements            = incidence * n^(r/2)
-      * total degree of each edge = incidence * r * n^(r/2 - 1)
-      * elements per cycle group  = r * n^(r/2 - 1)
-    """
-    k: int
-    r: int
-    num_edges: int
-    incidence: int
-    total_elements: int
-    elements_ok: bool
-    degree_per_edge: int
-    degrees_ok: bool
-    log_product_ok: bool
-    group_size: int
-    group_size_ok: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.elements_ok and self.degrees_ok and self.log_product_ok
-                and self.group_size_ok)
-
-
-def check_expansion_identities(k: int, r: int, seed: int = 0) -> ExpansionCheck:
-    """Verify the expansion counting identities by direct enumeration.
-
-    The multinomial expansion is enumerated as ordered factor choices
-    (one squared weight per factor), which is exactly the expansion into
-    unit-coefficient elements.  The product identity is checked in log
-    domain at seeded random positive weights.
-    """
-    if r % 2 != 0:
-        raise ValueError(f"identities apply to even cycle lengths, got r={r}")
-    _check_cycle_range(k, r)
-    if k > 6:
-        raise ValueError(f"expansion enumeration is limited to k <= 6, got k={k}")
-
-    n = k * (k - 1) // 2
-    count_formula = formula_cycle_count(k, r)
-    incidence_frac = count_formula * r / n
-    if incidence_frac.denominator != 1:
-        raise ValueError(f"non-integer incidence for k={k}, r={r}")
-    incidence = int(incidence_frac)
-    half = r // 2
-
-    # one pass over the n^(r/2) ordered factor choices gives the edge
-    # degrees and the log-domain product of all elements at seeded random
-    # positive weights
-    rng = philox_stream(seed, 1)
-    logw = np.log(rng.uniform(0.5, 2.0, size=n))
-    degree = np.zeros(n, dtype=np.int64)
-    tuple_count = 0
-    log_prod = 0.0
-    for choice in itertools.product(range(n), repeat=half):
-        tuple_count += 1
-        for e in choice:
-            degree[e] += 2
-        log_prod += 2.0 * sum(logw[e] for e in choice)
-    degree *= incidence
-    log_prod *= incidence
-    total_elements = incidence * tuple_count
-
-    expected_elements = incidence * n ** half
-    expected_degree = incidence * r * n ** (half - 1)
-    elements_ok = total_elements == expected_elements
-    degrees_ok = bool(np.all(degree == expected_degree))
-    expected_log = expected_degree * float(logw.sum())
-    log_product_ok = math.isclose(log_prod, expected_log,
-                                  rel_tol=1e-9, abs_tol=1e-9)
-
-    group_frac = Fraction(total_elements) / count_formula
-    expected_group = r * n ** (half - 1)
-    group_size_ok = group_frac == expected_group
-
-    return ExpansionCheck(
-        k=k, r=r, num_edges=n, incidence=incidence,
-        total_elements=total_elements, elements_ok=elements_ok,
-        degree_per_edge=expected_degree, degrees_ok=degrees_ok,
-        log_product_ok=log_product_ok,
-        group_size=expected_group, group_size_ok=group_size_ok)
+    return MeanGainCheck(k=k, r=r, lhs=lhs, rhs=rhs, holds=holds)

@@ -6,8 +6,9 @@ decisions of small binary families from 50-digit decimal scores with
 ties settled by exact reasoning, swap events from likelihood products in
 exact fractions, and cycle counts from first-principles
 combinatorics, so the oracles stay independent of the code they check.
-The decoder itself is also checked against an fsum brute-force
-enumeration in test_decoder.py that shares no code with it.
+The decoder's oracle on any score matrix, brute_force_decode, enumerates
+every permutation and sums its scores with math.fsum; it takes only the
+error type from the decoder.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import comb
 
 import numpy as np
 
-from distid import DistributionFamily, enumerate_cycles
+from distid import DistributionFamily, NoFeasibleAssignmentError, enumerate_cycles
 
 
 def binomial_pmf(n: int, p: float) -> list[float]:
@@ -38,6 +39,21 @@ def binomial_pmf(n: int, p: float) -> list[float]:
             pmf.append(float(term))
             term = term * (n - k) / (k + 1) * ratio
     return pmf
+
+
+def brute_force_decode(scores) -> list[int]:
+    """Lexicographically smallest maximizer of sum_i scores[i][perm[i]] over
+    all permutations, each sum by math.fsum.  Raises
+    NoFeasibleAssignmentError when every permutation scores -inf."""
+    rows = np.asarray(scores).tolist()
+    best, best_perm = -math.inf, None
+    for perm in itertools.permutations(range(len(rows))):
+        total = math.fsum([row[j] for row, j in zip(rows, perm)])
+        if total > best:  # permutations come in lexicographic order
+            best, best_perm = total, list(perm)
+    if best_perm is None:
+        raise NoFeasibleAssignmentError("every permutation scores -inf")
+    return best_perm
 
 
 def _row_score(n: int, k: int, probs) -> Decimal | None:

@@ -14,14 +14,11 @@ import pytest
 from distid import (
     FamilySequenceSpec,
     GrowthRule,
-    WeightedCompleteGraph,
-    check_expansion_identities,
     check_mean_gain_bound,
     cycle_count,
     edge_incidence_counts,
     enumerate_cycles,
     estimate_error_prob,
-    exhaustive_decode,
     formula_cycle_count,
     identifiability_trend,
     lower_bound,
@@ -34,7 +31,7 @@ from distid import (
 from distid.cli import build_config, parse_config, run
 from distid.distributions import philox_stream
 
-from oracles import exact_pair_error_prob
+from oracles import brute_force_decode, exact_pair_error_prob
 from test_bounds import equal_angle_binary_pmfs
 
 PAIR = make_family([(0.5, 0.5), (0.9, 0.1)])
@@ -65,13 +62,11 @@ def test_criterion_1_mean_gain_inequality_exhaustive():
         rng = philox_stream(101, k)
         for r in range(2, k + 1):
             for _ in range(100):
-                graph = WeightedCompleteGraph(k, rng.random(k * (k - 1) // 2))
                 checks += 1
-                if not check_mean_gain_bound(graph, r).holds:
+                if not check_mean_gain_bound(k, rng.random(k * (k - 1) // 2), r).holds:
                     failures += 1
-            uniform = WeightedCompleteGraph(
-                k, np.full(k * (k - 1) // 2, float(rng.uniform(0.2, 2.0))))
-            res = check_mean_gain_bound(uniform, r)
+            uniform = np.full(k * (k - 1) // 2, float(rng.uniform(0.2, 2.0)))
+            res = check_mean_gain_bound(k, uniform, r)
             if not math.isclose(res.lhs, res.rhs, rel_tol=1e-12):
                 failures += 1
     report(1, failures == 0,
@@ -87,11 +82,9 @@ def test_criterion_2_cycle_count_identity():
             if len(enumerate_cycles(k, r)) != expected:
                 bad.append((k, r))
     square_cycles = len(enumerate_cycles(4, 4))
-    expansion = check_expansion_identities(4, 4)
-    ok = (not bad and square_cycles == 3
-          and expansion.group_size == 24 and expansion.ok)
-    report(2, ok, "closed-form cycle counts match enumeration, 3 <= r <= k <= 8",
-           f"K4 squares={square_cycles}, group size={expansion.group_size}")
+    report(2, not bad and square_cycles == 3,
+           "closed-form cycle counts match enumeration, 3 <= r <= k <= 8",
+           f"K4 squares={square_cycles}")
 
 
 def test_criterion_3_edge_incidence_identity():
@@ -129,14 +122,14 @@ def test_criterion_5_decoder_oracle_equivalence():
         rng = philox_stream(105, size)
         stack = np.array([rng.normal(size=(size, size)) * 10.0 for _ in range(1000)])
         for scores, fast in zip(stack, ml_decode(stack)):
-            brute = exhaustive_decode(scores)
+            brute = brute_force_decode(scores)
             rows = scores.tolist()
             fast_score = sum(rows[i][fast[i]] for i in range(size))
             brute_score = sum(rows[i][brute[i]] for i in range(size))
             if fast_score != brute_score or not np.array_equal(fast, brute):
                 mismatches += 1
     report(5, mismatches == 0,
-           "assignment decoder matches exhaustive search, A in {2..7}",
+           "assignment decoder matches an independent exhaustive search, A in {2..7}",
            "1000 random matrices per size, exact score and mapping equality")
 
 

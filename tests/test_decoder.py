@@ -6,18 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from distid import (
-    NoFeasibleAssignmentError,
-    exhaustive_decode,
-    make_family,
-    ml_decode,
-)
+from distid import NoFeasibleAssignmentError, make_family, ml_decode
 from distid import decoder
 from distid.decoder import loglik_from_counts
 from distid.distributions import philox_stream
 from distid.mc import _run_error_block
 
-from oracles import exact_decodes
+from oracles import brute_force_decode, exact_decodes
 
 INF = math.inf
 
@@ -133,27 +128,13 @@ class TestMlDecode:
             assert (np.sort(decoded, axis=1) == np.arange(size)).all()
 
 
-class TestExhaustiveDecode:
-    def test_examples(self):
-        assert exhaustive_decode([[0, -10], [-10, 0]]).tolist() == [0, 1]
-        assert exhaustive_decode([[0.0, 0.0], [0.0, 0.0]]).tolist() == [0, 1]
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError, match="<= 10"):
-            exhaustive_decode(np.zeros((11, 11)))
-
-    def test_all_infeasible(self):
-        with pytest.raises(NoFeasibleAssignmentError):
-            exhaustive_decode([[-INF, -INF], [-INF, -INF]])
-
-
 def assert_matches_exhaustive(stack):
     """ml_decode on the feasible matrices of a stack, as one stack, equals
-    exhaustive_decode on each; each infeasible matrix raises on its own."""
+    brute_force_decode on each; each infeasible matrix raises on its own."""
     expected, feasible = [], []
     for matrix in stack:
         try:
-            expected.append(exhaustive_decode(matrix).tolist())
+            expected.append(brute_force_decode(matrix))
             feasible.append(matrix)
         except NoFeasibleAssignmentError:
             with pytest.raises(NoFeasibleAssignmentError):
@@ -225,25 +206,9 @@ def count_scores(family, n, trials, seed):
     return counts, loglik_from_counts(counts, family)
 
 
-def brute_force_decode(scores):
-    """Lexicographically smallest maximizer, by enumeration and fsum.
-
-    Written here rather than taken from exhaustive_decode, which shares
-    its score sum with ml_decode.
-    """
-    rows = np.asarray(scores).tolist()
-    best, best_perm = -INF, None
-    for perm in itertools.permutations(range(len(rows))):
-        total = math.fsum([row[j] for row, j in zip(rows, perm)])
-        if total > best:  # permutations come in lexicographic order
-            best, best_perm = total, list(perm)
-    return best_perm
-
-
 class TestCountDerivedScores:
-    @pytest.mark.parametrize("decode", [ml_decode, exhaustive_decode])
     @pytest.mark.parametrize("kind", ["binary-grid", "random-simplex"])
-    def test_matches_brute_force_oracle(self, kind, decode):
+    def test_matches_brute_force_oracle(self, kind):
         # identical count rows tie exactly; which tied mapping wins must
         # not depend on the order the scores are summed in
         for size in range(2, 8):
@@ -251,11 +216,8 @@ class TestCountDerivedScores:
             for n in (1, 2, 3, 5):
                 _, scores = count_scores(family, n, 128 if size < 7 else 32,
                                          seed=70 + size)
-                expected = [brute_force_decode(matrix) for matrix in scores]
-                if decode is ml_decode:
-                    assert decode(scores).tolist() == expected
-                else:
-                    assert [decode(matrix).tolist() for matrix in scores] == expected
+                assert ml_decode(scores).tolist() == [
+                    brute_force_decode(matrix) for matrix in scores]
 
     def test_one_assignment_solve_per_decode(self, monkeypatch):
         family = make_family({"kind": "binary-grid", "size": 32,
@@ -360,7 +322,7 @@ class TestIdenticalRowTies:
         # class order settles that, so the closure must send it on
         calls = count_refines(monkeypatch)
         stack = cross_class_stack()
-        assert ml_decode(stack).tolist() == [exhaustive_decode(m).tolist() for m in stack]
+        assert ml_decode(stack).tolist() == [brute_force_decode(m) for m in stack]
         assert calls
 
     def test_duplicated_integer_rows_with_infeasible_entries(self):
@@ -591,8 +553,6 @@ class TestStackContract:
             ml_decode(np.zeros((2, 3, 4)))
         with pytest.raises(ValueError, match="square"):
             ml_decode(np.zeros((1, 2, 3, 3)))
-        with pytest.raises(ValueError, match="square"):
-            exhaustive_decode(np.zeros((1, 3, 3)))
         table = np.zeros((4, 3))
         assert ml_decode(table, rows=[0, 3, 3]).shape == (3,)
         assert ml_decode(table, rows=np.zeros((2, 3), dtype=np.int32)).shape == (2, 3)

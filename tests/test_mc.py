@@ -13,7 +13,7 @@ from distid import (
     pairwise_error_exponent,
     permutation_cycles,
 )
-from distid.decoder import exhaustive_decode, loglik_from_counts
+from distid.decoder import loglik_from_counts
 from distid.distributions import philox_stream
 from distid.mc import (
     TRIALS_PER_BLOCK,
@@ -28,6 +28,7 @@ from distid.mc import (
 
 from oracles import (
     binomial_pmf,
+    brute_force_decode,
     exact_pair_error_prob,
     exact_swap_event_prob,
     exact_swap_event_prob_general,
@@ -148,7 +149,7 @@ def unscreened_estimate(family, n, trials, seed):
     every trial of a binary-grid family with sorted_decode, so neither the
     scoring sub-chunks nor ml_decode are involved.  On the
     first trials of each block the result is checked against
-    exhaustive_decode; enumerating all A! mappings of every trial would
+    brute_force_decode; enumerating all A! mappings of every trial would
     take minutes at A = 8.
     """
     size = len(family)
@@ -161,7 +162,7 @@ def unscreened_estimate(family, n, trials, seed):
         decoded = sorted_decode(counts)
         scores = loglik_from_counts(counts[:8], family)
         for matrix, mapping in zip(scores, decoded):
-            assert np.array_equal(exhaustive_decode(matrix), mapping)
+            assert brute_force_decode(matrix) == mapping.tolist()
         for mapping in decoded:
             wrong = int((mapping != np.arange(size)).sum())
             if wrong:

@@ -17,8 +17,8 @@ GOLDEN = {
     ("bounds.cfg", "json"): "191d2ba65a8ebfad93fae4a484ecbdf3a5e844eff6655fcb7c5195d694a1ab47",
     ("sim.cfg", "csv"): "5473f112d2e0c3ea936728ed43b892291caa256259d509d0d5937936e6453d8c",
     ("sim.cfg", "json"): "3d0d26ea687216e6d05ae79fdc2fa1649bfaa47976901efd0fbc2202cdc2d7b0",
-    ("lemma.cfg", "csv"): "0204e2812bf73cddd6c765ef02e7e556ea05bdd6541eb9d5851d0f66116c13c9",
-    ("lemma.cfg", "json"): "a02fa73458842382df1155eaf15f6461c395671a1f64b13442eae0b86001036d",
+    ("lemma.cfg", "csv"): "a66fdd2809de45dd6295274e28976a11add8555ae810b8e0d77e72fcb97a3992",
+    ("lemma.cfg", "json"): "32b458f602cdb20ff5abe599e3a1897d49bf9b4e5b2364e4bf9fb50e43a0f4b9",
     ("exp.cfg", "csv"): "25e541d7f7db7f40340f6ae009098899ebb4ad847f83bab9032837aff31af8c5",
     ("exp.cfg", "json"): "ac4cd3f9e1046c6f019f941dd48c58d18641d2bfcde792bde9a0f8757208fa21",
     ("sweep.cfg", "csv"): "0533a12fa0139ecb449e0212619a590547e3bac4d20f17385e0bfaabdea9b4b8",
