@@ -128,6 +128,28 @@ class TestMlDecode:
             assert (np.sort(decoded, axis=1) == np.arange(size)).all()
 
 
+class TestBruteForceOracle:
+    """The oracle and ml_decode agree on small hand-checked matrices."""
+
+    @pytest.mark.parametrize("decode", [
+        lambda m: ml_decode(m).tolist(), brute_force_decode])
+    def test_examples(self, decode):
+        assert decode([[0, -10], [-10, 0]]) == [0, 1]
+        assert decode([[-10, 0], [0, -10]]) == [1, 0]
+        assert decode([[0.0, 0.0], [0.0, 0.0]]) == [0, 1]  # tie: smallest
+
+    def test_one_feasible_permutation(self):
+        scores = [[-INF, -INF, -9.0], [-INF, -1.0, -INF], [-3.0, 0.0, 0.0]]
+        assert brute_force_decode(scores) == [2, 1, 0]
+        assert ml_decode(scores).tolist() == [2, 1, 0]
+
+    def test_all_infeasible(self):
+        with pytest.raises(NoFeasibleAssignmentError):
+            brute_force_decode([[-INF, -INF], [-INF, -INF]])
+        with pytest.raises(NoFeasibleAssignmentError):
+            ml_decode([[-INF, -INF], [-INF, -INF]])
+
+
 def assert_matches_exhaustive(stack):
     """ml_decode on the feasible matrices of a stack, as one stack, equals
     brute_force_decode on each; each infeasible matrix raises on its own."""

@@ -198,6 +198,23 @@ class TestEdgeIncidence:
             assert expected.denominator == 1
             assert np.all(counts == int(expected))
 
+    def test_k4_squares_cover_each_edge_twice(self):
+        assert len(enumerate_cycles(4, 4)) == 3
+        assert edge_incidence_counts(4, 4).tolist() == [2] * 6
+
+    @pytest.mark.parametrize("k,r", [(4, 2), (4, 4), (5, 2), (5, 4),
+                                     (6, 2), (6, 4), (6, 6)])
+    def test_product_of_all_gains_is_the_incidence_power(self, k, r):
+        # the expansion behind the even-r bound: the product of every
+        # cycle's gain is each weight raised to its edge's incidence;
+        # power-of-two weights make every gain and its log2 exact
+        rng = philox_stream(53, 10 * k + r)
+        exponents = rng.integers(-3, 4, size=math.comb(k, 2))
+        weights = np.ldexp(1.0, exponents)
+        total = sum(int(math.log2(cycle_gain(k, weights, c)))
+                    for c in enumerate_cycles(k, r))
+        assert total == int(edge_incidence_counts(k, r) @ exponents)
+
     def test_two_cycles_cover_each_edge_once(self):
         # each pair is one 2-cycle traversing its edge twice; as cycle
         # membership that is once per edge, the halved closed-form count
