@@ -20,9 +20,8 @@ thousands of members and large n do not underflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -166,8 +165,7 @@ def cycle_count_ratio(k: int, r: int) -> float:
     return ratio / math.sqrt(n_edges) if r % 2 else ratio
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Pairwise sum and both bounds for one (family, blocklength) point."""
 
     n: int
@@ -200,8 +198,12 @@ class BoundReport:
         return {**self.row(), "upper_clamped": self.upper_clamped}
 
 
-@dataclass(frozen=True)
-class GrowthRule:
+class _GrowthFields(NamedTuple):
+    kind: str
+    param: float
+
+
+class GrowthRule(_GrowthFields):
     """How the family size scales with the blocklength.
 
     kind is one of "constant" (size A), "polynomial" (ceil(n^degree)) or
@@ -209,10 +211,23 @@ class GrowthRule:
     rate, and _PARAM_KEYS names it in a spec.
     """
 
-    kind: str
-    param: float
+    __slots__ = ()
 
     _PARAM_KEYS = {"constant": "size", "polynomial": "degree", "exponential": "rate"}
+
+    def __new__(cls, kind: str, param: float) -> "GrowthRule":
+        if not isinstance(kind, str) or kind not in cls._PARAM_KEYS:
+            raise ValueError(f"unknown growth kind: {kind!r}")
+        if not _is_real(param):
+            raise ValueError(f"growth param must be a number, got {param!r}")
+        param = float(param)
+        if kind == "constant":
+            if not (param.is_integer() and param >= 2):
+                raise ValueError(f"constant growth needs an integer size >= 2, "
+                                 f"got {param}")
+        elif not (math.isfinite(param) and param > 0):
+            raise ValueError(f"{kind} growth needs a positive rate, got {param}")
+        return super().__new__(cls, kind, param)
 
     @classmethod
     def _from_spec(cls, spec: Mapping) -> "GrowthRule":
@@ -223,20 +238,6 @@ class GrowthRule:
             raise ValueError(f"growth takes a kind and that kind's parameter key "
                              f"only ({cls._PARAM_KEYS}), got {dict(spec)}")
         return cls(kind, spec[key])
-
-    def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in self._PARAM_KEYS:
-            raise ValueError(f"unknown growth kind: {self.kind!r}")
-        if not _is_real(self.param):
-            raise ValueError(f"growth param must be a number, got {self.param!r}")
-        object.__setattr__(self, "param", float(self.param))
-        if self.kind == "constant":
-            if not (self.param.is_integer() and self.param >= 2):
-                raise ValueError(f"constant growth needs an integer size >= 2, "
-                                 f"got {self.param}")
-        elif not (math.isfinite(self.param) and self.param > 0):
-            raise ValueError(f"{self.kind} growth needs a positive rate, "
-                             f"got {self.param}")
 
     def size_at(self, n: int) -> int:
         if self.kind == "constant":
@@ -261,8 +262,13 @@ def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     return make_family({"kind": "explicit", "pmfs": list(template["pmfs"])[:size]})
 
 
-@dataclass(frozen=True)
-class FamilySequenceSpec:
+class _SequenceFields(NamedTuple):
+    growth: GrowthRule
+    template: Mapping
+    n_grid: tuple[int, ...]
+
+
+class FamilySequenceSpec(_SequenceFields):
     """A growth rule, a family template (a spec without "size"), and the
     blocklengths to evaluate.
 
@@ -271,19 +277,17 @@ class FamilySequenceSpec:
     2 and passes here; `size_at` raises for it when a run needs the size.
     """
 
-    growth: GrowthRule
-    template: Mapping
-    n_grid: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_family_spec(self.template, template=True)
-        grid = _check_grid(self.n_grid, _TREND_GRID_MIN)
-        object.__setattr__(self, "n_grid", grid)
-        members = (len(self.template["pmfs"]) if self.template["kind"] == "explicit"
+    def __new__(cls, growth: GrowthRule, template: Mapping,
+                n_grid: Sequence[int]) -> "FamilySequenceSpec":
+        _check_family_spec(template, template=True)
+        grid = _check_grid(n_grid, _TREND_GRID_MIN)
+        members = (len(template["pmfs"]) if template["kind"] == "explicit"
                    else math.inf)
         for n in grid:
             try:
-                size = self.growth.size_at(n)
+                size = growth.size_at(n)
             except ValueError:   # overflow, the only error size_at raises
                 continue
             if size < 2:
@@ -292,18 +296,17 @@ class FamilySequenceSpec:
             if size > members:
                 raise ValueError(f"template provides {members} members but the "
                                  f"growth rule requires {size} at n={n}")
+        return super().__new__(cls, growth, template, grid)
 
 
-@dataclass(frozen=True)
-class TrendPoint:
+class TrendPoint(NamedTuple):
     n: int
     family_size: int
     s: float
     log_s: float
 
 
-@dataclass(frozen=True)
-class TrendReport:
+class TrendReport(NamedTuple):
     """Empirical identifiability trend along a family sequence.
 
     The verdict is a heuristic read of the slope of log S over the last

@@ -48,16 +48,14 @@ line of `_cell`s per row.  Floats are printed with 17 significant digits
 so values round-trip exactly.  JSON carries the nested reports.
 
 Each subcommand imports only the modules it runs (`mc` and `graphs` load
-inside their runners, `json` only for JSON output), so a call pays no
-start-up for the others.
+inside their runners, `json` only for JSON output, `argparse` only in
+`main`), so a call pays no start-up for the others.
 """
 
 from __future__ import annotations
 
-import argparse
 import ast
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -128,9 +126,12 @@ def _expect(raw: dict, key: str, types, what: str):
     return value
 
 
-@dataclass
 class RunConfig:
-    """Validated settings for one CLI run."""
+    """Validated settings for one CLI run.
+
+    The constructor takes the command and any setting by keyword; every
+    setting it is not given reads the class-level default below.
+    """
 
     command: str
     seed: int = DEFAULT_SEED
@@ -144,6 +145,19 @@ class RunConfig:
     k: int | None = None
     r: object = None  # int or "all"
     pairs_budget: int = bounds_mod.DEFAULT_PAIRS_BUDGET
+
+    def __init__(self, command: str, **settings):
+        self.command = command
+        for key, value in settings.items():
+            if key not in self.__annotations__:
+                raise TypeError(f"RunConfig has no setting {key!r}")
+            setattr(self, key, value)
+
+    def __eq__(self, other):
+        if type(other) is not RunConfig:
+            return NotImplemented
+        return all(getattr(self, key) == getattr(other, key)
+                   for key in self.__annotations__)
 
 
 def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunConfig:
@@ -333,14 +347,15 @@ def run(cfg: RunConfig) -> int:
     return 0
 
 
-def _seed_flag(text: str) -> int:
-    try:
-        return int(text, 0)  # decimal or 0x-prefixed, as in a config file
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
-
-
 def main(argv=None) -> int:
+    import argparse   # here, so that importing this module skips argparse
+
+    def seed_flag(text: str) -> int:
+        try:
+            return int(text, 0)  # decimal or 0x-prefixed, as in a config file
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+
     parser = argparse.ArgumentParser(
         prog="distid",
         description=("Identification experiments for families of finite-alphabet "
@@ -356,7 +371,7 @@ def main(argv=None) -> int:
             ("sweep", "identifiability trend along a family sequence")]:
         cmd = sub.add_parser(name, help=doc)
         cmd.add_argument("--config", required=True, help="path to a key=value config file")
-        cmd.add_argument("--seed", type=_seed_flag, default=None,
+        cmd.add_argument("--seed", type=seed_flag, default=None,
                          help=f"64-bit seed (default {DEFAULT_SEED})")
         cmd.add_argument("--out", default=None, help="output path")
         cmd.add_argument("--format", choices=("csv", "json"), default=None)

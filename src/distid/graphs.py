@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -157,8 +157,7 @@ def edge_incidence_counts(k: int, r: int) -> np.ndarray:
     return np.bincount(_cycle_edges(k, r).ravel(), minlength=k * (k - 1) // 2)
 
 
-@dataclass(frozen=True)
-class MeanGainCheck:
+class MeanGainCheck(NamedTuple):
     k: int
     r: int
     lhs: float  # arithmetic mean of cycle gains

@@ -19,12 +19,14 @@ and decodes all its trials by one `ml_decode` call on that table and
 each trial's row numbers into it.  No (block, A, A) score stack is
 built: a binary block at n = 40 has at most 41 distinct rows.
 Error trials are classified in numpy, by one vectorised cycle walk.
-Blocks run on threads when workers > 1.  The decode of a block is many
-small numpy steps, which hold the GIL between them; two threads speed
-up `estimate_error_prob` about 1.3x on A = 16 blocks and not at all at
-A = 4, where blocks are short, and each thread holds its own block's
-arrays: a `simulate` call at A = 4 peaks at 41.3 MiB with two workers
-against 38.2 MiB with one (2 vCPUs; the README gives the runs).
+With workers > 1 the calling thread runs blocks next to workers - 1
+plain helper threads (`_map_blocks`), so no pool is built or imported.
+The decode of a block is many small numpy steps, which hold the GIL
+between them; two threads speed up `estimate_error_prob` about 1.3x on
+A = 16 blocks and about 1.2x at A = 4, where blocks are short and a
+whole `simulate` call gains nothing, and each thread holds its own
+block's arrays: a `simulate` call at A = 4 peaks at 39.8 MiB with two
+workers against 38.0 MiB with one (2 vCPUs; the README gives the runs).
 
 `pairwise_error_exponent` simulates no trial of a binary pair: its swap
 event compares the two rows' symbol-0 counts, so the event probability
@@ -41,9 +43,9 @@ is decided on exact pmf ratios, so a real tie counts as the event.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import threading
 from functools import partial
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -122,8 +124,7 @@ def _single_cycle(perms: np.ndarray) -> np.ndarray:
     return length == moved.sum(axis=1)
 
 
-@dataclass(frozen=True)
-class McEstimate:
+class McEstimate(NamedTuple):
     """Error-rate estimate with the cycle structure of the error events.
 
     r_histogram maps the number of misassigned rows (2..A) to the count
@@ -166,12 +167,47 @@ def _trial_blocks(trials: int, per_block: int = TRIALS_PER_BLOCK) -> list[tuple[
 
 
 def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
-    """fn(*task) for every task, in task order; one thread pool if workers > 1."""
+    """fn(*task) for every task, in task order.
+
+    With workers > 1 and more than one task, the calling thread runs tasks
+    next to min(workers, len(tasks)) - 1 helper threads, each thread taking
+    the lowest-numbered task not yet taken, so each task runs once.  Once a
+    task has raised, no further task starts; every helper is joined, and
+    then the exception of the lowest-numbered failing task is raised.
+    Tasks are taken in order, so every task below a failing one has been
+    taken, and has ended once the helpers are joined.
+    """
     if workers == 1 or len(tasks) == 1:
         return [fn(*task) for task in tasks]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: fn(*task), tasks))
+    results = [None] * len(tasks)
+    failures: dict[int, BaseException] = {}
+    lock = threading.Lock()
+    order = iter(range(len(tasks)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failures else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(*tasks[i])
+            except BaseException as exc:
+                with lock:
+                    failures[i] = exc
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(workers, len(tasks)) - 1)]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -277,8 +313,7 @@ def estimate_error_prob(family: DistributionFamily, n: int, trials: int,
                       single_cycle_fraction=(single / errors) if errors else 0.0)
 
 
-@dataclass(frozen=True)
-class ExponentFit:
+class ExponentFit(NamedTuple):
     """Decay-rate fit for the pairwise swap event across blocklengths.
 
     slope is the least-squares slope of -log p_hat against n over the
@@ -366,8 +401,9 @@ def _binomial_pmfs(n: int, rows, first: int, last: int) -> list:
     log-pmfs; log C(n, c) is built once for all the rows."""
     counts = np.arange(first, last + 1)
     top = math.lgamma(n + 1)
-    log_choose = [top - math.lgamma(c + 1) - math.lgamma(n - c + 1)
-                  for c in range(first, last + 1)]
+    log_choose = np.fromiter((top - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                              for c in range(first, last + 1)),
+                             dtype=float, count=len(counts))
     pmfs = []
     for p0, p1 in (row.tolist() for row in rows):
         if p0 == 0.0 or p1 == 0.0:   # a point mass

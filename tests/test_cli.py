@@ -511,7 +511,11 @@ print("ok")
 """
 
 # Modules that only simulate, lemma and m >= 3 exponent runs need.
-HEAVY = {"distid.mc", "distid.decoder", "distid.graphs", "concurrent.futures"}
+HEAVY = {"distid.mc", "distid.decoder", "distid.graphs"}
+
+# No subcommand loads these: a thread pool, with the logging it imports,
+# and dataclasses, which build each record's methods by exec.
+NEVER = {"concurrent.futures", "logging", "dataclasses"}
 
 
 def fresh_python(code, *args, timeout=120):
@@ -541,12 +545,18 @@ class TestImports:
                                                      entries, unloaded):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config_text(entries))
-        # two workers would start a pool if the run dispatched blocks
+        # two workers start a helper thread where the run dispatches blocks
         code, loaded, err = fresh_python(LOADED_PROBE, command, "--config", str(cfg_path),
                                          "--out", str(tmp_path / "out"), "--workers", "2")
         assert code == 0, err
         assert "distid.cli" in loaded.split()
-        assert not unloaded & set(loaded.split())
+        assert not (unloaded | NEVER) & set(loaded.split())
+
+    def test_importing_the_cli_skips_argparse(self):
+        # the benchmark's set-up spawn imports distid.cli and calls nothing
+        code, out, err = fresh_python(
+            "import sys, distid.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
+        assert (code, out) == (0, "[]"), err
 
     def test_the_package_loads_a_module_on_first_use_of_its_names(self):
         code, out, err = fresh_python(PACKAGE_PROBE)

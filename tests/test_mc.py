@@ -1,5 +1,8 @@
 import itertools
 import math
+import sys
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -20,6 +23,7 @@ from distid.mc import (
     _binary_swap_prob,
     _binomial_pmfs,
     _distinct_rows,
+    _map_blocks,
     _run_error_block,
     _single_cycle,
     _swap_event,
@@ -125,6 +129,76 @@ class TestDistinctRows:
         for rows in (wide, span):
             reps, inverse = _distinct_rows(rows)
             assert len(reps) == 3 and np.array_equal(rows[reps][inverse], rows)
+
+
+class TestMapBlocks:
+    def test_results_come_back_in_task_order(self):
+        # the first tasks take longest, so they finish last
+        def task(i, delay):
+            time.sleep(delay)
+            return i * i
+        tasks = [(i, 0.02 * (5 - i)) for i in range(6)]
+        assert _map_blocks(task, tasks, 3) == [i * i for i in range(6)]
+
+    def test_each_task_runs_once_with_more_workers_than_tasks(self, monkeypatch):
+        started = []
+
+        class CountedThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(threading, "Thread", CountedThread)
+        ran = []
+        assert _map_blocks(lambda i: ran.append(i) or -i, [(i,) for i in range(3)],
+                           8) == [0, -1, -2]
+        assert sorted(ran) == [0, 1, 2]
+        assert len(started) == 2   # and the calling thread
+
+    def test_many_tasks_on_more_threads_than_cores_run_once_each(self):
+        # frequent thread switches, so a task handed out twice would show
+        ran = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _map_blocks(lambda i: ran.append(i) or i, [(i,) for i in range(500)],
+                                  8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == list(range(500)) and sorted(ran) == list(range(500))
+
+    def test_the_calling_thread_runs_tasks_next_to_its_helpers(self):
+        # each task waits until the other has started, so both run at once
+        # on the call's two threads: the caller and one helper
+        meet = threading.Barrier(2, timeout=10)
+
+        def task(i):
+            meet.wait()
+            return threading.get_ident()
+        idents = _map_blocks(task, [(0,), (1,)], 2)
+        assert threading.get_ident() in idents and len(set(idents)) == 2
+
+    def test_one_worker_or_one_task_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        assert _map_blocks(lambda i: i + 1, [(i,) for i in range(4)], 1) == [1, 2, 3, 4]
+        assert _map_blocks(lambda i: i + 1, [(7,)], 4) == [8]
+
+    def test_the_lowest_failing_task_raises_after_the_helpers_join(self):
+        # task 3 fails at once and task 1 later; task 1's error is raised
+        def task(i):
+            if i == 1:
+                time.sleep(0.05)
+                raise ValueError("task 1")
+            if i == 3:
+                raise ValueError("task 3")
+            return i
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="task 1"):
+            _map_blocks(task, [(i,) for i in range(4)], 4)
+        assert threading.active_count() == before
 
 
 def sorted_decode(counts):
@@ -429,3 +503,16 @@ class TestBinomialPmf:
     def test_matches_the_oracle(self, n, p0):
         pmf, = _binomial_pmfs(n, [np.array([p0, 1.0 - p0])], 0, n)
         assert np.abs(pmf - np.array(binomial_pmf(n, p0))).max() < 1e-12
+
+    @pytest.mark.parametrize("n, first, last", [(40, 0, 40), (10**7, 4_990_000, 5_010_000),
+                                                (10**9, 499_000_000, 499_000_300)])
+    def test_bitwise_the_sum_over_a_list_of_log_choose(self, n, first, last):
+        rows = [np.array([0.5, 0.5]), np.array([0.3, 0.7])]
+        counts = np.arange(first, last + 1)
+        top = math.lgamma(n + 1)
+        log_choose = [top - math.lgamma(c + 1) - math.lgamma(n - c + 1)
+                      for c in range(first, last + 1)]
+        for pmf, (p0, p1) in zip(_binomial_pmfs(n, rows, first, last), rows):
+            listed = np.exp(log_choose + counts * math.log(p0)
+                            + (n - counts) * math.log(p1))
+            assert pmf.tobytes() == listed.tobytes()
