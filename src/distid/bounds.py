@@ -143,9 +143,7 @@ def cycle_sum_bound(family: DistributionFamily, n: int, r_max: int) -> float:
         raise ValueError(f"blocklength must be >= 1, got {n}")
     from . import graphs
     dist = distance_matrix(family)
-    with np.errstate(over="ignore"):
-        w = np.exp(-float(n) * dist)
-    weights = w[np.triu_indices(size, k=1)]
+    weights = np.exp(-float(n) * dist)[np.triu_indices(size, k=1)]
     gains = np.concatenate([graphs._gains(weights, graphs._cycle_edges(size, r))
                             for r in range(2, r_max + 1)])
     return float(np.cumsum(gains)[-1])  # in cycle order, not np.sum's pairwise order

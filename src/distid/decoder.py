@@ -18,15 +18,14 @@ updates the duals of the columns visited so far, kept per step.  A
 matrix whose path is done idles until half the lockstep's matrices are,
 which then write back their duals and leave together, and the row's
 paths augment at its end.  Ties are then settled in one pass over
-chunks of the matrices not decoded to the identity, among the edges
-that are tight (zero reduced cost under that solve's duals), only for
-the matrices where some row has a tight smaller column held by a later
-row.
-In numpy, rows on the same table row (a class) take their class's
-columns in increasing order, and a boolean closure looks for cycles of
-tight edges between classes.  Only a matrix with such a cycle goes on
-to the Python cheapest-cycle search, which confirms every move by an
-exact score comparison.  No tie array grows with the stack.
+chunks of the matrices not decoded to the identity (the smallest
+permutation), among the edges that are tight (zero reduced cost under
+that solve's duals).  In numpy, rows on the same table row (a class)
+take their class's columns in increasing order, and a boolean closure
+looks for cycles of tight edges between classes.  Only a matrix with
+such a cycle goes on to the Python cheapest-cycle search, which
+confirms every move by an exact score comparison.  No tie array grows
+with the stack.
 Score ties resolve to the lexicographically smallest mapping vector.
 """
 
@@ -445,36 +444,27 @@ def ml_decode(scores, rows=None) -> np.ndarray:
             "no permutation avoids zero-probability scores")
 
     # An edge is tight when its reduced cost under the solve's duals is
-    # within the gate; every optimal assignment uses only tight edges.  A
-    # trial needs the lexicographic refinement only if some row i has a
-    # tight column j < mapping[i] owned by a later row: without one, no
-    # tied mapping is smaller, and the identity has none.  Chunk by chunk
-    # over the other trials, the flagged ones take their canonical class
-    # order, and those with a tight cycle between classes go on to the
-    # exact refinement.
+    # within the gate; every optimal assignment uses only tight edges.  The
+    # identity is the smallest mapping, so its trials are done.  Chunk by
+    # chunk over the other trials, each takes its canonical class order,
+    # and those with a tight cycle between classes go on to the exact
+    # refinement.
     gate = _TIE_GATE_REL * np.maximum(1.0, scale)
-    cols = np.arange(size)
-    moved = np.flatnonzero((mapping != cols).any(axis=1))
+    moved = np.flatnonzero((mapping != np.arange(size)).any(axis=1))
     chunk = max(1, _TIE_CHUNK_ENTRIES // (size * size))
     for lo in range(0, len(moved), chunk):
         trial = moved[lo:lo + chunk]
-        part = mapping[trial]
         # (-score - u) - v as -v - (score + u), in place: the same value in
         # one float array; -inf gives +inf, never tight
         reduced = table.take(index[trial], axis=0)
         reduced += u[trial, :, None]
         np.subtract(-v[trial, None, :], reduced, out=reduced)
         tight = reduced <= gate[trial, None, None]
-        owner = np.empty_like(part)
-        owner[np.arange(len(part))[:, None], part] = cols
-        flagged = np.flatnonzero((tight & (cols < part[:, :, None])
-                                  & (owner[:, None, :] > cols[:, None])).any(axis=(1, 2)))
-        part[flagged], has_cycle = _settle_classes(index[trial[flagged]], part[flagged],
-                                                   tight[flagged])
-        for t in flagged[has_cycle]:
+        part, has_cycle = _settle_classes(index[trial], mapping[trial], tight)
+        for t in np.flatnonzero(has_cycle):
             edges = [dict(zip(np.flatnonzero(row).tolist(), slack[row].tolist()))
                      for row, slack in zip(tight[t], reduced[t])]
             part[t] = _refine(table[index[trial[t]]].tolist(), part[t].tolist(), edges,
                               float(gate[trial[t]]))
-        mapping[trial[flagged]] = part[flagged]
+        mapping[trial] = part
     return mapping[0] if single else mapping

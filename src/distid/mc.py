@@ -34,7 +34,8 @@ has a closed form, and a grid point's event count is one binomial draw
 with that probability.  The closed form sums only the counts within
 sqrt(375 n) of either member's mean, where a term can be nonzero in
 float64, and none once the probability's bound e^(-2nB) underflows, so
-its cost grows like sqrt(n), not n.  Pairs on three or more symbols
+its cost grows like sqrt(n), not n; a sum over more than 2^22 counts
+(`_SWAP_WINDOW_MAX`) raises ValueError.  Pairs on three or more symbols
 draw multinomial counts in blocks of 2^14 trials
 (`_SWAP_TRIALS_PER_BLOCK`); a trial whose float statistic is a near tie
 is decided on exact pmf ratios, so a real tie counts as the event.
@@ -73,6 +74,11 @@ _SWAP_TRIALS_PER_BLOCK = 2**14
 # A binary swap-event term below e^-_LOG_NEGLIGIBLE is 0.0 in float64, so
 # `_binary_swap_prob` builds no pmf where every term is.
 _LOG_NEGLIGIBLE = 750.0
+
+# Most counts `_binary_swap_prob` sums (32 MiB per float64 array): its window
+# grows like sqrt(n) up to the underflow cut, which for a close pair comes
+# near n = 10^14.
+_SWAP_WINDOW_MAX = 2**22
 
 # Grid points with fewer observed errors than this are excluded from the
 # exponent fit; -log p_hat is severely biased at low counts.
@@ -171,9 +177,11 @@ def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
 
     With workers > 1 and more than one task, the calling thread runs tasks
     next to min(workers, len(tasks)) - 1 helper threads, each thread taking
-    the lowest-numbered task not yet taken, so each task runs once.  Once a
-    task has raised, no further task starts; every helper is joined, and
-    then the exception of the lowest-numbered failing task is raised.
+    the lowest-numbered task not yet taken, so each task runs once.  A
+    helper that cannot start leaves its tasks to the threads that did.
+    Once a task has raised, no further task starts; every helper started
+    is joined, and then the exception of the lowest-numbered failing task
+    is raised.
     Tasks are taken in order, so every task below a failing one has been
     taken, and has ended once the helpers are joined.
     """
@@ -196,11 +204,15 @@ def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
                 with lock:
                     failures[i] = exc
 
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(workers, len(tasks)) - 1)]
-    for helper in helpers:
-        helper.start()
+    helpers = []
     try:
+        for _ in range(min(workers, len(tasks)) - 1):
+            helper = threading.Thread(target=work)
+            try:
+                helper.start()
+            except RuntimeError:   # can't start new thread
+                break
+            helpers.append(helper)
         work()
     finally:
         for helper in helpers:
@@ -437,7 +449,8 @@ def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
     count more than sqrt(375 n) from a member's mean n p[0] has pmf below
     e^(-2 (c - n p[0])^2 / n) <= e^-750 (Hoeffding), so the sums run only
     over the counts within that reach of either mean: every term they
-    leave out is 0.0, and the result is the full sum's.
+    leave out is 0.0, and the result is the full sum's.  A window of
+    more than _SWAP_WINDOW_MAX counts raises ValueError.
     """
     if 2.0 * n * bhattacharyya(p, q) > _LOG_NEGLIGIBLE:
         return 0.0
@@ -446,6 +459,10 @@ def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
     reach = math.sqrt(_LOG_NEGLIGIBLE / 2.0 * n) + 1.0
     first = max(0, math.floor(n * min(p0, q0) - reach))
     last = min(n, math.ceil(n * max(p0, q0) + reach))
+    if last - first >= _SWAP_WINDOW_MAX:
+        raise ValueError(f"the exact binary swap probability at n = {n} would sum "
+                         f"{last - first + 1} counts, more than {_SWAP_WINDOW_MAX}; "
+                         f"use smaller blocklengths")
     pmf_lo, pmf_hi = _binomial_pmfs(n, (lo.probs, hi.probs), first, last)
     suffix = np.cumsum(pmf_hi[::-1])[::-1]
     return math.fsum(pmf_lo * suffix)

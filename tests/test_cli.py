@@ -582,6 +582,8 @@ class TestBinaryExponentScale:
         # a close pair, whose probability stays near 1/2: only the counts
         # near the means are summed
         ([[0.5, 0.5], [0.5001, 0.4999]], 10000000, 0),
+        # a closer pair at n = 10^12 would sum 4.0e7 counts: it stops at once
+        ([[0.5, 0.5], [0.500001, 0.499999]], 10**12, 3),
     ])
     def test_a_large_blocklength_takes_bounded_time_and_memory(self, tmp_path, pmfs, n,
                                                                exit_code):

@@ -178,6 +178,28 @@ class TestMapBlocks:
         idents = _map_blocks(task, [(0,), (1,)], 2)
         assert threading.get_ident() in idents and len(set(idents)) == 2
 
+    def test_a_helper_that_cannot_start_leaves_its_tasks_to_the_others(self, monkeypatch):
+        # the second start fails as it does when the process is out of threads
+        def task(i):
+            time.sleep(0.01)
+            return i * i
+        tasks = [(i,) for i in range(8)]
+        serial = _map_blocks(task, tasks, 1)
+        starts = []
+        start = threading.Thread.start
+
+        def start_once(thread):
+            starts.append(thread)
+            if len(starts) > 1:
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", start_once)
+        before = threading.active_count()
+        assert _map_blocks(task, tasks, 4) == serial
+        assert len(starts) == 2
+        assert threading.active_count() == before
+
     def test_one_worker_or_one_task_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
@@ -495,6 +517,12 @@ class TestSwapDecisions:
         for n in (1, 2, 5, 17, 40):
             exact = exact_swap_event_prob_general(*pmfs, n)
             assert _binary_swap_prob(p, q, n) == pytest.approx(exact, rel=1e-12, abs=0)
+
+    def test_binary_kernel_refuses_a_window_past_the_cap(self):
+        # n = 10^12 would sum 4.0e7 counts, past the cap of 2^22
+        p, q = FinitePmf([0.5, 0.5]), FinitePmf([0.500001, 0.499999])
+        with pytest.raises(ValueError, match=r"at n = 1000000000000 would sum 39729837 "):
+            _binary_swap_prob(p, q, 10**12)
 
 
 class TestBinomialPmf:
