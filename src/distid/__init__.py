@@ -19,13 +19,13 @@ __version__ = "0.1.0"
 
 # The public names each module defines.
 _EXPORTS = {
-    "bounds": ("BoundReport", "FamilySequenceSpec", "GrowthRule", "TrendReport",
-               "cycle_count_ratio", "cycle_sum_bound", "identifiability_trend",
-               "lower_bound", "pairwise_sum", "upper_bound"),
+    "bounds": ("BoundReport", "FamilySequenceSpec", "GrowthRule", "TrendPoint",
+               "TrendReport", "identifiability_trend", "lower_bound", "pairwise_sum",
+               "upper_bound"),
     "decoder": ("NoFeasibleAssignmentError", "ml_decode"),
-    "distributions": ("DistributionFamily", "FinitePmf", "bhattacharyya", "make_family",
-                      "tilted_midpoint"),
-    "graphs": ("check_mean_gain_bound", "cycle_count", "cycle_gain",
+    "distributions": ("DistributionFamily", "FinitePmf", "bhattacharyya",
+                      "distance_matrix", "make_family", "philox_stream"),
+    "graphs": ("MeanGainCheck", "check_mean_gain_bound", "cycle_count",
                "edge_incidence_counts", "enumerate_cycles", "formula_cycle_count"),
     "mc": ("ExponentFit", "McEstimate", "estimate_error_prob", "pairwise_error_exponent",
            "permutation_cycles"),

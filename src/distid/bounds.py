@@ -26,14 +26,12 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .distributions import (DistributionFamily, _check_family_spec, _is_real,
-                            _upper_blocks, distance_matrix, make_family)
+                            _upper_blocks, make_family)
 
 __all__ = [
     "pairwise_sum",
     "upper_bound",
     "lower_bound",
-    "cycle_sum_bound",
-    "cycle_count_ratio",
     "BoundReport",
     "GrowthRule",
     "FamilySequenceSpec",
@@ -124,43 +122,6 @@ def lower_bound(s: float) -> float:
         raise ValueError(f"pairwise sum must be nonnegative, got {s}")
     root = math.sqrt(s)
     return root / (8.0 + root)
-
-
-def cycle_sum_bound(family: DistributionFamily, n: int, r_max: int) -> float:
-    """Union bound over single-cycle error events up to length r_max.
-
-    Edge (i, j) of the complete graph carries weight exp(-n B(P_i, P_j));
-    the bound sums the gains of every simple cycle of length 2..r_max.
-    With r_max = 2 the terms are exactly the pairwise-sum terms (each
-    2-cycle squares its edge weight).
-    """
-    size = len(family)
-    if size > 9:
-        raise ValueError(f"cycle sums are limited to families of size <= 9, got {size}")
-    if not 2 <= r_max <= size:
-        raise ValueError(f"need 2 <= r_max <= family size, got r_max={r_max}")
-    if n < 1:
-        raise ValueError(f"blocklength must be >= 1, got {n}")
-    from . import graphs
-    dist = distance_matrix(family)
-    weights = np.exp(-float(n) * dist)[np.triu_indices(size, k=1)]
-    gains = np.concatenate([graphs._gains(weights, graphs._cycle_edges(size, r))
-                            for r in range(2, r_max + 1)])
-    return float(np.cumsum(gains)[-1])  # in cycle order, not np.sum's pairwise order
-
-
-def cycle_count_ratio(k: int, r: int) -> float:
-    """Closed-form cycle count over (edge count)^(r/2).
-
-    Uses C(k,r)(r-1)!/2 for the count; the ratio never exceeds 4^r.  The
-    even power of the edge count stays an exact integer and an odd r
-    divides by one sqrt, so no float power overflows.
-    """
-    from . import graphs
-    count = graphs.formula_cycle_count(k, r)  # validates 2 <= r <= k
-    n_edges = math.comb(k, 2)
-    ratio = float(count / n_edges ** (r // 2))
-    return ratio / math.sqrt(n_edges) if r % 2 else ratio
 
 
 class BoundReport(NamedTuple):

@@ -94,8 +94,8 @@ class ConfigError(ValueError):
 def parse_config(text: str) -> dict:
     """Parse `key = value` lines into a flat dict.
 
-    Values are Python literals.  Reports syntax errors with their line
-    number; duplicate keys are errors.
+    Values are Python literals.  A value that is not one is reported with
+    its line, key and text; duplicate keys are errors.
     """
     out: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -113,9 +113,12 @@ def parse_config(text: str) -> dict:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         try:
             out[key] = ast.literal_eval(value_text)
-        except (ValueError, SyntaxError) as exc:
+        except (ValueError, TypeError, SyntaxError):
+            # literal_eval's own message can name an AST node by its address
             raise ConfigError(
-                f"line {lineno}: cannot parse value for {key!r}: {exc}") from None
+                f"line {lineno}: the value of {key!r} is not a Python literal: "
+                f"{value_text!r} (values are numbers, booleans, lists or quoted "
+                f"strings; a string needs quotes)") from None
     return out
 
 

@@ -18,7 +18,7 @@ __all__ = [
     "FinitePmf",
     "DistributionFamily",
     "bhattacharyya",
-    "tilted_midpoint",
+    "distance_matrix",
     "make_family",
     "philox_stream",
 ]
@@ -97,10 +97,6 @@ class FinitePmf:
     def alphabet_size(self) -> int:
         return self._probs.size
 
-    def support(self) -> np.ndarray:
-        """Indices of symbols with strictly positive probability."""
-        return np.flatnonzero(self._probs > 0)
-
     def __len__(self) -> int:
         return self._probs.size
 
@@ -163,10 +159,6 @@ class DistributionFamily:
         self._logp = np.where(self._zero, 0.0, np.log(np.where(self._zero, 1.0, probs)))
         for arr in (probs, self._roots, self._zero, self._logp):
             arr.flags.writeable = False
-
-    @property
-    def members(self) -> tuple[FinitePmf, ...]:
-        return tuple(self)
 
     @property
     def alphabet_size(self) -> int:
@@ -342,22 +334,6 @@ def distance_matrix(family: DistributionFamily) -> np.ndarray:
         dist[lo:, lo:hi] = block.T
         dist[lo:hi, lo:] = block
     return dist
-
-
-def tilted_midpoint(p: FinitePmf, q: FinitePmf) -> FinitePmf:
-    """Normalized geometric mean of two pmfs.
-
-    Its support is the intersection of the inputs' supports, and it
-    satisfies D(mid||p) + D(mid||q) = 2 B(p, q).
-    """
-    if p.alphabet_size != q.alphabet_size:
-        raise ValueError(
-            f"alphabet sizes differ: {p.alphabet_size} vs {q.alphabet_size}")
-    raw = np.sqrt(p.probs * q.probs)
-    total = float(raw.sum())
-    if total <= 0.0:
-        raise ValueError("supports are disjoint; the geometric mean is degenerate")
-    return FinitePmf(raw / total)
 
 
 def _binary_grid(size: int, theta_min: float, theta_max: float) -> np.ndarray:

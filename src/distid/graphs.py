@@ -25,11 +25,9 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "pair_index",
     "enumerate_cycles",
     "cycle_count",
     "formula_cycle_count",
-    "cycle_gain",
     "edge_incidence_counts",
     "MeanGainCheck",
     "check_mean_gain_bound",
@@ -113,17 +111,14 @@ def formula_cycle_count(k: int, r: int) -> Fraction:
     return Fraction(math.comb(k, r) * math.factorial(r - 1), 2)
 
 
-def _edges(k: int, verts: np.ndarray) -> np.ndarray:
-    """Pair indices of the edges of each row of verts, in cycle order."""
-    succ = np.roll(verts, -1, axis=-1)
-    return pair_index(k, np.minimum(verts, succ), np.maximum(verts, succ))
-
-
 @lru_cache(maxsize=None)
 def _cycle_edges(k: int, r: int) -> np.ndarray:
-    """Read-only (N, r) edge table of enumerate_cycles(k, r)."""
+    """Read-only (N, r) table of the pair indices of each cycle of
+    enumerate_cycles(k, r), in cycle order."""
     # int8 holds every pair index and intermediate for k <= 10
-    edges = _edges(k, np.array(enumerate_cycles(k, r), dtype=np.int8))
+    verts = np.array(enumerate_cycles(k, r), dtype=np.int8)
+    succ = np.roll(verts, -1, axis=-1)
+    edges = pair_index(k, np.minimum(verts, succ), np.maximum(verts, succ))
     edges.flags.writeable = False
     return edges
 
@@ -134,18 +129,6 @@ def _gains(weights: np.ndarray, edges: np.ndarray) -> np.ndarray:
     for column in edges.T:
         gains *= weights[column]
     return gains
-
-
-def cycle_gain(k: int, weights, cycle) -> float:
-    """Product of the edge weights of K_k along a cycle; 2-cycles square
-    their edge.  weights are in lexicographic pair order."""
-    weights = _edge_weights(k, weights)
-    verts = tuple(int(v) for v in cycle)
-    if any(not 0 <= v < k for v in verts):
-        raise ValueError(f"cycle vertices must lie in [0, {k})")
-    if len(verts) < 2 or len(set(verts)) != len(verts):
-        raise ValueError("a cycle needs at least 2 distinct vertices")
-    return float(_gains(weights, _edges(k, np.array([verts])))[0])
 
 
 def edge_incidence_counts(k: int, r: int) -> np.ndarray:

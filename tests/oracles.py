@@ -17,7 +17,6 @@ import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 

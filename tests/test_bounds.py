@@ -1,7 +1,6 @@
 import json
 import math
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,8 +10,6 @@ from distid import (
     FamilySequenceSpec,
     GrowthRule,
     bhattacharyya,
-    cycle_count_ratio,
-    cycle_sum_bound,
     identifiability_trend,
     lower_bound,
     make_family,
@@ -22,7 +19,7 @@ from distid import (
 from distid import bounds, distributions
 from distid.distributions import distance_matrix, philox_stream
 
-from oracles import cycle_gains_loop, naive_pairwise_sum, sum_in_order
+from oracles import naive_pairwise_sum
 
 PAIR = make_family([(0.5, 0.5), (0.9, 0.1)])
 
@@ -215,90 +212,6 @@ class TestClosedFormBounds:
         assert all(0.0 <= v < 1.0 for v in values)
 
 
-class TestCycleSumBound:
-    def test_pair_reduces_to_pairwise_sum(self):
-        n = 12
-        s, _ = pairwise_sum(PAIR, n)
-        assert cycle_sum_bound(PAIR, n, 2) == pytest.approx(s, rel=1e-12)
-
-    def test_triple_at_rmax_two(self):
-        fam = make_family({"kind": "binary-grid", "size": 3,
-                           "theta_min": 0.2, "theta_max": 0.8})
-        n = 9
-        s, _ = pairwise_sum(fam, n)
-        assert cycle_sum_bound(fam, n, 2) == pytest.approx(s, rel=1e-12)
-
-    def test_dominated_by_power_chain(self):
-        fam = make_family({"kind": "binary-grid", "size": 4,
-                           "theta_min": 0.1, "theta_max": 0.9})
-        for n in (5, 20, 60):
-            s, _ = pairwise_sum(fam, n)
-            total = cycle_sum_bound(fam, n, 4)
-            chain = sum(4**r * s ** (r / 2.0) for r in range(2, 5))
-            assert total <= chain * (1.0 + 1e-12)
-
-    def test_longer_cycles_only_add(self):
-        fam = make_family({"kind": "binary-grid", "size": 5,
-                           "theta_min": 0.2, "theta_max": 0.8})
-        values = [cycle_sum_bound(fam, 10, r) for r in range(2, 6)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_size_guard(self):
-        fam = make_family({"kind": "binary-grid", "size": 10,
-                           "theta_min": 0.05, "theta_max": 0.95})
-        with pytest.raises(ValueError, match="size"):
-            cycle_sum_bound(fam, 5, 2)
-
-    def test_rmax_guard(self):
-        with pytest.raises(ValueError, match="r_max"):
-            cycle_sum_bound(PAIR, 5, 3)
-
-    @pytest.mark.parametrize("size", range(2, 9))
-    def test_matches_loop_oracle_bitwise(self, size):
-        fam = make_family({"kind": "random-simplex", "size": size,
-                           "alphabet": 3, "seed": 70 + size})
-        n = 4
-        weights = np.exp(-n * distance_matrix(fam))[np.triu_indices(size, k=1)]
-        gains = []
-        for r_max in range(2, size + 1):
-            gains += cycle_gains_loop(size, weights, r_max)
-            assert cycle_sum_bound(fam, n, r_max) == sum_in_order(gains)
-
-
-class TestCycleCountRatio:
-    def test_examples(self):
-        assert cycle_count_ratio(4, 4) == pytest.approx(3.0 / 36.0, rel=1e-15)
-        assert cycle_count_ratio(5, 3) == pytest.approx(10.0 / 10.0**1.5, rel=1e-15)
-        assert cycle_count_ratio(4, 2) == pytest.approx(0.5, rel=1e-15)
-
-    @pytest.mark.parametrize("k, r", [(4, 4), (5, 3), (152, 152), (200, 200)])
-    def test_exact_rational_oracle(self, k, r):
-        # the float power of the edge count overflowed from k = r = 152 on
-        n = math.comb(k, 2)
-        count = Fraction(math.comb(k, r) * math.factorial(r - 1), 2)
-        ratio = cycle_count_ratio(k, r)
-        if r % 2 == 0:
-            assert ratio == float(count / n ** (r // 2))
-        else:
-            exact_square = count * count / n**r
-            assert abs(Fraction(ratio) ** 2 / exact_square - 1) <= 4 * 2.0**-52
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            cycle_count_ratio(4, 1)
-        with pytest.raises(ValueError):
-            cycle_count_ratio(4, 5)
-
-    def test_power_bound_oracle_recomputation(self):
-        # independent exact-rational recomputation of the same inequality
-        for k in range(2, 201):
-            n = math.comb(k, 2)
-            for r in range(2, k + 1):
-                count = Fraction(math.comb(k, r) * math.factorial(r - 1), 2)
-                assert count * count <= Fraction(16 * n) ** r
-                assert cycle_count_ratio(k, r) <= 4.0**r * (1 + 1e-12)
-
-
 class TestBoundReport:
     def test_fields(self):
         rep = BoundReport.from_family(PAIR, 10)
@@ -397,8 +310,7 @@ class TestFamilySequenceSpec:
 class TestIdentifiabilityTrend:
     def test_constant_family_is_identifiable(self):
         b = bhattacharyya(*make_family({"kind": "binary-grid", "size": 2,
-                                        "theta_min": 0.2,
-                                        "theta_max": 0.8}).members)
+                                        "theta_min": 0.2, "theta_max": 0.8}))
         # a 2-point grid still fits over both points
         for grid in (tuple(range(10, 101, 10)), (10, 20)):
             spec = FamilySequenceSpec(

@@ -58,6 +58,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("a = 1\na = 2\n")
 
+    @pytest.mark.parametrize("line, text", [
+        ("n = 10**6", "'10**6'"),
+        ("family.kind = binary-grid", "'binary-grid'"),
+        ("n = {[1]: 2}", "'{[1]: 2}'"),   # literal_eval raises TypeError here
+    ])
+    def test_a_value_that_is_not_a_literal_exits_2_with_a_stable_message(
+            self, tmp_path, capsys, line, text):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(f"# heading\n{line}\n")
+        errors = []
+        for _ in range(2):
+            assert main(["bounds", "--config", str(cfg_path)]) == 2
+            errors.append(capsys.readouterr().err)
+        key = line.partition(" =")[0]
+        assert errors[0] == errors[1]
+        assert errors[0] == (f"error: line 2: the value of {key!r} is not a Python "
+                             f"literal: {text} (values are numbers, booleans, lists "
+                             f"or quoted strings; a string needs quotes)\n")
+
 
 class TestBuildConfig:
     def test_defaults(self):
@@ -507,6 +526,9 @@ from distid.distributions import *
 from distid.graphs import *
 from distid.mc import *
 from distid.cli import *
+# the package exports exactly each module's __all__
+for module, names in distid._EXPORTS.items():
+    assert set(sys.modules[f"distid.{module}"].__all__) == set(names), module
 print("ok")
 """
 

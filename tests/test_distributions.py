@@ -11,7 +11,6 @@ from distid import (
     FinitePmf,
     bhattacharyya,
     make_family,
-    tilted_midpoint,
 )
 from distid import distributions
 from distid.distributions import DISTINCT_TOL, distance_matrix, philox_stream
@@ -108,9 +107,6 @@ class TestFinitePmf:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             FinitePmf([float("nan"), 1.0])
-
-    def test_support(self):
-        assert FinitePmf([0.5, 0.0, 0.5]).support().tolist() == [0, 2]
 
     def test_signed_zero_hashes_like_zero(self):
         a, b = FinitePmf([-0.0, 1.0]), FinitePmf([0.0, 1.0])
@@ -402,47 +398,6 @@ class TestPlaneSum:
             assert got.tobytes() == want.tobytes(), ((r, c), masked)
 
 
-class TestTiltedMidpoint:
-    def test_self_midpoint(self):
-        p = FinitePmf([0.3, 0.7])
-        assert tilted_midpoint(p, p) == p
-
-    def test_half_vs_ninety_ten(self):
-        mid = tilted_midpoint(FinitePmf([0.5, 0.5]), FinitePmf([0.9, 0.1]))
-        np.testing.assert_allclose(mid.probs, [0.75, 0.25], rtol=1e-12)
-
-    def test_partial_overlap(self):
-        mid = tilted_midpoint(FinitePmf([1.0, 0.0]), FinitePmf([0.5, 0.5]))
-        np.testing.assert_allclose(mid.probs, [1.0, 0.0], atol=0)
-
-    def test_disjoint_supports_error(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            tilted_midpoint(FinitePmf([1.0, 0.0]), FinitePmf([0.0, 1.0]))
-
-    def test_support_is_intersection(self):
-        p = FinitePmf([0.5, 0.5, 0.0])
-        q = FinitePmf([0.0, 0.5, 0.5])
-        assert tilted_midpoint(p, q).support().tolist() == [1]
-
-    def test_normalized(self):
-        rng = philox_stream(23)
-        for _ in range(100):
-            m = int(rng.integers(2, 7))
-            mid = tilted_midpoint(random_pmf(rng, m), random_pmf(rng, m))
-            assert abs(float(mid.probs.sum()) - 1.0) <= 1e-12
-
-    def test_divergence_split_identity(self):
-        # D(mid||p) + D(mid||q) equals twice the Bhattacharyya distance
-        rng = philox_stream(24)
-        for _ in range(200):
-            m = int(rng.integers(2, 7))
-            p, q = random_pmf(rng, m), random_pmf(rng, m)
-            mid = tilted_midpoint(p, q)
-            # mid has full support here, so both divergences are finite
-            total = sum(float((mid.probs * np.log(mid.probs / other.probs)).sum())
-                        for other in (p, q))
-            assert total == pytest.approx(2.0 * bhattacharyya(p, q), abs=1e-10)
-
 
 class TestSampling:
     def test_deterministic(self):
@@ -572,7 +527,7 @@ class TestFamilyArray:
             probs[0, 0] = 0.5
         assert fam[-1] == FinitePmf(probs[4])
         assert fam[1:3] == (FinitePmf(probs[1]), FinitePmf(probs[2]))
-        assert fam.members == tuple(FinitePmf(row) for row in probs)
+        assert tuple(fam) == tuple(FinitePmf(row) for row in probs)
 
     def test_signed_zero_rows_become_zero(self):
         fam = make_family([[-0.0, 1.0], [1.0, 0.0]])

@@ -7,7 +7,6 @@ import pytest
 from distid import (
     check_mean_gain_bound,
     cycle_count,
-    cycle_gain,
     edge_incidence_counts,
     enumerate_cycles,
     formula_cycle_count,
@@ -80,26 +79,15 @@ class TestEnumerateCycles:
 
 
 class TestCycleGain:
-    def test_unit_weights(self):
-        for r in range(2, 6):
-            for c in enumerate_cycles(5, r):
-                assert cycle_gain(5, np.ones(10), c) == 1.0
-
     def test_two_cycle_squares_its_edge(self):
-        assert cycle_gain(3, [0.5, 0.25, 1.0], (0, 1)) == 0.25
-        assert cycle_gain(3, [0.5, 0.25, 1.0], (0, 2)) == 0.0625
+        # the mean of the three squares 0.25, 0.0625 and 1.0
+        assert check_mean_gain_bound(3, [0.5, 0.25, 1.0], 2).lhs == 0.4375
 
     def test_square_cycle_product(self):
         weights = np.arange(1.0, 7.0)  # lex edges (0,1),(0,2),(0,3),(1,2),(1,3),(2,3)
-        got = cycle_gain(4, weights, (0, 1, 2, 3))
-        # edges (0,1),(1,2),(2,3),(3,0) -> w01 * w12 * w23 * w03
-        assert got == 1.0 * 4.0 * 6.0 * 3.0
-
-    def test_rejects_repeated_vertices(self):
-        with pytest.raises(ValueError, match="distinct"):
-            cycle_gain(4, np.ones(6), (0, 1, 1))
-        with pytest.raises(ValueError, match="distinct"):
-            cycle_gain(4, np.ones(6), (2,))
+        # the cycles (0,1,2,3), (0,1,3,2) and (0,2,1,3) have gains
+        # w01 w12 w23 w03 = 72, w01 w13 w23 w02 = 60 and w02 w12 w13 w03 = 120
+        assert check_mean_gain_bound(4, weights, 4).lhs == 84.0
 
     @pytest.mark.parametrize("k, weights, message", [
         (1, [], "at least 2 vertices"),
@@ -111,8 +99,6 @@ class TestCycleGain:
     ])
     def test_rejects_bad_edge_weights(self, k, weights, message):
         with pytest.raises(ValueError, match=message):
-            cycle_gain(k, weights, (0, 1))
-        with pytest.raises(ValueError, match=message):
             check_mean_gain_bound(k, weights, 2)
 
     def test_two_cycle_gain_is_the_rounded_exact_square(self):
@@ -120,7 +106,6 @@ class TestCycleGain:
         w = 0.9503546630566793
         exact = float(Fraction(w) ** 2)
         assert exact == 0.9031739855935743
-        assert cycle_gain(2, [w], (0, 1)) == exact
         assert check_mean_gain_bound(2, [w], 2).lhs == exact
 
 
@@ -211,8 +196,7 @@ class TestEdgeIncidence:
         rng = philox_stream(53, 10 * k + r)
         exponents = rng.integers(-3, 4, size=math.comb(k, 2))
         weights = np.ldexp(1.0, exponents)
-        total = sum(int(math.log2(cycle_gain(k, weights, c)))
-                    for c in enumerate_cycles(k, r))
+        total = sum(int(math.log2(gain)) for gain in cycle_gains_loop(k, weights, r))
         assert total == int(edge_incidence_counts(k, r) @ exponents)
 
     def test_two_cycles_cover_each_edge_once(self):

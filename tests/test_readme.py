@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import re
 from pathlib import Path
@@ -7,7 +8,9 @@ import pytest
 import distid
 from distid import cli
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
+SRC = ROOT / "src" / "distid"
 
 # sha256 of each README example's output, recorded with numpy 2.4.6 on
 # Python 3.11.7.  sim.cfg and exp.cfg draw through numpy's Philox generator
@@ -45,6 +48,38 @@ def test_every_public_name_is_in_the_readme():
     # the module table lists the public API by its exact identifiers
     backticked = set(re.findall(r"`([A-Za-z_][A-Za-z0-9_]*)`", README.read_text()))
     assert sorted(set(distid.__all__) - backticked) == []
+
+
+def _assigned(tree: ast.Module, target: str) -> ast.expr:
+    """The expression assigned to a module-level name."""
+    return next(stmt.value for stmt in tree.body
+                if isinstance(stmt, ast.Assign)
+                and [t.id for t in stmt.targets if isinstance(t, ast.Name)] == [target])
+
+
+def _loads(node: ast.AST) -> set[str]:
+    """The names and attributes that node's code reads."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_public_name_has_a_caller():
+    # A public name must be read somewhere in src/distid outside its own
+    # definition, by the acceptance suite, or by a traced benchmark layer.
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    exports = ast.literal_eval(_assigned(trees.pop("__init__"), "_EXPORTS"))
+    public = {name for names in exports.values() for name in names}
+    used = set()
+    for tree in trees.values():
+        public.update(ast.literal_eval(_assigned(tree, "__all__")))
+        for stmt in tree.body:
+            used |= _loads(stmt) - {getattr(stmt, "name", None)}
+    used |= _loads(ast.parse((ROOT / "tests" / "test_acceptance.py").read_text()))
+    layers = ast.parse((ROOT / "bench" / "layers.py").read_text())
+    used |= {part for layer in _assigned(layers, "LAYERS").elts
+             for part in layer.args[1].value.split(".")}
+    unused = sorted(public - used)
+    assert not unused, f"public names with no caller: {unused}"
 
 
 def test_every_readme_config_validates():
