@@ -10,6 +10,8 @@ from distid import (
     FamilySequenceSpec,
     GrowthRule,
     bhattacharyya,
+    check_mean_gain_bound,
+    cycle_count,
     identifiability_trend,
     lower_bound,
     make_family,
@@ -210,6 +212,46 @@ class TestClosedFormBounds:
         values = [lower_bound(float(s)) for s in grid]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert all(0.0 <= v < 1.0 for v in values)
+
+
+def family_edge_weights(family, n):
+    """exp(-n B) for each pair in lexicographic order; the weight squared is
+    that pair's term exp(-2 n B) of the pairwise sum S."""
+    return np.exp(-n * distance_matrix(family))[np.triu_indices(len(family), k=1)]
+
+
+class TestCycleGainsOfAFamily:
+    def test_pair_two_cycle_gain_is_the_pairwise_sum(self):
+        n = 12
+        s, _ = pairwise_sum(PAIR, n)
+        gain = check_mean_gain_bound(2, family_edge_weights(PAIR, n), 2).lhs
+        assert gain == pytest.approx(s, rel=1e-12)
+
+    @pytest.mark.parametrize("size", range(2, 9))
+    def test_two_cycle_gains_sum_to_the_pairwise_sum(self, size):
+        fam = make_family({"kind": "random-simplex", "size": size,
+                           "alphabet": 3, "seed": 70 + size})
+        n = 4
+        s, _ = pairwise_sum(fam, n)
+        check = check_mean_gain_bound(size, family_edge_weights(fam, n), 2)
+        assert check.lhs * cycle_count(size, 2) == pytest.approx(s, rel=1e-12)
+        assert check.rhs * math.comb(size, 2) == pytest.approx(s, rel=1e-12)
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "binary-grid", "size": 4, "theta_min": 0.1, "theta_max": 0.9},
+        {"kind": "random-simplex", "size": 6, "alphabet": 3, "seed": 77},
+    ])
+    @pytest.mark.parametrize("n", [5, 20, 60])
+    def test_cycle_gain_sums_are_dominated_by_the_power_chain(self, spec, n):
+        # the sum of the length-r cycle gains is at most 4^r S^(r/2)
+        fam = make_family(spec)
+        s, _ = pairwise_sum(fam, n)
+        weights = family_edge_weights(fam, n)
+        for r in range(2, len(fam) + 1):
+            check = check_mean_gain_bound(len(fam), weights, r)
+            assert check.holds
+            total = cycle_count(len(fam), r) * check.lhs
+            assert total <= 4.0**r * s ** (r / 2.0) * (1.0 + 1e-12)
 
 
 class TestBoundReport:

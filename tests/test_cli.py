@@ -62,6 +62,11 @@ class TestParseConfig:
         ("n = 10**6", "'10**6'"),
         ("family.kind = binary-grid", "'binary-grid'"),
         ("n = {[1]: 2}", "'{[1]: 2}'"),   # literal_eval raises TypeError here
+        # literal_eval raises SyntaxError on these
+        ("n = [1, 2", "'[1, 2'"),
+        ("family.kind = 'binary-grid", "\"'binary-grid\""),
+        ("n =", "''"),
+        ("n = int('5')", "\"int('5')\""),
     ])
     def test_a_value_that_is_not_a_literal_exits_2_with_a_stable_message(
             self, tmp_path, capsys, line, text):

@@ -245,6 +245,24 @@ class TestBhattacharyya:
         got = bhattacharyya(FinitePmf([0.5, 0.5]), FinitePmf([0.9, 0.1]))
         assert got == pytest.approx(0.5 * math.log(5.0 / 4.0), rel=1e-12)
 
+    def test_partial_overlap(self):
+        got = bhattacharyya(FinitePmf([1.0, 0.0]), FinitePmf([0.5, 0.5]))
+        assert got == pytest.approx(0.5 * math.log(2.0), rel=1e-12)
+
+    def test_divergence_split_identity(self):
+        # the tilted midpoint m = sqrt(p q) / sum sqrt(p q) splits the
+        # distance: D(m||p) + D(m||q) is twice the Bhattacharyya distance
+        rng = philox_stream(24)
+        for _ in range(200):
+            m = int(rng.integers(2, 7))
+            p, q = random_pmf(rng, m), random_pmf(rng, m)
+            root = np.sqrt(p.probs * q.probs)
+            mid = root / root.sum()
+            # mid has full support here, so both divergences are finite
+            total = sum(float((mid * np.log(mid / other.probs)).sum())
+                        for other in (p, q))
+            assert total == pytest.approx(2.0 * bhattacharyya(p, q), abs=1e-10)
+
     def test_symmetry_exact(self):
         rng = philox_stream(21)
         for _ in range(200):

@@ -71,6 +71,20 @@ class TestEnumerateCycles:
         with pytest.raises(ValueError):
             enumerate_cycles(11, 3)
 
+    def test_count_range_guards(self):
+        for count in (cycle_count, formula_cycle_count, edge_incidence_counts):
+            for r in (1, 5):
+                with pytest.raises(ValueError, match="2 <= r <= k"):
+                    count(4, r)
+
+    @pytest.mark.parametrize("k, r", [(4, 4), (5, 3), (152, 152), (200, 200)])
+    def test_closed_form_count_matches_the_vertex_sequence_count(self, k, r):
+        # the r-tuples of distinct vertices over the 2r rotations and
+        # reflections of each cycle, in exact integers at any k
+        count = count_simple_cycles_brute(k, r)
+        assert formula_cycle_count(k, r) == count
+        assert cycle_count(k, r) == count
+
     def test_formula_count_halves_at_two(self):
         assert formula_cycle_count(4, 2) == Fraction(3)
         assert formula_cycle_count(3, 2) == Fraction(3, 2)
@@ -79,6 +93,11 @@ class TestEnumerateCycles:
 
 
 class TestCycleGain:
+    def test_unit_weights(self):
+        for r in range(2, 6):
+            res = check_mean_gain_bound(5, np.ones(10), r)
+            assert res.lhs == 1.0 and res.rhs == 1.0 and res.holds
+
     def test_two_cycle_squares_its_edge(self):
         # the mean of the three squares 0.25, 0.0625 and 1.0
         assert check_mean_gain_bound(3, [0.5, 0.25, 1.0], 2).lhs == 0.4375
@@ -100,6 +119,15 @@ class TestCycleGain:
     def test_rejects_bad_edge_weights(self, k, weights, message):
         with pytest.raises(ValueError, match=message):
             check_mean_gain_bound(k, weights, 2)
+
+    @pytest.mark.parametrize("k, r, message", [
+        (4, 1, "2 <= r <= k"),
+        (4, 5, "2 <= r <= k"),
+        (11, 3, "k <= 10"),
+    ])
+    def test_rejects_bad_cycle_length(self, k, r, message):
+        with pytest.raises(ValueError, match=message):
+            check_mean_gain_bound(k, np.ones(k * (k - 1) // 2), r)
 
     def test_two_cycle_gain_is_the_rounded_exact_square(self):
         # libm pow rounds this square up one ulp; w * w is correctly rounded
