@@ -25,10 +25,10 @@ _EXPORTS = {
     "decoder": ("NoFeasibleAssignmentError", "ml_decode"),
     "distributions": ("DistributionFamily", "FinitePmf", "bhattacharyya",
                       "distance_matrix", "make_family", "philox_stream"),
+    "exact": ("ExponentFit", "pairwise_error_exponent"),
     "graphs": ("MeanGainCheck", "check_mean_gain_bound", "cycle_count",
                "edge_incidence_counts", "enumerate_cycles", "formula_cycle_count"),
-    "mc": ("ExponentFit", "McEstimate", "estimate_error_prob", "pairwise_error_exponent",
-           "permutation_cycles"),
+    "mc": ("McEstimate", "estimate_error_prob", "permutation_cycles"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_HOME)

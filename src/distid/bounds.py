@@ -20,13 +20,12 @@ thousands of members and large n do not underflow.
 from __future__ import annotations
 
 import math
-from numbers import Integral
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import (DistributionFamily, _check_family_spec, _is_real,
-                            _upper_blocks, make_family)
+from .distributions import (_TREND_GRID_MIN, DistributionFamily, _check_family_spec,
+                            _check_grid, _is_real, _ls_slope, _upper_blocks, make_family)
 
 __all__ = [
     "pairwise_sum",
@@ -45,25 +44,6 @@ __all__ = [
 TREND_SLOPE_TOL = 1e-6
 
 DEFAULT_PAIRS_BUDGET = 10_000
-
-# Fewest blocklengths in the grid of a trend, which fits a slope, and of a
-# pairwise exponent fit (`mc.pairwise_error_exponent`).
-_TREND_GRID_MIN = 2
-_FIT_GRID_MIN = 3
-
-
-def _check_grid(n_grid: Sequence[int], min_points: int) -> tuple[int, ...]:
-    """n_grid as a tuple of ints, after checking that it holds at least
-    min_points strictly increasing positive integers."""
-    grid = tuple(n_grid)
-    if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in grid):
-        raise ValueError(f"n_grid must be a list of integers, got {n_grid!r}")
-    if len(grid) < min_points:
-        raise ValueError(f"n_grid needs at least {min_points} points, got {len(grid)}")
-    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(
-            f"n_grid must be strictly increasing positive integers, got {list(grid)}")
-    return tuple(map(int, grid))
 
 
 def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
@@ -287,13 +267,6 @@ class TrendReport(NamedTuple):
                             "log_S": p.log_s} for p in self.points],
                 "window": self.window, "slope": self.slope,
                 "verdict": self.verdict}
-
-
-def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
-    x = np.asarray(xs, dtype=np.float64)
-    y = np.asarray(ys, dtype=np.float64)
-    xc = x - x.mean()
-    return float((xc * (y - y.mean())).sum() / (xc * xc).sum())
 
 
 def identifiability_trend(spec: FamilySequenceSpec,

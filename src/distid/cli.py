@@ -40,16 +40,20 @@ family.size = 1, a 2-point exponent grid, growth.size = 2.5, growth that
 gives a family size below 2 on the grid, an explicit sweep template with
 fewer members than the growth asks for, lemma r = 7 with k = 4); 3 a run
 found it (duplicate members, growth overflow along
-the grid, a sweep over pairs_budget, too few exponent fit points); 4 I/O.
+the grid, a sweep over pairs_budget, too few exponent fit points, a
+count above 2^63 - 1 that numpy's samplers would draw); 4 I/O.
 
 Each runner gives its CSV rows as dicts from column name to value, and
 `run` alone writes them: a header row of the first row's keys, then one
 line of `_cell`s per row.  Floats are printed with 17 significant digits
 so values round-trip exactly.  JSON carries the nested reports.
 
-Each subcommand imports only the modules it runs (`mc` and `graphs` load
-inside their runners, `json` only for JSON output, `argparse` only in
-`main`), so a call pays no start-up for the others.
+Each subcommand imports only the modules it runs, so a call pays no
+start-up for the others: `bounds` loads inside the runners that report
+bounds and in the `sweep` branch of `build_config`, `mc` and `graphs`
+inside their runners, `exact` inside the `exponent` runner, `json` only
+for JSON output and `argparse` only in `main`.  Importing this module
+loads `distributions` alone.
 """
 
 from __future__ import annotations
@@ -58,10 +62,9 @@ import ast
 import sys
 from pathlib import Path
 
-from . import bounds as bounds_mod
-from .bounds import _FIT_GRID_MIN, _TREND_GRID_MIN, _check_grid
-from .distributions import (_FAMILY_KIND_KEYS, _check_family_spec, _check_seed,
-                            make_family, philox_stream)
+from .distributions import (_FAMILY_KIND_KEYS, _FIT_GRID_MIN, _TREND_GRID_MIN,
+                            _check_family_spec, _check_grid, _check_seed, make_family,
+                            philox_stream)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -72,15 +75,14 @@ _COMMANDS = ("bounds", "simulate", "lemma", "exponent", "sweep")
 _COMMON_KEYS = {"seed", "out", "format", "workers"}
 _FAMILY_KEYS = {"family.kind"} | {f"family.{key}" for keys in _FAMILY_KIND_KEYS.values()
                                    for key in keys}
-_GROWTH_KEYS = {"growth.kind"} | {f"growth.{key}"
-                                   for key in bounds_mod.GrowthRule._PARAM_KEYS.values()}
 
 _KEYS_BY_COMMAND = {
     "bounds": _COMMON_KEYS | _FAMILY_KEYS | {"n", "n_grid"},
     "simulate": _COMMON_KEYS | _FAMILY_KEYS | {"n", "n_grid", "trials"},
     "lemma": _COMMON_KEYS | {"k", "r", "trials"},
     "exponent": _COMMON_KEYS | _FAMILY_KEYS | {"n_grid", "trials"},
-    "sweep": _COMMON_KEYS | _FAMILY_KEYS | _GROWTH_KEYS | {"n_grid", "pairs_budget"},
+    # and the growth parameter keys that `_allowed_keys` reads from bounds
+    "sweep": _COMMON_KEYS | _FAMILY_KEYS | {"growth.kind", "n_grid", "pairs_budget"},
 }
 
 # Fewest blocklengths in an n_grid, where more than one.
@@ -89,6 +91,15 @@ _GRID_MIN = {"exponent": _FIT_GRID_MIN, "sweep": _TREND_GRID_MIN}
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
+
+
+def _allowed_keys(command: str) -> set[str]:
+    """The config keys a command takes; only `sweep` loads bounds for them."""
+    if command != "sweep":
+        return _KEYS_BY_COMMAND[command]
+    from . import bounds
+    return _KEYS_BY_COMMAND[command] | {f"growth.{key}" for key
+                                        in bounds.GrowthRule._PARAM_KEYS.values()}
 
 
 def parse_config(text: str) -> dict:
@@ -142,12 +153,12 @@ class RunConfig:
     format: str = "csv"
     workers: int = 1
     family: dict | None = None
-    spec: bounds_mod.FamilySequenceSpec | None = None   # sweep's family sequence
+    spec: object = None   # sweep's family sequence, a bounds.FamilySequenceSpec
     n_grid: tuple[int, ...] | None = None   # n = N is stored as (N,)
     trials: int = 10_000
     k: int | None = None
     r: object = None  # int or "all"
-    pairs_budget: int = bounds_mod.DEFAULT_PAIRS_BUDGET
+    pairs_budget: int | None = None   # sweep's; bounds.DEFAULT_PAIRS_BUDGET if unset
 
     def __init__(self, command: str, **settings):
         self.command = command
@@ -176,8 +187,7 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
     for key, value in (overrides or {}).items():
         if value is not None:
             raw[key] = value
-    allowed = _KEYS_BY_COMMAND[command]
-    unknown = set(raw) - allowed
+    unknown = set(raw) - _allowed_keys(command)
     if unknown:
         raise ConfigError(
             f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
@@ -236,10 +246,12 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
             if "trials" not in raw:
                 cfg.trials = 1
         elif command == "sweep":
-            growth = bounds_mod.GrowthRule._from_spec(
+            from . import bounds
+            growth = bounds.GrowthRule._from_spec(
                 {k.partition(".")[2]: v for k, v in raw.items()
                  if k.startswith("growth.")})
-            cfg.spec = bounds_mod.FamilySequenceSpec(growth, cfg.family, cfg.n_grid)
+            cfg.spec = bounds.FamilySequenceSpec(growth, cfg.family, cfg.n_grid)
+            cfg.pairs_budget = bounds.DEFAULT_PAIRS_BUDGET
             if "pairs_budget" in raw:
                 cfg.pairs_budget = _expect(raw, "pairs_budget", int, "an integer")
                 if cfg.pairs_budget < 1:
@@ -250,20 +262,21 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
 
 
 def _run_bounds(cfg: RunConfig):
+    from . import bounds
     family = make_family(cfg.family)
-    reports = [bounds_mod.BoundReport.from_family(family, n) for n in cfg.n_grid]
+    reports = [bounds.BoundReport.from_family(family, n) for n in cfg.n_grid]
     return ([r.row() for r in reports],
             {"command": "bounds", "reports": [r.to_json_dict() for r in reports]})
 
 
 def _run_simulate(cfg: RunConfig):
-    from . import mc
+    from . import bounds, mc
     family = make_family(cfg.family)
     estimates, reports = [], []
     for n in cfg.n_grid:
         estimates.append(mc.estimate_error_prob(
             family, n, cfg.trials, cfg.seed, workers=cfg.workers))
-        reports.append(bounds_mod.BoundReport.from_family(family, n))
+        reports.append(bounds.BoundReport.from_family(family, n))
     # the report's n and A equal the estimate's and keep their place
     rows = [{**est.row(), **rep.row()} for est, rep in zip(estimates, reports)]
     return rows, {"command": "simulate",
@@ -287,18 +300,19 @@ def _run_lemma(cfg: RunConfig):
 
 
 def _run_exponent(cfg: RunConfig):
-    from . import mc
+    from . import exact
     family = make_family(cfg.family)
     if len(family) != 2:
         raise ConfigError(
             f"exponent needs a family of exactly 2 members, got {len(family)}")
-    fit = mc.pairwise_error_exponent(family[0], family[1], cfg.n_grid,
-                                     cfg.trials, cfg.seed, workers=cfg.workers)
+    fit = exact.pairwise_error_exponent(family[0], family[1], cfg.n_grid,
+                                        cfg.trials, cfg.seed, workers=cfg.workers)
     return fit.rows(), {"command": "exponent", "fit": fit.to_json_dict()}
 
 
 def _run_sweep(cfg: RunConfig):
-    report = bounds_mod.identifiability_trend(cfg.spec, pairs_budget=cfg.pairs_budget)
+    from . import bounds
+    report = bounds.identifiability_trend(cfg.spec, pairs_budget=cfg.pairs_budget)
     print(f"verdict: {report.verdict}")
     return report.rows(), {"command": "sweep", "trend": report.to_json_dict()}
 

@@ -3,7 +3,9 @@
 Symbols are dense integer indices 0..m-1; there is no named-alphabet
 mapping.  All values are immutable after construction and safe to share
 across threads; every random draw comes from a counter-based stream
-that is a pure function of (seed, stream index).
+that is a pure function of (seed, stream index).  The blocklength-grid
+check and the least-squares slope that `bounds` and `exact` share live
+here too, since every subcommand loads this module.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ NORMALIZATION_TOL = 1e-12
 DISTINCT_TOL = 1e-9
 
 _U64_MAX = 2**64 - 1
+
+# The largest count numpy's samplers take: they read counts as C longs.
+_SAMPLE_MAX = 2**63 - 1
 
 # The keys each kind of family spec takes besides "kind"; all are required.
 _FAMILY_KIND_KEYS = {
@@ -60,6 +65,13 @@ def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
         raise ValueError(f"stream index out of range: {stream}")
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _check_sample_count(name: str, value: int) -> None:
+    """Raise ValueError, naming the argument, for a count above _SAMPLE_MAX."""
+    if value > _SAMPLE_MAX:
+        raise ValueError(f"{name} = {value} is above 2^63 - 1 = {_SAMPLE_MAX}, "
+                         f"the largest count numpy's samplers take")
 
 
 class FinitePmf:
@@ -415,3 +427,30 @@ def make_family(spec) -> DistributionFamily:
         return DistributionFamily([
             row if isinstance(row, FinitePmf) else FinitePmf(row) for row in spec])
     raise ValueError(f"cannot build a family from {type(spec).__name__}")
+
+
+# Fewest blocklengths in the grid of a trend, which fits a slope, and of a
+# pairwise exponent fit (`exact.pairwise_error_exponent`).
+_TREND_GRID_MIN = 2
+_FIT_GRID_MIN = 3
+
+
+def _check_grid(n_grid: Sequence[int], min_points: int) -> tuple[int, ...]:
+    """n_grid as a tuple of ints, after checking that it holds at least
+    min_points strictly increasing positive integers."""
+    grid = tuple(n_grid)
+    if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in grid):
+        raise ValueError(f"n_grid must be a list of integers, got {n_grid!r}")
+    if len(grid) < min_points:
+        raise ValueError(f"n_grid needs at least {min_points} points, got {len(grid)}")
+    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"n_grid must be strictly increasing positive integers, got {list(grid)}")
+    return tuple(map(int, grid))
+
+
+def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
+    xc = x - x.mean()
+    return float((xc * (y - y.mean())).sum() / (xc * xc).sum())

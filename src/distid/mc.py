@@ -19,8 +19,11 @@ and decodes all its trials by one `ml_decode` call on that table and
 each trial's row numbers into it.  No (block, A, A) score stack is
 built: a binary block at n = 40 has at most 41 distinct rows.
 Error trials are classified in numpy, by one vectorised cycle walk.
+Blocks are numbered, not listed, and each block's integer counts are
+added to running totals as it ends (`_map_blocks`), so memory does not
+grow with the number of trials.
 With workers > 1 the calling thread runs blocks next to workers - 1
-plain helper threads (`_map_blocks`), so no pool is built or imported.
+plain helper threads, so no pool is built or imported.
 The decode of a block is many small numpy steps, which hold the GIL
 between them; two threads speed up `estimate_error_prob` about 1.3x on
 A = 16 blocks and about 1.2x at A = 4, where blocks are short and a
@@ -28,38 +31,26 @@ whole `simulate` call gains nothing, and each thread holds its own
 block's arrays: a `simulate` call at A = 4 peaks at 39.8 MiB with two
 workers against 38.0 MiB with one (2 vCPUs; the README gives the runs).
 
-`pairwise_error_exponent` simulates no trial of a binary pair: its swap
-event compares the two rows' symbol-0 counts, so the event probability
-has a closed form, and a grid point's event count is one binomial draw
-with that probability.  The closed form sums only the counts within
-sqrt(375 n) of either member's mean, where a term can be nonzero in
-float64, and none once the probability's bound e^(-2nB) underflows, so
-its cost grows like sqrt(n), not n; a sum over more than 2^22 counts
-(`_SWAP_WINDOW_MAX`) raises ValueError.  Pairs on three or more symbols
-draw multinomial counts in blocks of 2^14 trials
-(`_SWAP_TRIALS_PER_BLOCK`); a trial whose float statistic is a near tie
-is decided on exact pmf ratios, so a real tie counts as the event.
+The swap-event blocks of `exact.pairwise_error_exponent` on pairs of
+three or more symbols live here too: they draw multinomial counts in
+blocks of 2^14 trials (`_SWAP_TRIALS_PER_BLOCK`), and a trial whose
+float statistic is a near tie is decided on exact pmf ratios, so a real
+tie counts as the event.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from functools import partial
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import _FIT_GRID_MIN, _check_grid, _ls_slope
-from .distributions import DistributionFamily, FinitePmf, bhattacharyya, philox_stream
+from .distributions import DistributionFamily, FinitePmf, _check_sample_count, philox_stream
+# bench/layers.py traces the fit by this binding; the tracer wraps exact's too
+from .exact import pairwise_error_exponent
 
-__all__ = [
-    "McEstimate",
-    "estimate_error_prob",
-    "permutation_cycles",
-    "ExponentFit",
-    "pairwise_error_exponent",
-]
+__all__ = ["McEstimate", "estimate_error_prob", "permutation_cycles"]
 
 TRIALS_PER_BLOCK = 4096
 
@@ -67,23 +58,9 @@ TRIALS_PER_BLOCK = 4096
 # score entries, so each float64 scoring temporary stays near 128 KiB at any A.
 _SCORE_CHUNK_ENTRIES = 2**14
 
-# Trials per swap-event block of `pairwise_error_exponent` on m >= 3
+# Trials per swap-event block of `exact.pairwise_error_exponent` on m >= 3
 # symbols.  Each block draws from its own stream, so the output depends on it.
 _SWAP_TRIALS_PER_BLOCK = 2**14
-
-# A binary swap-event term below e^-_LOG_NEGLIGIBLE is 0.0 in float64, so
-# `_binary_swap_prob` builds no pmf where every term is.
-_LOG_NEGLIGIBLE = 750.0
-
-# Most counts `_binary_swap_prob` sums (32 MiB per float64 array): its window
-# grows like sqrt(n) up to the underflow cut, which for a close pair comes
-# near n = 10^14.
-_SWAP_WINDOW_MAX = 2**22
-
-# Grid points with fewer observed errors than this are excluded from the
-# exponent fit; -log p_hat is severely biased at low counts.
-MIN_ERRORS_FOR_FIT = 50
-
 
 def permutation_cycles(perm) -> list[list[int]]:
     """Nontrivial cycles of a permutation, fixed points excluded.
@@ -167,30 +144,30 @@ class McEstimate(NamedTuple):
                 "single_cycle_fraction": self.single_cycle_fraction}
 
 
-def _trial_blocks(trials: int, per_block: int = TRIALS_PER_BLOCK) -> list[tuple[int, int]]:
-    return [(b, min(per_block, trials - b * per_block))
-            for b in range((trials + per_block - 1) // per_block)]
+def _map_blocks(fn, tasks: int, workers: int, fold) -> None:
+    """fold(i, fn(i)) for every task i in range(tasks), as each task ends.
 
-
-def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
-    """fn(*task) for every task, in task order.
-
+    Tasks are numbered, not listed, and each result goes to fold once and
+    is dropped, so memory does not grow with the task count; fold must
+    give the same totals whatever order the results come in.
     With workers > 1 and more than one task, the calling thread runs tasks
-    next to min(workers, len(tasks)) - 1 helper threads, each thread taking
-    the lowest-numbered task not yet taken, so each task runs once.  A
-    helper that cannot start leaves its tasks to the threads that did.
-    Once a task has raised, no further task starts; every helper started
-    is joined, and then the exception of the lowest-numbered failing task
-    is raised.
+    next to min(workers, tasks) - 1 helper threads, each thread taking
+    the lowest-numbered task not yet taken, so each task runs once, and
+    calling fold under a lock.  A helper that cannot start leaves its
+    tasks to the threads that did.
+    Once a task (or its fold) has raised, no further task starts; every
+    helper started is joined, and then the exception of the
+    lowest-numbered failing task is raised.
     Tasks are taken in order, so every task below a failing one has been
     taken, and has ended once the helpers are joined.
     """
-    if workers == 1 or len(tasks) == 1:
-        return [fn(*task) for task in tasks]
-    results = [None] * len(tasks)
+    if workers == 1 or tasks == 1:
+        for i in range(tasks):
+            fold(i, fn(i))
+        return
     failures: dict[int, BaseException] = {}
     lock = threading.Lock()
-    order = iter(range(len(tasks)))
+    order = iter(range(tasks))
 
     def work():
         while True:
@@ -199,14 +176,16 @@ def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
             if i is None:
                 return
             try:
-                results[i] = fn(*tasks[i])
+                result = fn(i)
+                with lock:
+                    fold(i, result)
             except BaseException as exc:
                 with lock:
                     failures[i] = exc
 
     helpers = []
     try:
-        for _ in range(min(workers, len(tasks)) - 1):
+        for _ in range(min(workers, tasks) - 1):
             helper = threading.Thread(target=work)
             try:
                 helper.start()
@@ -219,7 +198,6 @@ def _map_blocks(fn, tasks: list[tuple], workers: int) -> list:
             helper.join()
     if failures:
         raise failures[min(failures)]
-    return results
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -295,7 +273,8 @@ def estimate_error_prob(family: DistributionFamily, n: int, trials: int,
     an error is any decoded permutation other than the identity.  The
     result is a pure function of (family, n, trials, seed): block b of
     trials draws from the stream keyed (seed, b), so any worker count
-    yields the identical estimate.
+    yields the identical estimate.  An n above 2^63 - 1, which numpy's
+    samplers cannot take, raises ValueError before any block runs.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -303,16 +282,23 @@ def estimate_error_prob(family: DistributionFamily, n: int, trials: int,
         raise ValueError(f"blocklength must be >= 1, got {n}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    results = _map_blocks(partial(_run_error_block, family, n, seed),
-                          _trial_blocks(trials), workers)
-    errors = 0
+    _check_sample_count("n", n)
+    errors = single = 0
     hist: dict[int, int] = {}
-    single = 0
-    for block_errors, block_hist, block_single in results:  # fixed block order
+
+    def run(block: int):
+        return _run_error_block(family, n, seed, block, min(
+            TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK))
+
+    def add(block: int, result) -> None:   # integer sums, the same in any order
+        nonlocal errors, single
+        block_errors, block_hist, block_single = result
         errors += block_errors
         single += block_single
         for r, c in block_hist.items():
             hist[r] = hist.get(r, 0) + c
+
+    _map_blocks(run, -(-trials // TRIALS_PER_BLOCK), workers, add)
     p_hat = errors / trials
     if errors == 0:
         stderr, placeholder = 1.0 / trials, True
@@ -323,37 +309,6 @@ def estimate_error_prob(family: DistributionFamily, n: int, trials: int,
                       stderr_is_placeholder=placeholder,
                       r_histogram=dict(sorted(hist.items())),
                       single_cycle_fraction=(single / errors) if errors else 0.0)
-
-
-class ExponentFit(NamedTuple):
-    """Decay-rate fit for the pairwise swap event across blocklengths.
-
-    slope is the least-squares slope of -log p_hat against n over the
-    grid points with at least MIN_ERRORS_FOR_FIT observed events; target
-    is twice the Bhattacharyya distance of the pair.  Finite-n slopes
-    carry the bias of the polynomial prefactor hidden by the exponential
-    decay, so agreement with the target is loose by nature.
-    """
-
-    n_grid: tuple[int, ...]
-    trials: int
-    errors: tuple[int, ...]
-    p_hats: tuple[float, ...]
-    used: tuple[bool, ...]
-    slope: float
-    target: float
-
-    def rows(self) -> list[dict]:
-        """One CSV row per grid point, columns by name."""
-        return [{"n": n, "trials": self.trials, "errors": e, "p_hat": p,
-                 "used_in_fit": u, "slope": self.slope, "target": self.target}
-                for n, e, p, u in zip(self.n_grid, self.errors, self.p_hats, self.used)]
-
-    def to_json_dict(self) -> dict:
-        return {"n_grid": list(self.n_grid), "trials": self.trials,
-                "errors": list(self.errors), "p_hats": list(self.p_hats),
-                "used": list(self.used), "slope": self.slope,
-                "target": self.target}
 
 
 def _swap_terms(p: FinitePmf, q: FinitePmf) -> tuple[np.ndarray, list]:
@@ -406,120 +361,3 @@ def _run_swap_block(p: FinitePmf, q: FinitePmf, terms: tuple[np.ndarray, list],
     counts_p = rng.multinomial(n, p.probs, size=block_size)
     counts_q = rng.multinomial(n, q.probs, size=block_size)
     return int(np.count_nonzero(_swap_event(p, q, terms, counts_p, counts_q)))
-
-
-def _binomial_pmfs(n: int, rows, first: int, last: int) -> list:
-    """Pmfs of binary rows' symbol-0 counts over first..last, from lgamma
-    log-pmfs; log C(n, c) is built once for all the rows."""
-    counts = np.arange(first, last + 1)
-    top = math.lgamma(n + 1)
-    log_choose = np.fromiter((top - math.lgamma(c + 1) - math.lgamma(n - c + 1)
-                              for c in range(first, last + 1)),
-                             dtype=float, count=len(counts))
-    pmfs = []
-    for p0, p1 in (row.tolist() for row in rows):
-        if p0 == 0.0 or p1 == 0.0:   # a point mass
-            pmfs.append((counts == (n if p1 == 0.0 else 0)).astype(float))
-        else:
-            pmfs.append(np.exp(log_choose + counts * math.log(p0)
-                               + (n - counts) * math.log(p1)))
-    return pmfs
-
-
-def _exceeds(a: float, b: float, c: float, d: float) -> bool:
-    """Whether a * b > c * d exactly, for floats a..d >= 0."""
-    (an, ad), (bn, bd), (cn, cd), (dn, dd) = (x.as_integer_ratio() for x in (a, b, c, d))
-    return an * bn * cd * dd > cn * dn * ad * bd
-
-
-def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
-    """Exact swap-event probability of a binary pair at blocklength n.
-
-    With c the symbol-0 counts, the statistic is
-    (c_q - c_p) log(p[0] q[1] / (p[1] q[0])), so the event is c_q >= c_p
-    when p[0] q[1] > p[1] q[0], compared exactly, and c_q <= c_p
-    otherwise.  (A member with a zero is a point mass, so a count on its
-    zero symbol never occurs.)  The probability of c_hi >= c_lo sums the
-    pmf of c_lo against the suffix sums of the pmf of c_hi.
-
-    A term below e^-750 comes out 0.0: exp underflows below -745.1, and
-    the margin covers lgamma's rounding at every n whose counts fit in
-    memory.  The event's probability is at most e^(-2nB), B the
-    Bhattacharyya distance, so it is 0.0 once 2nB > 750.  Otherwise a
-    count more than sqrt(375 n) from a member's mean n p[0] has pmf below
-    e^(-2 (c - n p[0])^2 / n) <= e^-750 (Hoeffding), so the sums run only
-    over the counts within that reach of either mean: every term they
-    leave out is 0.0, and the result is the full sum's.  A window of
-    more than _SWAP_WINDOW_MAX counts raises ValueError.
-    """
-    if 2.0 * n * bhattacharyya(p, q) > _LOG_NEGLIGIBLE:
-        return 0.0
-    (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()
-    lo, hi = (p, q) if _exceeds(p0, q1, p1, q0) else (q, p)
-    reach = math.sqrt(_LOG_NEGLIGIBLE / 2.0 * n) + 1.0
-    first = max(0, math.floor(n * min(p0, q0) - reach))
-    last = min(n, math.ceil(n * max(p0, q0) + reach))
-    if last - first >= _SWAP_WINDOW_MAX:
-        raise ValueError(f"the exact binary swap probability at n = {n} would sum "
-                         f"{last - first + 1} counts, more than {_SWAP_WINDOW_MAX}; "
-                         f"use smaller blocklengths")
-    pmf_lo, pmf_hi = _binomial_pmfs(n, (lo.probs, hi.probs), first, last)
-    suffix = np.cumsum(pmf_hi[::-1])[::-1]
-    return math.fsum(pmf_lo * suffix)
-
-
-def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
-                            trials: int, seed: int,
-                            workers: int = 1) -> ExponentFit:
-    """Estimate the decay rate of the pairwise swap-event probability.
-
-    For each blocklength the swap event (the two-row likelihood-ratio
-    statistic being nonnegative, a tie included) is counted over `trials`
-    independent trials; the decay slope of -log p_hat is fit over the grid
-    points with enough observed events and compared against twice the
-    Bhattacharyya distance.
-
-    On a binary alphabet the event probability P is exact
-    (`_binary_swap_prob`), and grid point g's count is one
-    Binomial(trials, P) draw from the stream keyed (seed, g * 2^32): the
-    law of the event count of independent trials.  Rows on m >= 3 symbols,
-    whose type tables would grow like n^(m-1), draw multinomial counts
-    trial by trial, and `_swap_event` decides each trial; block b of grid
-    point g draws from the stream keyed (seed, g * 2^32 + b).  Any worker
-    count yields the identical fit; only m >= 3 blocks run on workers.
-    """
-    dist = bhattacharyya(p, q)
-    if not math.isfinite(dist) or dist <= 0.0:
-        raise ValueError(
-            f"the pair must have finite positive distance, got {dist}")
-    grid = _check_grid(n_grid, _FIT_GRID_MIN)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    if p.alphabet_size == 2:   # one exact binomial draw per grid point
-        errors = [int(philox_stream(seed, g * 2**32).binomial(
-                      trials, _binary_swap_prob(p, q, n)))
-                  for g, n in enumerate(grid)]
-    else:
-        blocks = _trial_blocks(trials, _SWAP_TRIALS_PER_BLOCK)
-        # stream index packs (grid point, block) so every block is its own stream
-        tasks = [(n, seed, g * 2**32 + b, size)
-                 for g, n in enumerate(grid) for b, size in blocks]
-        hits = _map_blocks(partial(_run_swap_block, p, q, _swap_terms(p, q)),
-                           tasks, workers)
-        errors = [sum(hits[g * len(blocks):(g + 1) * len(blocks)])
-                  for g in range(len(grid))]
-
-    p_hats = tuple(e / trials for e in errors)
-    used = tuple(e >= MIN_ERRORS_FOR_FIT for e in errors)
-    xs = [float(n) for n, u in zip(grid, used) if u]
-    ys = [-math.log(ph) for ph, u in zip(p_hats, used) if u]
-    if len(xs) < 2:
-        raise ValueError(
-            f"too few grid points with >= {MIN_ERRORS_FOR_FIT} events to fit "
-            f"a slope (got {len(xs)}); raise trials or shrink the blocklengths")
-    return ExponentFit(n_grid=grid, trials=trials, errors=tuple(errors),
-                       p_hats=p_hats, used=used, slope=_ls_slope(xs, ys),
-                       target=2.0 * dist)

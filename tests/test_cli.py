@@ -20,12 +20,12 @@ from distid import (
     pairwise_error_exponent,
 )
 from distid.cli import (
-    _KEYS_BY_COMMAND,
     DEFAULT_SEED,
     ConfigError,
     build_config,
     main,
     parse_config,
+    _allowed_keys,
     run,
 )
 from distid.distributions import philox_stream
@@ -394,6 +394,10 @@ VALID = {
               "growth.kind": "constant", "growth.size": 3, "n_grid": [5, 10, 20, 40]},
 }
 
+# An exponent config on three symbols: its trials run mc's swap-event blocks.
+TRINOMIAL_EXPONENT = {**VALID["exponent"],
+                      "family.pmfs": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
+
 # Wrong types, None, floats for ints, empty lists and out-of-range values;
 # every integer is small, so no mutant asks for a large allocation.
 MUTANTS = [None, True, 1.5, 4.7, "4", "x", "json", "all", -1, 0, 1, 2, [], [1], [[]],
@@ -468,6 +472,15 @@ class TestConfigValidation:
                                "growth.size": 200}, 3, "budget", id="over-budget"),
         pytest.param("exponent", {**VALID["exponent"], "n_grid": list(range(10, 81, 10)),
                                   "trials": 100}, 3, "too few", id="too-few-fit-points"),
+        # counts numpy's samplers cannot take, named before any block runs
+        pytest.param("simulate", {**VALID["simulate"], "n": 2**63}, 3,
+                     "n = 9223372036854775808 is above 2^63 - 1", id="simulate-n-2^63"),
+        pytest.param("exponent", {**VALID["exponent"], "trials": 2**63}, 3,
+                     "trials = 9223372036854775808 is above 2^63 - 1",
+                     id="binary-exponent-trials-2^63"),
+        pytest.param("exponent", {**TRINOMIAL_EXPONENT, "n_grid": [2, 4, 2**63]}, 3,
+                     "n_grid entry = 9223372036854775808 is above 2^63 - 1",
+                     id="trinomial-exponent-n-2^63"),
     ])
     def test_exit_code_table(self, tmp_path, capsys, command, entries, code, named):
         got, out, err = run_main(tmp_path, capsys, command, entries, "table")
@@ -475,6 +488,18 @@ class TestConfigValidation:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command, entries", [
+        ("bounds", {**EXPLICIT, "n": 2**63}),
+        ("exponent", {**VALID["exponent"], "n_grid": [2, 4, 6, 2**63]}),
+    ])
+    def test_a_blocklength_past_the_samplers_runs_where_none_is_drawn(
+            self, tmp_path, capsys, command, entries):
+        # the bounds are closed forms, and a binary exponent's count at
+        # n = 2^63 is one binomial draw with probability 0.0
+        code, out, err = run_main(tmp_path, capsys, command, entries, "far")
+        assert code == 0, err
+        assert out.exists()
 
     def test_seeded_config_fuzzer(self, tmp_path, capsys):
         # valid configs and mutations of them, for every subcommand: each
@@ -485,7 +510,7 @@ class TestConfigValidation:
             rng = philox_stream(0xF022, case)
             command = sorted(VALID)[case % len(VALID)]
             entries = dict(VALID[command])
-            keys = sorted(_KEYS_BY_COMMAND[command] - {"out"}) + ["bogus"]
+            keys = sorted(_allowed_keys(command) - {"out"}) + ["bogus"]
             for _ in range(int(rng.integers(0, 3))):
                 key = keys[int(rng.integers(len(keys)))]
                 if key in entries and rng.random() < 0.2:
@@ -528,6 +553,7 @@ assert not hasattr(distid, "no_such_name")
 from distid.bounds import *
 from distid.decoder import *
 from distid.distributions import *
+from distid.exact import *
 from distid.graphs import *
 from distid.mc import *
 from distid.cli import *
@@ -560,23 +586,28 @@ class TestImports:
     """In-process tests cannot see a missing lazy import, because the test
     files have imported every module already."""
 
-    @pytest.mark.parametrize("command, entries, unloaded", [
-        ("bounds", EXPLICIT, HEAVY),
-        ("sweep", VALID["sweep"], HEAVY),
+    @pytest.mark.parametrize("command, entries, loads, unloaded", [
+        ("bounds", EXPLICIT, {"distid.bounds"}, HEAVY | {"distid.exact"}),
+        ("sweep", VALID["sweep"], {"distid.bounds"}, HEAVY | {"distid.exact"}),
         # a binary pair compares exact products without fractions or decimal
-        ("exponent", VALID["exponent"], HEAVY - {"distid.mc"} | {"fractions", "decimal"}),
-        ("simulate", VALID["simulate"], {"fractions"}),
-        ("lemma", VALID["lemma"], HEAVY - {"distid.graphs"}),
+        ("exponent", VALID["exponent"], {"distid.exact"},
+         HEAVY | {"distid.bounds", "fractions", "decimal"}),
+        ("exponent", TRINOMIAL_EXPONENT, {"distid.exact", "distid.mc"},
+         HEAVY - {"distid.mc"} | {"distid.bounds"}),
+        ("simulate", VALID["simulate"], {"distid.bounds", "distid.mc", "distid.decoder"},
+         {"fractions"}),
+        ("lemma", VALID["lemma"], {"distid.graphs"},
+         HEAVY - {"distid.graphs"} | {"distid.bounds", "distid.exact"}),
     ])
     def test_each_subcommand_loads_only_what_it_runs(self, tmp_path, command,
-                                                     entries, unloaded):
+                                                     entries, loads, unloaded):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config_text(entries))
         # two workers start a helper thread where the run dispatches blocks
         code, loaded, err = fresh_python(LOADED_PROBE, command, "--config", str(cfg_path),
                                          "--out", str(tmp_path / "out"), "--workers", "2")
         assert code == 0, err
-        assert "distid.cli" in loaded.split()
+        assert {"distid.cli"} | loads <= set(loaded.split())
         assert not (unloaded | NEVER) & set(loaded.split())
 
     def test_importing_the_cli_skips_argparse(self):
@@ -584,6 +615,12 @@ class TestImports:
         code, out, err = fresh_python(
             "import sys, distid.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
         assert (code, out) == (0, "[]"), err
+
+    def test_importing_the_cli_loads_no_bounds(self):
+        # bounds loads inside the runners and the sweep config branch
+        code, out, err = fresh_python(
+            "import sys, distid.cli; print(sorted(m for m in sys.modules if m.startswith('distid.')))")
+        assert (code, out) == (0, "['distid.cli', 'distid.distributions']"), err
 
     def test_the_package_loads_a_module_on_first_use_of_its_names(self):
         code, out, err = fresh_python(PACKAGE_PROBE)

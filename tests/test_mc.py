@@ -4,7 +4,6 @@ import sys
 import threading
 import time
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -13,15 +12,12 @@ from distid import (
     FinitePmf,
     estimate_error_prob,
     make_family,
-    pairwise_error_exponent,
     permutation_cycles,
 )
 from distid.decoder import loglik_from_counts
 from distid.distributions import philox_stream
 from distid.mc import (
     TRIALS_PER_BLOCK,
-    _binary_swap_prob,
-    _binomial_pmfs,
     _distinct_rows,
     _map_blocks,
     _run_error_block,
@@ -31,24 +27,13 @@ from distid.mc import (
 )
 
 from oracles import (
-    binomial_pmf,
     brute_force_decode,
     exact_pair_error_prob,
-    exact_swap_event_prob,
-    exact_swap_event_prob_general,
     possible_types,
     swap_events_exact,
 )
 
 PAIR = make_family([(0.5, 0.5), (0.9, 0.1)])
-
-BINARY_SWAP_PAIRS = [
-    [(0.5, 0.5), (1.0, 0.0)], [(1.0, 0.0), (0.5, 0.5)],
-    [(0.0, 1.0), (0.5, 0.5)], [(0.5, 0.5), (0.0, 1.0)],
-    [(0.3, 0.7), (0.3 + 2e-9, 0.7 - 2e-9)],
-    [(0.5, 0.5), (0.9, 0.1)],
-]
-
 
 class TestPermutationCycles:
     def test_identity_has_no_cycles(self):
@@ -131,14 +116,26 @@ class TestDistinctRows:
             assert len(reps) == 3 and np.array_equal(rows[reps][inverse], rows)
 
 
+def folded(fn, tasks, workers):
+    """{task: result} of one _map_blocks call; a task folded twice fails."""
+    results = {}
+
+    def fold(i, result):
+        assert i not in results
+        results[i] = result
+    _map_blocks(fn, tasks, workers, fold)
+    return results
+
+
 class TestMapBlocks:
-    def test_results_come_back_in_task_order(self):
-        # the first tasks take longest, so they finish last
-        def task(i, delay):
-            time.sleep(delay)
+    def test_each_result_is_folded_with_its_task(self):
+        # the first tasks take longest, so they end last
+        def task(i):
+            time.sleep(0.02 * (5 - i))
             return i * i
-        tasks = [(i, 0.02 * (5 - i)) for i in range(6)]
-        assert _map_blocks(task, tasks, 3) == [i * i for i in range(6)]
+        order = []
+        _map_blocks(task, 6, 3, lambda i, result: order.append((i, result)))
+        assert sorted(order) == [(i, i * i) for i in range(6)]
 
     def test_each_task_runs_once_with_more_workers_than_tasks(self, monkeypatch):
         started = []
@@ -150,22 +147,26 @@ class TestMapBlocks:
 
         monkeypatch.setattr(threading, "Thread", CountedThread)
         ran = []
-        assert _map_blocks(lambda i: ran.append(i) or -i, [(i,) for i in range(3)],
-                           8) == [0, -1, -2]
+        assert folded(lambda i: ran.append(i) or -i, 3, 8) == {0: 0, 1: -1, 2: -2}
         assert sorted(ran) == [0, 1, 2]
         assert len(started) == 2   # and the calling thread
 
     def test_many_tasks_on_more_threads_than_cores_run_once_each(self):
-        # frequent thread switches, so a task handed out twice would show
-        ran = []
+        # frequent thread switches, so a task handed out twice, or a running
+        # total updated by two threads at once, would show
+        ran, total = [], [0]
+
+        def fold(i, result):
+            value = total[0]
+            time.sleep(0)   # invites a switch inside the read-modify-write
+            total[0] = value + result
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = _map_blocks(lambda i: ran.append(i) or i, [(i,) for i in range(500)],
-                                  8)
+            _map_blocks(lambda i: ran.append(i) or i, 500, 8, fold)
         finally:
             sys.setswitchinterval(interval)
-        assert results == list(range(500)) and sorted(ran) == list(range(500))
+        assert sorted(ran) == list(range(500)) and total[0] == sum(range(500))
 
     def test_the_calling_thread_runs_tasks_next_to_its_helpers(self):
         # each task waits until the other has started, so both run at once
@@ -175,7 +176,7 @@ class TestMapBlocks:
         def task(i):
             meet.wait()
             return threading.get_ident()
-        idents = _map_blocks(task, [(0,), (1,)], 2)
+        idents = folded(task, 2, 2).values()
         assert threading.get_ident() in idents and len(set(idents)) == 2
 
     def test_a_helper_that_cannot_start_leaves_its_tasks_to_the_others(self, monkeypatch):
@@ -183,8 +184,7 @@ class TestMapBlocks:
         def task(i):
             time.sleep(0.01)
             return i * i
-        tasks = [(i,) for i in range(8)]
-        serial = _map_blocks(task, tasks, 1)
+        serial = folded(task, 8, 1)
         starts = []
         start = threading.Thread.start
 
@@ -196,7 +196,7 @@ class TestMapBlocks:
 
         monkeypatch.setattr(threading.Thread, "start", start_once)
         before = threading.active_count()
-        assert _map_blocks(task, tasks, 4) == serial
+        assert folded(task, 8, 4) == serial
         assert len(starts) == 2
         assert threading.active_count() == before
 
@@ -205,8 +205,8 @@ class TestMapBlocks:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        assert _map_blocks(lambda i: i + 1, [(i,) for i in range(4)], 1) == [1, 2, 3, 4]
-        assert _map_blocks(lambda i: i + 1, [(7,)], 4) == [8]
+        assert folded(lambda i: i + 1, 4, 1) == {0: 1, 1: 2, 2: 3, 3: 4}
+        assert folded(lambda i: i + 7, 1, 4) == {0: 7}
 
     def test_the_lowest_failing_task_raises_after_the_helpers_join(self):
         # task 3 fails at once and task 1 later; task 1's error is raised
@@ -219,8 +219,16 @@ class TestMapBlocks:
             return i
         before = threading.active_count()
         with pytest.raises(ValueError, match="task 1"):
-            _map_blocks(task, [(i,) for i in range(4)], 4)
+            folded(task, 4, 4)
         assert threading.active_count() == before
+
+    def test_a_failing_fold_raises_like_its_task(self):
+        def fold(i, result):
+            if i == 2:
+                raise ValueError("fold 2")
+        for workers in (1, 3):
+            with pytest.raises(ValueError, match="fold 2"):
+                _map_blocks(lambda i: i, 5, workers, fold)
 
 
 def sorted_decode(counts):
@@ -373,6 +381,33 @@ class TestEstimateErrorProb:
         assert errors == 1024
         assert peak < 5 * 2**20
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_memory_does_not_grow_with_the_trials(self, monkeypatch, workers):
+        # each block's counts join running totals as the block ends; keeping
+        # every block's result tuple and histogram to the end held about
+        # 450 bytes a block, 135-185 KB more at 2^21 trials (512 blocks)
+        # than at 2^16.  Blocks run one at a time, so the block peaks of two
+        # threads never add up, and the peak shows what the dispatch holds
+        fam = make_family({"kind": "binary-grid", "size": 2,
+                           "theta_min": 0.1, "theta_max": 0.9})
+        one_block = threading.Lock()
+
+        def run_block(*args):
+            with one_block:
+                return _run_error_block(*args)
+
+        monkeypatch.setattr("distid.mc._run_error_block", run_block)
+        estimate_error_prob(fam, 1, 2 * TRIALS_PER_BLOCK, seed=5, workers=workers)
+        peaks = []
+        for trials in (2**16, 2**21):
+            tracemalloc.start()
+            try:
+                estimate_error_prob(fam, 1, trials, seed=5, workers=workers)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 64 * 2**10
+
     def test_matches_exact_enumeration(self):
         est = estimate_error_prob(PAIR, 12, 20_000, seed=8)
         exact = exact_pair_error_prob(PAIR, 12)
@@ -385,102 +420,6 @@ class TestEstimateErrorProb:
             estimate_error_prob(PAIR, 0, 10, seed=1)
         with pytest.raises(ValueError, match="workers"):
             estimate_error_prob(PAIR, 5, 10, seed=1, workers=0)
-
-
-class TestPairwiseErrorExponent:
-    def test_rejects_equal_pmfs(self):
-        p = PAIR[0]
-        with pytest.raises(ValueError, match="positive distance"):
-            pairwise_error_exponent(p, p, [10, 20, 30], 100, seed=1)
-
-    def test_rejects_disjoint_supports(self):
-        fam = make_family([(1.0, 0.0), (0.0, 1.0)])
-        with pytest.raises(ValueError, match="finite"):
-            pairwise_error_exponent(fam[0], fam[1], [10, 20, 30], 100, seed=1)
-
-    def test_rejects_short_grid(self):
-        with pytest.raises(ValueError, match="3 points"):
-            pairwise_error_exponent(PAIR[0], PAIR[1], [10, 20], 100, seed=1)
-
-    def test_target_is_twice_the_distance(self):
-        fit = pairwise_error_exponent(PAIR[0], PAIR[1], [4, 8, 12],
-                                      20_000, seed=6)
-        assert fit.target == pytest.approx(math.log(5.0 / 4.0), rel=1e-12)
-
-    def test_event_probability_matches_exact(self):
-        fit = pairwise_error_exponent(PAIR[0], PAIR[1], [5, 10, 15],
-                                      50_000, seed=14)
-        for n, p_hat in zip(fit.n_grid, fit.p_hats):
-            exact = exact_swap_event_prob(0.5, 0.1, n)
-            stderr = math.sqrt(exact * (1 - exact) / fit.trials)
-            assert abs(p_hat - exact) <= 4 * stderr
-
-    def test_estimates_centre_on_the_exact_values(self):
-        # over 30 seeds the z-scores against the exact probability have
-        # mean 0 within 4 standard errors and a spread near 1
-        grid, trials, seeds = [10, 20, 30], 2**17, range(30)
-        exact = np.array([exact_swap_event_prob(0.5, 0.1, n) for n in grid])
-        p_hats = np.array([pairwise_error_exponent(PAIR[0], PAIR[1], grid, trials,
-                                                   seed=s).p_hats for s in seeds])
-        z = (p_hats - exact) / np.sqrt(exact * (1 - exact) / trials)
-        assert np.all(np.abs(z.mean(axis=0)) <= 4 / math.sqrt(len(seeds)))
-        assert np.all((0.5 < z.std(axis=0)) & (z.std(axis=0) < 1.5))
-
-    @pytest.mark.parametrize("pmfs", [[(0.5, 0.5), (1.0, 0.0)],
-                                      [(0.0, 1.0), (0.5, 0.5)]])
-    def test_point_mass_row(self, pmfs):
-        # the swap needs every draw of the fair row on the point mass's
-        # symbol: probability 2^-n
-        fam = make_family(pmfs)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            fit = pairwise_error_exponent(fam[0], fam[1], [2, 4, 6, 8], 50_000, seed=3)
-        for n, p_hat in zip(fit.n_grid, fit.p_hats):
-            exact = 2.0**-n
-            assert abs(p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / fit.trials)
-
-    @pytest.mark.parametrize("pmfs", [
-        [(0.5, 0.3, 0.2), (0.2, 0.3, 0.5)],   # symbol 1 cancels, 0 and 2 mirror
-        [(0.4, 0.4, 0.2), (0.1, 0.1, 0.8)],   # symbols 0 and 1 share a ratio
-        [(0.5, 0.5, 0.0), (0.2, 0.3, 0.5)],   # a zero-probability symbol
-        [(0.3, 0.6, 0.1), (0.1, 0.2, 0.7)],   # equal ratios with unequal logs
-    ])
-    def test_trinomial_pair_matches_exact_enumeration(self, pmfs):
-        fam = make_family(pmfs)
-        fit = pairwise_error_exponent(fam[0], fam[1], [4, 8, 12], 50_000, seed=15)
-        for n, p_hat in zip(fit.n_grid, fit.p_hats):
-            exact = exact_swap_event_prob_general(*pmfs, n)
-            assert abs(p_hat - exact) <= 4 * math.sqrt(exact * (1 - exact) / fit.trials)
-
-    def test_errors_at_the_criterion_config(self):
-        # the criterion-11 `exponent` config at seed 0x5EED: a change meant to
-        # keep the output bytes must keep these counts
-        fit = pairwise_error_exponent(PAIR[0], PAIR[1], list(range(10, 81, 10)),
-                                      1_000_000, seed=0x5EED, workers=2)
-        assert fit.errors == (30024, 2323, 202, 14, 3, 0, 0, 0)
-
-    def test_deterministic_and_worker_invariant(self):
-        a = pairwise_error_exponent(PAIR[0], PAIR[1], [5, 10, 15],
-                                    20_000, seed=6)
-        b = pairwise_error_exponent(PAIR[0], PAIR[1], [5, 10, 15],
-                                    20_000, seed=6, workers=4)
-        assert a == b
-
-    def test_slope_approaches_target(self):
-        fit = pairwise_error_exponent(PAIR[0], PAIR[1],
-                                      list(range(10, 41, 10)), 200_000, seed=4)
-        assert abs(fit.slope - fit.target) / fit.target < 0.2
-
-    def test_low_count_points_excluded(self):
-        fit = pairwise_error_exponent(PAIR[0], PAIR[1],
-                                      [5, 10, 60, 70], 5000, seed=5)
-        assert fit.used[0] and fit.used[1]
-        assert not fit.used[2] and not fit.used[3]
-
-    def test_error_when_everything_too_rare(self):
-        with pytest.raises(ValueError, match="too few"):
-            pairwise_error_exponent(PAIR[0], PAIR[1], [200, 250, 300],
-                                    1000, seed=5)
 
 
 class TestSwapDecisions:
@@ -510,37 +449,3 @@ class TestSwapDecisions:
         decided = _swap_event(p, q, _swap_terms(p, q), counts_p, counts_q)
         exact = np.array(swap_events_exact(*pmfs, types_p, types_q)).ravel()
         assert np.count_nonzero(decided != exact) == 0
-
-    @pytest.mark.parametrize("pmfs", BINARY_SWAP_PAIRS)
-    def test_binary_kernel_matches_exact_enumeration(self, pmfs):
-        p, q = (FinitePmf(x) for x in pmfs)
-        for n in (1, 2, 5, 17, 40):
-            exact = exact_swap_event_prob_general(*pmfs, n)
-            assert _binary_swap_prob(p, q, n) == pytest.approx(exact, rel=1e-12, abs=0)
-
-    def test_binary_kernel_refuses_a_window_past_the_cap(self):
-        # n = 10^12 would sum 4.0e7 counts, past the cap of 2^22
-        p, q = FinitePmf([0.5, 0.5]), FinitePmf([0.500001, 0.499999])
-        with pytest.raises(ValueError, match=r"at n = 1000000000000 would sum 39729837 "):
-            _binary_swap_prob(p, q, 10**12)
-
-
-class TestBinomialPmf:
-    @pytest.mark.parametrize("n,p0", [(10, 0.5), (80, 0.9), (400, 0.03),
-                                      (5000, 0.5), (7, 0.0), (7, 1.0)])
-    def test_matches_the_oracle(self, n, p0):
-        pmf, = _binomial_pmfs(n, [np.array([p0, 1.0 - p0])], 0, n)
-        assert np.abs(pmf - np.array(binomial_pmf(n, p0))).max() < 1e-12
-
-    @pytest.mark.parametrize("n, first, last", [(40, 0, 40), (10**7, 4_990_000, 5_010_000),
-                                                (10**9, 499_000_000, 499_000_300)])
-    def test_bitwise_the_sum_over_a_list_of_log_choose(self, n, first, last):
-        rows = [np.array([0.5, 0.5]), np.array([0.3, 0.7])]
-        counts = np.arange(first, last + 1)
-        top = math.lgamma(n + 1)
-        log_choose = [top - math.lgamma(c + 1) - math.lgamma(n - c + 1)
-                      for c in range(first, last + 1)]
-        for pmf, (p0, p1) in zip(_binomial_pmfs(n, rows, first, last), rows):
-            listed = np.exp(log_choose + counts * math.log(p0)
-                            + (n - counts) * math.log(p1))
-            assert pmf.tobytes() == listed.tobytes()
