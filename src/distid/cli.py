@@ -36,24 +36,27 @@ Keys
                    n_grid, pairs_budget
 
 Exit codes: 0 success; 2 the config text alone decides the error (say
-family.size = 1, a 2-point exponent grid, growth.size = 2.5, growth that
-gives a family size below 2 on the grid, an explicit sweep template with
-fewer members than the growth asks for, lemma r = 7 with k = 4); 3 a run
-found it (duplicate members, growth overflow along
-the grid, a sweep over pairs_budget, too few exponent fit points, a
-count above 2^63 - 1 that numpy's samplers would draw); 4 I/O.
+family.size = 1, a 2-point exponent grid, a 3-member exponent family,
+growth.size = 2.5, growth that gives a family size below 2 on the grid,
+an explicit sweep template with fewer members than the growth asks for,
+lemma r = 7 with k = 4); 3 a run found it (duplicate members, growth
+overflow along the grid, a sweep over pairs_budget, too few exponent fit
+points, a count above 2^63 - 1 that numpy's samplers would draw); 4 I/O.
 
-Each runner gives its CSV rows as dicts from column name to value, and
-`run` alone writes them: a header row of the first row's keys, then one
-line of `_cell`s per row.  Floats are printed with 17 significant digits
-so values round-trip exactly.  JSON carries the nested reports.
+Each subcommand is one `_COMMANDS` entry: help line, config keys (which
+decide its config rules), runner, fewest n_grid points and family size.
+A runner returns CSV rows, dicts from column name to value, and a JSON
+payload; `run` alone writes one of them, the CSV as a header of the
+first row's keys and one line of `_cell`s per row, with floats at 17
+significant digits so that they round-trip exactly.
 
-Each subcommand imports only the modules it runs, so a call pays no
-start-up for the others: `bounds` loads inside the runners that report
-bounds and in the `sweep` branch of `build_config`, `mc` and `graphs`
-inside their runners, `exact` inside the `exponent` runner, `json` only
-for JSON output and `argparse` only in `main`.  Importing this module
-loads `distributions` alone.
+Each subcommand imports only the modules it runs: `bounds` in the
+runners that report bounds and, for `sweep`, in `_allowed_keys` (the
+growth keys) and `build_config` (the growth rule); `graphs` in the
+`lemma` runner and in `build_config`, which checks k and r with it;
+`mc` and `exact` in the runners that use them; `json` only for JSON
+output; `argparse` only in `main`.  Importing this module loads
+`distributions` alone.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ from __future__ import annotations
 import ast
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from .distributions import (_FAMILY_KIND_KEYS, _FIT_GRID_MIN, _TREND_GRID_MIN,
                             _check_family_spec, _check_grid, _check_seed, make_family,
@@ -70,36 +74,9 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
 DEFAULT_SEED = 0x5EED
 
-_COMMANDS = ("bounds", "simulate", "lemma", "exponent", "sweep")
-
-_COMMON_KEYS = {"seed", "out", "format", "workers"}
-_FAMILY_KEYS = {"family.kind"} | {f"family.{key}" for keys in _FAMILY_KIND_KEYS.values()
-                                   for key in keys}
-
-_KEYS_BY_COMMAND = {
-    "bounds": _COMMON_KEYS | _FAMILY_KEYS | {"n", "n_grid"},
-    "simulate": _COMMON_KEYS | _FAMILY_KEYS | {"n", "n_grid", "trials"},
-    "lemma": _COMMON_KEYS | {"k", "r", "trials"},
-    "exponent": _COMMON_KEYS | _FAMILY_KEYS | {"n_grid", "trials"},
-    # and the growth parameter keys that `_allowed_keys` reads from bounds
-    "sweep": _COMMON_KEYS | _FAMILY_KEYS | {"growth.kind", "n_grid", "pairs_budget"},
-}
-
-# Fewest blocklengths in an n_grid, where more than one.
-_GRID_MIN = {"exponent": _FIT_GRID_MIN, "sweep": _TREND_GRID_MIN}
-
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
-
-
-def _allowed_keys(command: str) -> set[str]:
-    """The config keys a command takes; only `sweep` loads bounds for them."""
-    if command != "sweep":
-        return _KEYS_BY_COMMAND[command]
-    from . import bounds
-    return _KEYS_BY_COMMAND[command] | {f"growth.{key}" for key
-                                        in bounds.GrowthRule._PARAM_KEYS.values()}
 
 
 def parse_config(text: str) -> dict:
@@ -140,12 +117,15 @@ def _expect(raw: dict, key: str, types, what: str):
     return value
 
 
-class RunConfig:
-    """Validated settings for one CLI run.
+def _at_least_one(raw: dict, key: str) -> int:
+    value = _expect(raw, key, int, "an integer")
+    if value < 1:
+        raise ConfigError(f"{key} must be >= 1, got {value}")
+    return value
 
-    The constructor takes the command and any setting by keyword; every
-    setting it is not given reads the class-level default below.
-    """
+
+class RunConfig(NamedTuple):
+    """Validated settings for one CLI run, as `build_config` gives them."""
 
     command: str
     seed: int = DEFAULT_SEED
@@ -153,134 +133,30 @@ class RunConfig:
     format: str = "csv"
     workers: int = 1
     family: dict | None = None
-    spec: object = None   # sweep's family sequence, a bounds.FamilySequenceSpec
+    spec: object = None   # with a growth rule, a bounds.FamilySequenceSpec
     n_grid: tuple[int, ...] | None = None   # n = N is stored as (N,)
-    trials: int = 10_000
+    trials: int = 10_000   # 1 where the command takes k
     k: int | None = None
     r: object = None  # int or "all"
-    pairs_budget: int | None = None   # sweep's; bounds.DEFAULT_PAIRS_BUDGET if unset
-
-    def __init__(self, command: str, **settings):
-        self.command = command
-        for key, value in settings.items():
-            if key not in self.__annotations__:
-                raise TypeError(f"RunConfig has no setting {key!r}")
-            setattr(self, key, value)
-
-    def __eq__(self, other):
-        if type(other) is not RunConfig:
-            return NotImplemented
-        return all(getattr(self, key) == getattr(other, key)
-                   for key in self.__annotations__)
-
-
-def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunConfig:
-    """Validate raw key-value pairs (plus flag overrides) into a RunConfig.
-
-    The known and required keys of each command and the literal types are
-    checked here; every other rule is the library's own check, whose
-    ValueError becomes a ConfigError.
-    """
-    if command not in _COMMANDS:
-        raise ConfigError(f"unknown command {command!r}")
-    raw = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            raw[key] = value
-    unknown = set(raw) - _allowed_keys(command)
-    if unknown:
-        raise ConfigError(
-            f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
-
-    cfg = RunConfig(command=command)
-    try:
-        if "seed" in raw:
-            cfg.seed = _check_seed(raw["seed"])
-        if "format" in raw:
-            fmt = _expect(raw, "format", str, "a string")
-            if fmt not in ("csv", "json"):
-                raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
-            cfg.format = fmt
-        cfg.out = (_expect(raw, "out", str, "a string") if "out" in raw
-                   else f"distid_{command}.{cfg.format}")
-        if "workers" in raw:
-            cfg.workers = _expect(raw, "workers", int, "an integer")
-            if cfg.workers < 1:
-                raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
-        if "trials" in raw:
-            cfg.trials = _expect(raw, "trials", int, "an integer")
-            if cfg.trials < 1:
-                raise ConfigError(f"trials must be >= 1, got {cfg.trials}")
-
-        if command != "lemma":   # every other command needs a family block
-            cfg.family = {k.partition(".")[2]: v for k, v in raw.items()
-                          if k.startswith("family.")}
-            _check_family_spec(cfg.family, template=command == "sweep")
-        if "n" in raw:
-            n = _expect(raw, "n", int, "an integer")
-            if n < 1:
-                raise ConfigError(f"n must be >= 1, got {n}")
-        if "n_grid" in raw:
-            grid = _expect(raw, "n_grid", (list, tuple), "a list of integers")
-            cfg.n_grid = _check_grid(grid, _GRID_MIN.get(command, 1))
-
-        if command in ("exponent", "sweep") and cfg.n_grid is None:
-            raise ConfigError(f"{command} needs n_grid")
-        if command in ("bounds", "simulate"):
-            if "n" in raw and cfg.n_grid is not None:
-                raise ConfigError(f"{command} takes n or n_grid, not both")
-            if "n" in raw:
-                cfg.n_grid = (n,)
-            elif cfg.n_grid is None:
-                raise ConfigError(f"{command} needs n or n_grid")
-        elif command == "lemma":
-            if "k" not in raw:
-                raise ConfigError("lemma needs k")
-            cfg.k = _expect(raw, "k", int, "an integer")
-            r = raw.get("r", "all")
-            if r != "all" and (not isinstance(r, int) or isinstance(r, bool)):
-                raise ConfigError(f"key 'r' must be an integer or 'all', got {r!r}")
-            from . import graphs
-            graphs._check_enumerable(cfg.k, 2 if r == "all" else r)
-            cfg.r = r
-            if "trials" not in raw:
-                cfg.trials = 1
-        elif command == "sweep":
-            from . import bounds
-            growth = bounds.GrowthRule._from_spec(
-                {k.partition(".")[2]: v for k, v in raw.items()
-                 if k.startswith("growth.")})
-            cfg.spec = bounds.FamilySequenceSpec(growth, cfg.family, cfg.n_grid)
-            cfg.pairs_budget = bounds.DEFAULT_PAIRS_BUDGET
-            if "pairs_budget" in raw:
-                cfg.pairs_budget = _expect(raw, "pairs_budget", int, "an integer")
-                if cfg.pairs_budget < 1:
-                    raise ConfigError("pairs_budget must be >= 1")
-    except (ValueError, OverflowError) as exc:   # a library check; ConfigError too
-        raise ConfigError(str(exc)) from None
-    return cfg
+    pairs_budget: int | None = None   # bounds.DEFAULT_PAIRS_BUDGET where it is taken
 
 
 def _run_bounds(cfg: RunConfig):
     from . import bounds
     family = make_family(cfg.family)
     reports = [bounds.BoundReport.from_family(family, n) for n in cfg.n_grid]
-    return ([r.row() for r in reports],
-            {"command": "bounds", "reports": [r.to_json_dict() for r in reports]})
+    return [r.row() for r in reports], {"reports": [r.to_json_dict() for r in reports]}
 
 
 def _run_simulate(cfg: RunConfig):
     from . import bounds, mc
     family = make_family(cfg.family)
-    estimates, reports = [], []
-    for n in cfg.n_grid:
-        estimates.append(mc.estimate_error_prob(
-            family, n, cfg.trials, cfg.seed, workers=cfg.workers))
-        reports.append(bounds.BoundReport.from_family(family, n))
+    estimates = [mc.estimate_error_prob(family, n, cfg.trials, cfg.seed, workers=cfg.workers)
+                 for n in cfg.n_grid]
+    reports = [bounds.BoundReport.from_family(family, n) for n in cfg.n_grid]
     # the report's n and A equal the estimate's and keep their place
     rows = [{**est.row(), **rep.row()} for est, rep in zip(estimates, reports)]
-    return rows, {"command": "simulate",
-                  "estimates": [e.to_json_dict() for e in estimates],
+    return rows, {"estimates": [e.to_json_dict() for e in estimates],
                   "bounds": [r.to_json_dict() for r in reports]}
 
 
@@ -294,38 +170,136 @@ def _run_lemma(cfg: RunConfig):
             res = graphs.check_mean_gain_bound(k, rng.random(k * (k - 1) // 2), r)
             rows.append({"kind": "mean-gain", "k": k, "r": r, "trial": trial,
                          "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds})
-    return rows, {"command": "lemma",
-                  "mean_gain": [{key: value for key, value in row.items() if key != "kind"}
+    return rows, {"mean_gain": [{key: value for key, value in row.items() if key != "kind"}
                                 for row in rows]}
 
 
 def _run_exponent(cfg: RunConfig):
     from . import exact
     family = make_family(cfg.family)
-    if len(family) != 2:
-        raise ConfigError(
-            f"exponent needs a family of exactly 2 members, got {len(family)}")
     fit = exact.pairwise_error_exponent(family[0], family[1], cfg.n_grid,
                                         cfg.trials, cfg.seed, workers=cfg.workers)
-    return fit.rows(), {"command": "exponent", "fit": fit.to_json_dict()}
+    return fit.rows(), {"fit": fit.to_json_dict()}
 
 
 def _run_sweep(cfg: RunConfig):
     from . import bounds
     report = bounds.identifiability_trend(cfg.spec, pairs_budget=cfg.pairs_budget)
     print(f"verdict: {report.verdict}")
-    return report.rows(), {"command": "sweep", "trend": report.to_json_dict()}
+    return report.rows(), {"trend": report.to_json_dict()}
 
 
-# Each runner returns (CSV rows, all with the same keys; JSON payload), and
-# `run` writes one of the two.
-_RUNNERS = {
-    "bounds": _run_bounds,
-    "simulate": _run_simulate,
-    "lemma": _run_lemma,
-    "exponent": _run_exponent,
-    "sweep": _run_sweep,
+class _Command(NamedTuple):
+    help: str
+    keys: set[str]   # besides _COMMON_KEYS and the growth.kind parameter keys
+    runner: Callable   # cfg -> (CSV rows, all with the same keys; JSON payload)
+    grid_min: int = 1   # the fewest n_grid points
+    members: int | None = None   # the family size the runner needs, if fixed
+
+
+_COMMON_KEYS = {"seed", "out", "format", "workers"}
+_FAMILY_KEYS = {"family.kind"} | {f"family.{key}" for keys in _FAMILY_KIND_KEYS.values()
+                                   for key in keys}
+
+_COMMANDS = {
+    "bounds": _Command("pairwise-sum bound reports over blocklengths",
+                       _FAMILY_KEYS | {"n", "n_grid"}, _run_bounds),
+    "simulate": _Command("Monte Carlo error estimates with matching bounds",
+                         _FAMILY_KEYS | {"n", "n_grid", "trials"}, _run_simulate),
+    "lemma": _Command("mean-gain inequality checks on random weighted graphs",
+                      {"k", "r", "trials"}, _run_lemma),
+    "exponent": _Command("pairwise error-exponent fit", _FAMILY_KEYS | {"n_grid", "trials"},
+                         _run_exponent, _FIT_GRID_MIN, members=2),
+    "sweep": _Command("identifiability trend along a family sequence",
+                      _FAMILY_KEYS | {"growth.kind", "n_grid", "pairs_budget"},
+                      _run_sweep, _TREND_GRID_MIN),
 }
+
+
+def _allowed_keys(command: str) -> set[str]:
+    """The config keys a command takes; its growth parameter keys load bounds."""
+    keys = _COMMON_KEYS | _COMMANDS[command].keys
+    if "growth.kind" not in keys:
+        return keys
+    from . import bounds
+    return keys | {f"growth.{key}" for key in bounds.GrowthRule._PARAM_KEYS.values()}
+
+
+def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunConfig:
+    """Validate raw key-value pairs (plus flag overrides) into a RunConfig.
+
+    The known and required keys of each command and the literal types are
+    checked here; every other rule is the library's own check, whose
+    ValueError becomes a ConfigError.
+    """
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    raw = {**raw, **{key: value for key, value in (overrides or {}).items()
+                     if value is not None}}
+    keys = _allowed_keys(command)
+    unknown = set(raw) - keys
+    if unknown:
+        raise ConfigError(
+            f"unknown key(s) for {command}: {', '.join(sorted(unknown))}")
+
+    entry = _COMMANDS[command]
+    cfg = {}   # the settings not set here keep RunConfig's defaults
+    try:
+        if "seed" in raw:
+            cfg["seed"] = _check_seed(raw["seed"])
+        fmt = cfg["format"] = (_expect(raw, "format", str, "a string")
+                               if "format" in raw else "csv")
+        if fmt not in ("csv", "json"):
+            raise ConfigError(f"format must be 'csv' or 'json', got {fmt!r}")
+        cfg["out"] = (_expect(raw, "out", str, "a string") if "out" in raw
+                      else f"distid_{command}.{fmt}")
+        for key in ("workers", "trials"):
+            if key in raw:
+                cfg[key] = _at_least_one(raw, key)
+
+        if "family.kind" in keys:
+            family = cfg["family"] = {key.partition(".")[2]: value for key, value
+                                      in raw.items() if key.startswith("family.")}
+            _check_family_spec(family, template="growth.kind" in keys)
+            if entry.members:   # checked before make_family builds every member
+                size = len(family["pmfs"]) if family["kind"] == "explicit" else family["size"]
+                if size != entry.members:
+                    raise ConfigError(f"{command} needs a family of exactly "
+                                      f"{entry.members} members, got {size}")
+        if "n_grid" in keys:   # n = N stands for n_grid = [N] where it is a key
+            grids = []
+            if "n" in raw:
+                grids.append((_at_least_one(raw, "n"),))
+            if "n_grid" in raw:
+                grid = _expect(raw, "n_grid", (list, tuple), "a list of integers")
+                grids.append(_check_grid(grid, entry.grid_min))
+            if len(grids) > 1:
+                raise ConfigError(f"{command} takes n or n_grid, not both")
+            if not grids:
+                raise ConfigError(
+                    f"{command} needs {'n or n_grid' if 'n' in keys else 'n_grid'}")
+            cfg["n_grid"] = grids[0]
+        if "k" in keys:
+            if "k" not in raw:
+                raise ConfigError(f"{command} needs k")
+            k = cfg["k"] = _expect(raw, "k", int, "an integer")
+            r = cfg["r"] = raw.get("r", "all")
+            if r != "all" and (not isinstance(r, int) or isinstance(r, bool)):
+                raise ConfigError(f"key 'r' must be an integer or 'all', got {r!r}")
+            from . import graphs
+            graphs._check_enumerable(k, 2 if r == "all" else r)
+            cfg.setdefault("trials", 1)
+        if "growth.kind" in keys:
+            from . import bounds
+            growth = bounds.GrowthRule._from_spec(
+                {key.partition(".")[2]: value for key, value in raw.items()
+                 if key.startswith("growth.")})
+            cfg["spec"] = bounds.FamilySequenceSpec(growth, family, cfg["n_grid"])
+            cfg["pairs_budget"] = (_at_least_one(raw, "pairs_budget")
+                                   if "pairs_budget" in raw else bounds.DEFAULT_PAIRS_BUDGET)
+    except (ValueError, OverflowError) as exc:   # a library check; ConfigError too
+        raise ConfigError(str(exc)) from None
+    return RunConfig(command, **cfg)
 
 
 def _cell(value) -> str:
@@ -343,17 +317,15 @@ def _cell(value) -> str:
 def run(cfg: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
-        rows, payload = _RUNNERS[cfg.command](cfg)
+        rows, payload = _COMMANDS[cfg.command].runner(cfg)
         if cfg.format == "csv":
             lines = [rows[0].keys(), *(map(_cell, row.values()) for row in rows)]
             text = "".join(",".join(cells) + "\n" for cells in lines)
         else:
             import json
-            text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+            text = json.dumps({"command": cfg.command, **payload},
+                              indent=2, sort_keys=True) + "\n"
         Path(cfg.out).write_text(text, encoding="ascii", newline="\n")
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 3
@@ -380,13 +352,8 @@ def main(argv=None) -> int:
                      "cycle-gain inequality sweeps, exponent fits, and "
                      "identifiability trend sweeps."))
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in [
-            ("bounds", "pairwise-sum bound reports over blocklengths"),
-            ("simulate", "Monte Carlo error estimates with matching bounds"),
-            ("lemma", "mean-gain inequality checks on random weighted graphs"),
-            ("exponent", "pairwise error-exponent fit"),
-            ("sweep", "identifiability trend along a family sequence")]:
-        cmd = sub.add_parser(name, help=doc)
+    for name, command in _COMMANDS.items():
+        cmd = sub.add_parser(name, help=command.help)
         cmd.add_argument("--config", required=True, help="path to a key=value config file")
         cmd.add_argument("--seed", type=seed_flag, default=None,
                          help=f"64-bit seed (default {DEFAULT_SEED})")

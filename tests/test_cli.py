@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +29,7 @@ from distid.cli import (
     _allowed_keys,
     run,
 )
+from distid.bounds import DEFAULT_PAIRS_BUDGET
 from distid.distributions import philox_stream
 
 PAIR_CFG = """
@@ -131,6 +133,32 @@ class TestBuildConfig:
             "n_grid = [10, 20]\n")
         with pytest.raises(ConfigError, match="growth"):
             build_config("sweep", raw)
+
+    # the keys each subcommand takes, written out: the fuzzer draws its keys
+    # from _allowed_keys, so it cannot see one dropped from the command table
+    COMMON = {"seed", "out", "format", "workers"}
+    FAMILY = {"family.kind", "family.pmfs", "family.size", "family.theta_min",
+              "family.theta_max", "family.alphabet", "family.seed"}
+    KEYS = {
+        "bounds": COMMON | FAMILY | {"n", "n_grid"},
+        "simulate": COMMON | FAMILY | {"n", "n_grid", "trials"},
+        "lemma": COMMON | {"k", "r", "trials"},
+        "exponent": COMMON | FAMILY | {"n_grid", "trials"},
+        "sweep": COMMON | FAMILY | {"growth.kind", "growth.size", "growth.degree",
+                                    "growth.rate", "n_grid", "pairs_budget"},
+    }
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_allowed_keys(self, command):
+        assert _allowed_keys(command) == self.KEYS[command]
+
+    @pytest.mark.parametrize("command", sorted(KEYS))
+    def test_trials_and_pairs_budget_defaults(self, command):
+        entries = {key: value for key, value in VALID[command].items() if key != "trials"}
+        cfg = build_config(command, parse_config(config_text(entries)))
+        if command in ("simulate", "exponent", "lemma"):
+            assert cfg.trials == (1 if command == "lemma" else 10_000)
+        assert cfg.pairs_budget == (DEFAULT_PAIRS_BUDGET if command == "sweep" else None)
 
 
 def run_command(tmp_path, command, text, fmt="csv", **overrides):
@@ -354,6 +382,24 @@ class TestMain:
         assert exc.value.code == 2
         assert "invalid seed 'abc'" in capsys.readouterr().err
 
+    HELP = {
+        "bounds": "pairwise-sum bound reports over blocklengths",
+        "simulate": "Monte Carlo error estimates with matching bounds",
+        "lemma": "mean-gain inequality checks on random weighted graphs",
+        "exponent": "pairwise error-exponent fit",
+        "sweep": "identifiability trend along a family sequence",
+    }
+
+    def test_help_lists_each_subcommand_with_its_help_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "120")   # no help line wraps
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "{bounds,simulate,lemma,exponent,sweep}" in out
+        for name, doc in self.HELP.items():
+            assert re.search(rf"^ +{name} +{re.escape(doc)}$", out, re.M), name
+
     def test_bad_config_exits_2(self, tmp_path):
         cfg_path = tmp_path / "bad.cfg"
         cfg_path.write_text(PAIR_CFG + "trails = 7\n")
@@ -500,6 +546,22 @@ class TestConfigValidation:
         code, out, err = run_main(tmp_path, capsys, command, entries, "far")
         assert code == 0, err
         assert out.exists()
+
+    @pytest.mark.parametrize("family", [
+        {"family.kind": "explicit", "family.pmfs": [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8]]},
+        {"family.kind": "binary-grid", "family.size": 3,
+         "family.theta_min": 0.1, "family.theta_max": 0.9},
+    ], ids=["explicit", "binary-grid"])
+    def test_exponent_counts_the_family_before_building_it(self, tmp_path, capsys,
+                                                           monkeypatch, family):
+        def build(spec):
+            raise AssertionError("make_family ran")
+        monkeypatch.setattr("distid.cli.make_family", build)
+        code, out, err = run_main(tmp_path, capsys, "exponent",
+                                  {**family, "n_grid": [2, 4, 6]}, "three")
+        assert code == 2
+        assert err == "error: exponent needs a family of exactly 2 members, got 3\n"
+        assert not out.exists()
 
     def test_seeded_config_fuzzer(self, tmp_path, capsys):
         # valid configs and mutations of them, for every subcommand: each
