@@ -298,9 +298,6 @@ def identifiability_trend(spec: FamilySequenceSpec,
     window = max(2, math.ceil(len(points) / 2))
     tail = points[-window:]
 
-    if all(p.s == 0.0 for p in tail):
-        return TrendReport(points=tuple(points), window=window, slope=None,
-                           verdict="identifiable-trend")
     if any(p.s == 0.0 for p in tail):
         ss = [p.s for p in tail]
         ok = all(b <= a for a, b in zip(ss, ss[1:])) and ss[-1] == 0.0

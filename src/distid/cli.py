@@ -36,7 +36,8 @@ Keys
                    n_grid, pairs_budget
 
 Exit codes: 0 success; 2 the config text alone decides the error (say
-family.size = 1, a 2-point exponent grid, a 3-member exponent family,
+family.size = 1, one explicit pmf row, a row that is not a pmf, rows of
+unequal length, a 2-point exponent grid, a 3-member exponent family,
 growth.size = 2.5, growth that gives a family size below 2 on the grid,
 an explicit sweep template with fewer members than the growth asks for,
 lemma r = 7 with k = 4); 3 a run found it (duplicate members, growth

@@ -150,12 +150,9 @@ class DistributionFamily:
 
     def __init__(self, members: Iterable[FinitePmf]):
         mem = tuple(members)
-        if len(mem) < 2:
-            raise ValueError(f"family must have at least 2 members, got {len(mem)}")
         if not all(isinstance(p, FinitePmf) for p in mem):
             raise ValueError("family members must be FinitePmf instances")
-        if len({p.alphabet_size for p in mem}) > 1:
-            raise ValueError("family members must share one alphabet size")
+        _check_members(mem)
         self._own(np.stack([p.probs for p in mem]))
 
     def _own(self, probs: np.ndarray) -> None:
@@ -200,8 +197,16 @@ class DistributionFamily:
         return f"DistributionFamily(size={len(self)}, m={self.alphabet_size})"
 
 
+def _check_members(members: Sequence[FinitePmf], count: bool = True) -> None:
+    """Check that pmf members share one alphabet size and (if count) number 2 or more."""
+    if count and len(members) < 2:
+        raise ValueError(f"family must have at least 2 members, got {len(members)}")
+    if len({p.alphabet_size for p in members}) > 1:
+        raise ValueError("family members must share one alphabet size")
+
+
 def _generated_family(probs: np.ndarray) -> DistributionFamily:
-    """A family on rows that are valid pmfs by construction."""
+    """A family on rows that are valid pmfs, by construction or checked."""
     family = DistributionFamily.__new__(DistributionFamily)
     family._own(probs + 0.0)   # a copy, with -0.0 turned into 0.0 as in FinitePmf
     return family
@@ -366,8 +371,9 @@ def _is_real(value) -> bool:
 
 def _check_family_spec(spec: Mapping, template: bool = False) -> None:
     """Check a family spec's kind, exact key set, value types and parameter
-    ranges.  A template (a sweep's family) has every key but "size".  The
-    values in explicit pmf rows are left to FinitePmf."""
+    ranges.  A template (a sweep's family) has every key but "size".  Explicit
+    pmf rows go through FinitePmf and `_check_members` (a template's row
+    count is the growth rule's); only distinctness is left to a run."""
     kind = spec.get("kind") if isinstance(spec, Mapping) else None
     if not isinstance(kind, str) or kind not in _FAMILY_KIND_KEYS:
         raise ValueError(f"family spec kind must be one of {sorted(_FAMILY_KIND_KEYS)}, "
@@ -379,11 +385,13 @@ def _check_family_spec(spec: Mapping, template: bool = False) -> None:
                          f"{'template' if template else 'spec'}: {sorted(extra)}")
     if missing:
         raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
-    rows = (list, tuple, np.ndarray)
-    if kind == "explicit" and (not isinstance(spec["pmfs"], rows) or not all(
-            isinstance(row, rows) and all(map(_is_real, row)) for row in spec["pmfs"])):
-        raise ValueError("family spec key 'pmfs' must be a list of lists of numbers, "
-                         f"got {spec['pmfs']!r}")
+    if kind == "explicit":
+        pmfs, rows = spec["pmfs"], (list, tuple, np.ndarray)
+        if not isinstance(pmfs, rows) or not all(
+                isinstance(row, rows) and all(map(_is_real, row)) for row in pmfs):
+            raise ValueError("family spec key 'pmfs' must be a list of lists of numbers, "
+                             f"got {pmfs!r}")
+        _check_members([FinitePmf(row) for row in pmfs], count=not template)
     for key in [key for key in ("size", "alphabet") if key in keys]:
         # int() would truncate 4.7 to 4 without a word
         value = spec[key]
@@ -412,12 +420,10 @@ def make_family(spec) -> DistributionFamily:
     The result is deterministic given the spec (random-simplex uses its
     own seed field).
     """
-    if isinstance(spec, DistributionFamily):
-        return spec
     if isinstance(spec, dict):
         _check_family_spec(spec)
-        if spec["kind"] == "explicit":
-            return DistributionFamily([FinitePmf(row) for row in spec["pmfs"]])
+        if spec["kind"] == "explicit":   # rows already checked, all but distinctness
+            return _generated_family(np.array(spec["pmfs"], dtype=np.float64))
         if spec["kind"] == "binary-grid":
             return _generated_family(_binary_grid(
                 int(spec["size"]), float(spec["theta_min"]), float(spec["theta_max"])))

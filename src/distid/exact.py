@@ -168,24 +168,22 @@ def pairwise_error_exponent(p: FinitePmf, q: FinitePmf, n_grid: Sequence[int],
                       trials, _binary_swap_prob(p, q, n)))
                   for g, n in enumerate(grid)]
     else:
-        from .mc import _SWAP_TRIALS_PER_BLOCK, _map_blocks, _run_swap_block, _swap_terms
+        from .mc import _SWAP_TRIALS_PER_BLOCK, _run_swap_block, _sum_blocks, _swap_terms
         for n in grid:
             _check_sample_count("n_grid entry", n)
         blocks = -(-trials // _SWAP_TRIALS_PER_BLOCK)
         terms = _swap_terms(p, q)
-        errors = [0] * len(grid)
 
-        def run(task: int) -> int:
+        def run(task: int) -> np.ndarray:   # the block's hits at its grid point
             g, b = divmod(task, blocks)
+            hits = np.zeros(len(grid), dtype=np.int64)
             # the stream index packs (grid point, block): each block is its own stream
-            return _run_swap_block(p, q, terms, grid[g], seed, g * 2**32 + b,
-                                   min(_SWAP_TRIALS_PER_BLOCK,
-                                       trials - b * _SWAP_TRIALS_PER_BLOCK))
+            hits[g] = _run_swap_block(p, q, terms, grid[g], seed, g * 2**32 + b,
+                                      min(_SWAP_TRIALS_PER_BLOCK,
+                                          trials - b * _SWAP_TRIALS_PER_BLOCK))
+            return hits
 
-        def add(task: int, hits: int) -> None:
-            errors[task // blocks] += hits
-
-        _map_blocks(run, len(grid) * blocks, workers, add)
+        errors = _sum_blocks(run, len(grid) * blocks, workers).tolist()
 
     p_hats = tuple(e / trials for e in errors)
     used = tuple(e >= MIN_ERRORS_FOR_FIT for e in errors)

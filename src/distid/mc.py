@@ -18,10 +18,10 @@ Each block scores only its distinct count rows, once each, into a
 and decodes all its trials by one `ml_decode` call on that table and
 each trial's row numbers into it.  No (block, A, A) score stack is
 built: a binary block at n = 40 has at most 41 distinct rows.
-Error trials are classified in numpy, by one vectorised cycle walk.
-Blocks are numbered, not listed, and each block's integer counts are
-added to running totals as it ends (`_map_blocks`), so memory does not
-grow with the number of trials.
+Each block counts its trials in one integer array, by misassigned rows
+and by whether the error permutation is one cycle (a vectorised cycle
+walk).  Blocks are numbered, not listed, and `_sum_blocks` adds each
+block's array to one running total as it ends: memory stays flat in trials.
 With workers > 1 the calling thread runs blocks next to workers - 1
 plain helper threads, so no pool is built or imported.
 The decode of a block is many small numpy steps, which hold the GIL
@@ -33,7 +33,8 @@ workers against 38.0 MiB with one (2 vCPUs; the README gives the runs).
 
 The swap-event blocks of `exact.pairwise_error_exponent` on pairs of
 three or more symbols live here too: they draw multinomial counts in
-blocks of 2^14 trials (`_SWAP_TRIALS_PER_BLOCK`), and a trial whose
+blocks of 2^14 trials (`_SWAP_TRIALS_PER_BLOCK`), which the same
+dispatcher sums as arrays of hits per grid point, and a trial whose
 float statistic is a near tie is decided on exact pmf ratios, so a real
 tie counts as the event.
 """
@@ -144,32 +145,24 @@ class McEstimate(NamedTuple):
                 "single_cycle_fraction": self.single_cycle_fraction}
 
 
-def _map_blocks(fn, tasks: int, workers: int, fold) -> None:
-    """fold(i, fn(i)) for every task i in range(tasks), as each task ends.
+def _sum_blocks(fn, tasks: int, workers: int) -> np.ndarray:
+    """The sum of the integer arrays fn(i), all of one shape, over range(tasks).
 
-    Tasks are numbered, not listed, and each result goes to fold once and
-    is dropped, so memory does not grow with the task count; fold must
-    give the same totals whatever order the results come in.
-    With workers > 1 and more than one task, the calling thread runs tasks
-    next to min(workers, tasks) - 1 helper threads, each thread taking
-    the lowest-numbered task not yet taken, so each task runs once, and
-    calling fold under a lock.  A helper that cannot start leaves its
-    tasks to the threads that did.
-    Once a task (or its fold) has raised, no further task starts; every
-    helper started is joined, and then the exception of the
-    lowest-numbered failing task is raised.
-    Tasks are taken in order, so every task below a failing one has been
-    taken, and has ended once the helpers are joined.
-    """
-    if workers == 1 or tasks == 1:
-        for i in range(tasks):
-            fold(i, fn(i))
-        return
+    Each result joins one running total under a lock and is dropped, so
+    memory does not grow with the task count.  The calling thread runs
+    tasks next to min(workers, tasks) - 1 helper threads (none for one
+    worker or one task), each taking the lowest-numbered task not yet
+    taken, so each task runs once.  A helper that cannot start leaves its
+    tasks to the others.  Once a task raises, no task starts; the helpers
+    are joined and the lowest-numbered failure is raised (tasks are taken
+    in order, so every task below it has ended)."""
     failures: dict[int, BaseException] = {}
+    total = 0
     lock = threading.Lock()
     order = iter(range(tasks))
 
     def work():
+        nonlocal total
         while True:
             with lock:
                 i = None if failures else next(order, None)
@@ -178,7 +171,7 @@ def _map_blocks(fn, tasks: int, workers: int, fold) -> None:
             try:
                 result = fn(i)
                 with lock:
-                    fold(i, result)
+                    total += result   # 0 + the first result is a new array
             except BaseException as exc:
                 with lock:
                     failures[i] = exc
@@ -198,6 +191,7 @@ def _map_blocks(fn, tasks: int, workers: int, fold) -> None:
             helper.join()
     if failures:
         raise failures[min(failures)]
+    return total
 
 
 def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,7 +225,7 @@ def _distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_error_block(family: DistributionFamily, n: int, seed: int,
-                     block: int, block_size: int):
+                     block: int, block_size: int) -> np.ndarray:
     from .decoder import loglik_from_counts, ml_decode
     rng = philox_stream(seed, block)
     size, symbols = len(family), family.alphabet_size
@@ -259,10 +253,9 @@ def _run_error_block(family: DistributionFamily, n: int, seed: int,
     del distinct
     decoded = ml_decode(table, rows=index.reshape(block_size, size))
     wrong = (decoded != np.arange(size)).sum(axis=1)
-    errors = np.flatnonzero(wrong)
-    hist = {int(r): int(c) for r, c in zip(*np.unique(wrong[errors], return_counts=True))}
-    single = int(_single_cycle(decoded[errors]).sum())
-    return len(errors), hist, single
+    # (2, A + 1) trial counts: by misassigned rows, and in row 1 the single cycles
+    return np.bincount(wrong + (size + 1) * _single_cycle(decoded),
+                       minlength=2 * (size + 1)).reshape(2, size + 1)
 
 
 def estimate_error_prob(family: DistributionFamily, n: int, trials: int,
@@ -283,22 +276,14 @@ def estimate_error_prob(family: DistributionFamily, n: int, trials: int,
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     _check_sample_count("n", n)
-    errors = single = 0
-    hist: dict[int, int] = {}
 
-    def run(block: int):
+    def run(block: int) -> np.ndarray:
         return _run_error_block(family, n, seed, block, min(
             TRIALS_PER_BLOCK, trials - block * TRIALS_PER_BLOCK))
 
-    def add(block: int, result) -> None:   # integer sums, the same in any order
-        nonlocal errors, single
-        block_errors, block_hist, block_single = result
-        errors += block_errors
-        single += block_single
-        for r, c in block_hist.items():
-            hist[r] = hist.get(r, 0) + c
-
-    _map_blocks(run, -(-trials // TRIALS_PER_BLOCK), workers, add)
+    counts = _sum_blocks(run, -(-trials // TRIALS_PER_BLOCK), workers)
+    by_rows = counts.sum(axis=0).tolist()
+    errors, single = sum(by_rows[1:]), int(counts[1].sum())
     p_hat = errors / trials
     if errors == 0:
         stderr, placeholder = 1.0 / trials, True
@@ -307,7 +292,7 @@ def estimate_error_prob(family: DistributionFamily, n: int, trials: int,
     return McEstimate(n=n, family_size=len(family), trials=trials,
                       errors=errors, p_hat=p_hat, stderr=stderr,
                       stderr_is_placeholder=placeholder,
-                      r_histogram=dict(sorted(hist.items())),
+                      r_histogram={r: c for r, c in enumerate(by_rows) if r and c},
                       single_cycle_fraction=(single / errors) if errors else 0.0)
 
 

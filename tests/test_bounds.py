@@ -391,6 +391,29 @@ class TestIdentifiabilityTrend:
         assert report.verdict == "identifiable-trend"
         assert report.slope is None
 
+    def test_a_zero_tail_that_rises_again_is_inconclusive(self):
+        # the third member joins at n = 80: S goes 0, 0, 0, 1.65e-24
+        spec = FamilySequenceSpec(
+            GrowthRule("exponential", 0.01),
+            {"kind": "explicit", "pmfs": [[1, 0], [0, 1], [0.5, 0.5]]},
+            (10, 20, 60, 80))
+        report = identifiability_trend(spec)
+        assert [p.s for p in report.points[:3]] == [0.0, 0.0, 0.0]
+        assert [p.family_size for p in report.points] == [2, 2, 2, 3]
+        assert report.points[3].s == pytest.approx(1.65e-24, rel=1e-2)
+        assert report.verdict == "inconclusive" and report.slope is None
+
+    def test_s_that_underflows_to_zero_is_identifiable(self):
+        # S is subnormal at n = 3200 and 0.0 after it
+        spec = FamilySequenceSpec(
+            GrowthRule("constant", 2),
+            {"kind": "explicit", "pmfs": [[0.5, 0.5], [0.9, 0.1]]},
+            (1000, 2000, 3000, 3200, 3400, 3600))
+        report = identifiability_trend(spec)
+        tail = [p.s for p in report.points[-3:]]
+        assert 0.0 < tail[0] < np.finfo(float).tiny and tail[1:] == [0.0, 0.0]
+        assert report.verdict == "identifiable-trend" and report.slope is None
+
     def test_pairs_budget_enforced(self):
         pmfs = [(0.05 + 0.015 * i, 0.95 - 0.015 * i) for i in range(60)]
         spec = FamilySequenceSpec(

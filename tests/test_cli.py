@@ -506,6 +506,18 @@ class TestConfigValidation:
                      "template provides 2 members but the growth rule requires 3",
                      id="template-too-short"),
         pytest.param("lemma", {"k": 4, "r": 7}, 2, "r=7", id="lemma-r-over-k"),
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5]]}, 2,
+                     "at least 2 members, got 1", id="one-member"),
+        pytest.param("simulate", {**EXPLICIT, "family.pmfs": [[0.5, 0.5]], "trials": 64},
+                     2, "at least 2 members, got 1", id="simulate-one-member"),
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.6], [0.9, 0.1]]}, 2,
+                     "probs must sum to 1", id="row-sum"),
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], [0.2, 0.3, 0.5]]},
+                     2, "share one alphabet size", id="row-lengths"),
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[1.5, -0.5], [0.9, 0.1]]}, 2,
+                     "probs must be nonnegative", id="row-negative"),
+        pytest.param("sweep", {**SWEEP, "family.pmfs": [[0.5, 0.5], [0.9, 0.2]]}, 2,
+                     "probs must sum to 1", id="sweep-template-row-sum"),
         # a run finds these
         pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], [0.5, 0.5]]}, 3,
                      "not distinct", id="duplicate-members"),

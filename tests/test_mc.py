@@ -19,9 +19,9 @@ from distid.distributions import philox_stream
 from distid.mc import (
     TRIALS_PER_BLOCK,
     _distinct_rows,
-    _map_blocks,
     _run_error_block,
     _single_cycle,
+    _sum_blocks,
     _swap_event,
     _swap_terms,
 )
@@ -116,26 +116,21 @@ class TestDistinctRows:
             assert len(reps) == 3 and np.array_equal(rows[reps][inverse], rows)
 
 
-def folded(fn, tasks, workers):
-    """{task: result} of one _map_blocks call; a task folded twice fails."""
-    results = {}
-
-    def fold(i, result):
-        assert i not in results
-        results[i] = result
-    _map_blocks(fn, tasks, workers, fold)
-    return results
+def one_hot(i, size):
+    """An int64 array of length size with a 1 at i: tasks that return these
+    sum to all ones exactly when each task is added once."""
+    hot = np.zeros(size, dtype=np.int64)
+    hot[i] = 1
+    return hot
 
 
-class TestMapBlocks:
-    def test_each_result_is_folded_with_its_task(self):
+class TestSumBlocks:
+    def test_each_result_is_added_once(self):
         # the first tasks take longest, so they end last
         def task(i):
             time.sleep(0.02 * (5 - i))
-            return i * i
-        order = []
-        _map_blocks(task, 6, 3, lambda i, result: order.append((i, result)))
-        assert sorted(order) == [(i, i * i) for i in range(6)]
+            return one_hot(i, 6) * i * i
+        assert _sum_blocks(task, 6, 3).tolist() == [i * i for i in range(6)]
 
     def test_each_task_runs_once_with_more_workers_than_tasks(self, monkeypatch):
         started = []
@@ -147,44 +142,46 @@ class TestMapBlocks:
 
         monkeypatch.setattr(threading, "Thread", CountedThread)
         ran = []
-        assert folded(lambda i: ran.append(i) or -i, 3, 8) == {0: 0, 1: -1, 2: -2}
+        total = _sum_blocks(lambda i: ran.append(i) or one_hot(i, 3), 3, 8)
+        assert total.tolist() == [1, 1, 1]
         assert sorted(ran) == [0, 1, 2]
         assert len(started) == 2   # and the calling thread
 
     def test_many_tasks_on_more_threads_than_cores_run_once_each(self):
         # frequent thread switches, so a task handed out twice, or a running
         # total updated by two threads at once, would show
-        ran, total = [], [0]
-
-        def fold(i, result):
-            value = total[0]
-            time.sleep(0)   # invites a switch inside the read-modify-write
-            total[0] = value + result
+        ran = []
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            _map_blocks(lambda i: ran.append(i) or i, 500, 8, fold)
+            total = _sum_blocks(lambda i: ran.append(i) or one_hot(i, 500), 500, 8)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(ran) == list(range(500)) and total[0] == sum(range(500))
+        assert sorted(ran) == list(range(500)) and total.tolist() == [1] * 500
+
+    def test_random_tasks_sum_alike_at_any_worker_count(self):
+        arrays = np.random.default_rng(29).integers(-2**40, 2**40, size=(37, 3, 5))
+        for workers in (1, 2, 8):
+            total = _sum_blocks(lambda i: arrays[i], len(arrays), workers)
+            assert np.array_equal(total, arrays.sum(axis=0))
 
     def test_the_calling_thread_runs_tasks_next_to_its_helpers(self):
         # each task waits until the other has started, so both run at once
         # on the call's two threads: the caller and one helper
         meet = threading.Barrier(2, timeout=10)
+        caller = threading.get_ident()
 
         def task(i):
             meet.wait()
-            return threading.get_ident()
-        idents = folded(task, 2, 2).values()
-        assert threading.get_ident() in idents and len(set(idents)) == 2
+            return np.array([threading.get_ident() == caller, 1])
+        assert _sum_blocks(task, 2, 2).tolist() == [1, 2]
 
     def test_a_helper_that_cannot_start_leaves_its_tasks_to_the_others(self, monkeypatch):
         # the second start fails as it does when the process is out of threads
         def task(i):
             time.sleep(0.01)
-            return i * i
-        serial = folded(task, 8, 1)
+            return one_hot(i, 8) * i * i
+        serial = _sum_blocks(task, 8, 1)
         starts = []
         start = threading.Thread.start
 
@@ -196,7 +193,7 @@ class TestMapBlocks:
 
         monkeypatch.setattr(threading.Thread, "start", start_once)
         before = threading.active_count()
-        assert folded(task, 8, 4) == serial
+        assert _sum_blocks(task, 8, 4).tolist() == serial.tolist() == [i * i for i in range(8)]
         assert len(starts) == 2
         assert threading.active_count() == before
 
@@ -205,30 +202,32 @@ class TestMapBlocks:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        assert folded(lambda i: i + 1, 4, 1) == {0: 1, 1: 2, 2: 3, 3: 4}
-        assert folded(lambda i: i + 7, 1, 4) == {0: 7}
+        ran = []
+        assert _sum_blocks(lambda i: ran.append(i) or one_hot(i, 4) * (i + 1), 4, 1
+                           ).tolist() == [1, 2, 3, 4]
+        assert ran == [0, 1, 2, 3]   # in order, on the calling thread
+        assert _sum_blocks(lambda i: one_hot(i, 1) * 7, 1, 4).tolist() == [7]
 
-    def test_the_lowest_failing_task_raises_after_the_helpers_join(self):
-        # task 3 fails at once and task 1 later; task 1's error is raised
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_the_lowest_failing_task_raises_after_the_helpers_join(self, workers):
+        # on four threads task 3 fails at once and task 1 later; task 1's
+        # error is raised.  On one, task 1 fails first and no task after it starts
+        ran = []
+
         def task(i):
+            ran.append(i)
             if i == 1:
                 time.sleep(0.05)
                 raise ValueError("task 1")
             if i == 3:
                 raise ValueError("task 3")
-            return i
+            return one_hot(i, 4)
         before = threading.active_count()
         with pytest.raises(ValueError, match="task 1"):
-            folded(task, 4, 4)
+            _sum_blocks(task, 4, workers)
         assert threading.active_count() == before
-
-    def test_a_failing_fold_raises_like_its_task(self):
-        def fold(i, result):
-            if i == 2:
-                raise ValueError("fold 2")
-        for workers in (1, 3):
-            with pytest.raises(ValueError, match="fold 2"):
-                _map_blocks(lambda i: i, 5, workers, fold)
+        if workers == 1:
+            assert ran == [0, 1]
 
 
 def sorted_decode(counts):
@@ -359,10 +358,11 @@ class TestEstimateErrorProb:
         for n in (20, 400):
             tracemalloc.start()
             try:
-                errors, _, _ = _run_error_block(fam, n, 7, 0, 1024)
+                counts = _run_error_block(fam, n, 7, 0, 1024)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            errors = counts[:, 1:].sum()   # trials with misassigned rows
             assert errors > 512 if n == 20 else errors == 0
             assert peak < 16 * 2**20
 
@@ -374,11 +374,11 @@ class TestEstimateErrorProb:
                            "theta_min": 0.1, "theta_max": 0.9})
         tracemalloc.start()
         try:
-            errors, _, _ = _run_error_block(fam, 40, 0x5EED, 0, 1024)
+            counts = _run_error_block(fam, 40, 0x5EED, 0, 1024)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert errors == 1024
+        assert counts[:, 1:].sum() == 1024
         assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("workers", [1, 2])
