@@ -42,7 +42,10 @@ growth.size = 2.5, growth that gives a family size below 2 on the grid,
 an explicit sweep template with fewer members than the growth asks for,
 lemma r = 7 with k = 4); 3 a run found it (duplicate members, growth
 overflow along the grid, a sweep over pairs_budget, too few exponent fit
-points, a count above 2^63 - 1 that numpy's samplers would draw); 4 I/O.
+points, a count above 2^63 - 1 that numpy's samplers would draw); 4 I/O,
+a stdout whose reader has gone included.  `python -m distid.cli` and the
+`distid` script end through `_main_then_exit`, which flushes stdout and
+stderr and skips the interpreter's teardown; `main` returns its code.
 
 Each subcommand is one `_COMMANDS` entry: help line, config keys (which
 decide its config rules), runner, fewest n_grid points and family size.
@@ -63,6 +66,7 @@ output; `argparse` only in `main`.  Importing this module loads
 from __future__ import annotations
 
 import ast
+import os
 import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -333,7 +337,11 @@ def run(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    print(f"{cfg.command}: wrote {len(rows)} row(s) to {cfg.out}")
+    try:
+        print(f"{cfg.command}: wrote {len(rows)} row(s) to {cfg.out}")
+    except OSError as exc:   # an unbuffered stdout whose reader has gone
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 
@@ -382,5 +390,28 @@ def main(argv=None) -> int:
     return run(cfg)
 
 
+def _main_then_exit() -> None:
+    """The `distid` console script and `python -m distid.cli`: run `main`,
+    flush stdout and stderr, and end the process with its exit code.
+
+    `os._exit` skips the interpreter's teardown (about 20 ms of module and
+    numpy cleanup), which has nothing left to write once the streams are
+    flushed: `run` closes the output file, `mc._sum_blocks` joins its
+    helper threads, and `distid` registers no `atexit` handler.  Only a
+    normal return ends this way; a `SystemExit` from argparse or an
+    uncaught exception leaves through the usual teardown.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:   # None when fd 1 was closed at start
+            sys.stdout.flush()
+    except OSError as exc:   # a buffered stdout whose reader has gone
+        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        code = 4
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    _main_then_exit()

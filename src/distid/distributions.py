@@ -391,7 +391,14 @@ def _check_family_spec(spec: Mapping, template: bool = False) -> None:
                 isinstance(row, rows) and all(map(_is_real, row)) for row in pmfs):
             raise ValueError("family spec key 'pmfs' must be a list of lists of numbers, "
                              f"got {pmfs!r}")
-        _check_members([FinitePmf(row) for row in pmfs], count=not template)
+        members = []
+        for index, row in enumerate(pmfs):
+            try:
+                members.append(FinitePmf(row))
+            except OverflowError:   # numpy's message names neither the key nor the row
+                raise ValueError(f"family.pmfs row {index} has an entry too large "
+                                 "for a float") from None
+        _check_members(members, count=not template)
     for key in [key for key in ("size", "alphabet") if key in keys]:
         # int() would truncate 4.7 to 4 without a word
         value = spec[key]

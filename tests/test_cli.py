@@ -440,6 +440,15 @@ VALID = {
               "growth.kind": "constant", "growth.size": 3, "n_grid": [5, 10, 20, 40]},
 }
 
+# Configs that only a run can reject (exit 3), named by test id.
+RUN_FINDS = {
+    "duplicate-members": ("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], [0.5, 0.5]]}),
+    "over-budget": ("sweep", {**GRID_TEMPLATE, "growth.kind": "constant",
+                              "growth.size": 200}),
+    "too-few-fit-points": ("exponent", {**VALID["exponent"], "trials": 100,
+                                        "n_grid": list(range(10, 81, 10))}),
+}
+
 # An exponent config on three symbols: its trials run mc's swap-event blocks.
 TRINOMIAL_EXPONENT = {**VALID["exponent"],
                       "family.pmfs": [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5]]}
@@ -518,18 +527,20 @@ class TestConfigValidation:
                      "probs must be nonnegative", id="row-negative"),
         pytest.param("sweep", {**SWEEP, "family.pmfs": [[0.5, 0.5], [0.9, 0.2]]}, 2,
                      "probs must sum to 1", id="sweep-template-row-sum"),
+        pytest.param("sweep", {**SWEEP, "family.pmfs": [[0.5, 0.5], [0, 10**400]]}, 2,
+                     "family.pmfs row 1 has an entry too large for a float",
+                     id="sweep-template-row-overflow"),
         # a run finds these
-        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], [0.5, 0.5]]}, 3,
-                     "not distinct", id="duplicate-members"),
+        pytest.param(*RUN_FINDS["duplicate-members"], 3, "not distinct",
+                     id="duplicate-members"),
         pytest.param("sweep", {**GRID_TEMPLATE, "growth.kind": "exponential",
                                "growth.rate": 5.0}, 3, "overflows", id="exponential-overflow"),
         pytest.param("sweep", {**GRID_TEMPLATE, "growth.kind": "polynomial",
                                "growth.degree": 400.0}, 3, "overflows",
                      id="polynomial-overflow"),
-        pytest.param("sweep", {**GRID_TEMPLATE, "growth.kind": "constant",
-                               "growth.size": 200}, 3, "budget", id="over-budget"),
-        pytest.param("exponent", {**VALID["exponent"], "n_grid": list(range(10, 81, 10)),
-                                  "trials": 100}, 3, "too few", id="too-few-fit-points"),
+        pytest.param(*RUN_FINDS["over-budget"], 3, "budget", id="over-budget"),
+        pytest.param(*RUN_FINDS["too-few-fit-points"], 3, "too few",
+                     id="too-few-fit-points"),
         # counts numpy's samplers cannot take, named before any block runs
         pytest.param("simulate", {**VALID["simulate"], "n": 2**63}, 3,
                      "n = 9223372036854775808 is above 2^63 - 1", id="simulate-n-2^63"),
@@ -545,6 +556,15 @@ class TestConfigValidation:
         assert got == code
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+        assert not out.exists()
+
+    def test_a_pmf_entry_too_large_for_a_float_is_named(self, tmp_path, capsys):
+        # numpy's own OverflowError said only "int too large to convert to float"
+        code, out, err = run_main(tmp_path, capsys, "bounds",
+                                  {**EXPLICIT, "family.pmfs": [[10**400, 0], [0.5, 0.5]]},
+                                  "huge")
+        assert code == 2
+        assert err == "error: family.pmfs row 0 has an entry too large for a float\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command, entries", [
@@ -576,10 +596,11 @@ class TestConfigValidation:
         assert not out.exists()
 
     def test_seeded_config_fuzzer(self, tmp_path, capsys):
-        # valid configs and mutations of them, for every subcommand: each
-        # run ends with a documented exit code, and a successful run writes
-        # output that parses back
-        codes = {}
+        # valid configs and mutations of them, for every subcommand, and the
+        # fixed configs that only a run rejects, so that exit 3 rests on no
+        # one mutation: each run ends with a documented exit code, and a
+        # successful run writes output that parses back
+        cases = []
         for case in range(400):
             rng = philox_stream(0xF022, case)
             command = sorted(VALID)[case % len(VALID)]
@@ -591,7 +612,11 @@ class TestConfigValidation:
                     del entries[key]
                 else:
                     entries[key] = MUTANTS[int(rng.integers(len(MUTANTS)))]
-            code, out, err = run_main(tmp_path, capsys, command, entries, str(case))
+            cases.append((str(case), command, entries))
+        cases += [(name, *config) for name, config in RUN_FINDS.items()]
+        codes = {}
+        for name, command, entries in cases:
+            code, out, err = run_main(tmp_path, capsys, command, entries, name)
             assert code in (0, 2, 3, 4), (command, entries)
             assert "Traceback" not in err
             codes[code] = codes.get(code, 0) + 1
@@ -645,14 +670,18 @@ HEAVY = {"distid.mc", "distid.decoder", "distid.graphs"}
 NEVER = {"concurrent.futures", "logging", "dataclasses"}
 
 
+def child_env() -> dict:
+    """os.environ with this tree's distid first on PYTHONPATH."""
+    src = str(Path(distid.__file__).resolve().parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def fresh_python(code, *args, timeout=120):
     """Run code in a new interpreter that imports distid from this tree:
     (exit code, last line of stdout, stderr)."""
-    src = str(Path(distid.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": path}, text=True,
-                          timeout=timeout)
+                          env=child_env(), text=True, timeout=timeout)
     return proc.returncode, (proc.stdout.splitlines() or [""])[-1], proc.stderr
 
 
@@ -699,6 +728,102 @@ class TestImports:
     def test_the_package_loads_a_module_on_first_use_of_its_names(self):
         code, out, err = fresh_python(PACKAGE_PROBE)
         assert (code, out) == (0, "ok"), err
+
+
+# Runs distid.cli as __main__ after registering an atexit handler that
+# prints a marker: the usual teardown runs the handler, the fast exit does not.
+ATEXIT_PROBE = """
+import atexit, runpy
+atexit.register(print, "atexit handler ran")
+runpy.run_module("distid.cli", run_name="__main__")
+"""
+
+RUN_ARGS = ["--config", "run.cfg", "--out", "out.csv"]
+
+
+def cli_process(args, cwd, **popen):
+    """Run `python -m distid.cli` on this tree in cwd, in text mode."""
+    return subprocess.run([sys.executable, "-m", "distid.cli", *args], cwd=cwd,
+                          env=child_env(), text=True, timeout=120, **popen)
+
+
+class TestProcessEntry:
+    """`python -m distid.cli` ends through `cli._main_then_exit`, which
+    skips the interpreter's teardown once `main` has returned."""
+
+    @pytest.mark.parametrize("text, args, code", [
+        (PAIR_CFG, ["bounds", *RUN_ARGS], 0),
+        (config_text(SWEEP), ["sweep", *RUN_ARGS, "--format", "json"], 0),
+        (PAIR_CFG + "trails = 7\n", ["bounds", *RUN_ARGS], 2),
+        (config_text(RUN_FINDS["duplicate-members"][1]), ["bounds", *RUN_ARGS], 3),
+        (PAIR_CFG, ["bounds", "--config", "run.cfg", "--out", "no/dir.csv"], 4),
+        (PAIR_CFG, ["--help"], 0),
+        (PAIR_CFG, ["bounds", *RUN_ARGS, "--seed", "abc"], 2),
+    ], ids=["bounds", "sweep-json", "exit-2", "exit-3", "exit-4", "help", "bad-seed"])
+    def test_a_process_matches_main_in_process(self, tmp_path, capsys, monkeypatch,
+                                               text, args, code):
+        monkeypatch.setenv("COLUMNS", "120")   # argparse wraps alike in both
+        outcomes = {}
+        for side in ("process", "in-process"):
+            cwd = tmp_path / side
+            cwd.mkdir()
+            (cwd / "run.cfg").write_text(text)
+            if side == "process":
+                proc = cli_process(args, cwd, capture_output=True)
+                got = [proc.returncode, proc.stdout, proc.stderr]
+            else:
+                monkeypatch.chdir(cwd)
+                try:
+                    got = [main(args)]
+                except SystemExit as exc:   # --help and usage errors
+                    got = [exc.code]
+                got += capsys.readouterr()
+            out = cwd / "out.csv"
+            outcomes[side] = got + [out.exists() and hashlib.sha256(out.read_bytes()).digest()]
+        assert outcomes["process"] == outcomes["in-process"]
+        assert outcomes["process"][0] == code
+
+    @pytest.mark.parametrize("args, code, handler_ran", [
+        (["bounds", *RUN_ARGS], 0, False),
+        (["bounds", "--config", "absent.cfg"], 4, False),
+        (["--help"], 0, True),   # argparse's SystemExit takes the usual teardown
+    ])
+    def test_a_normal_return_skips_atexit_handlers(self, tmp_path, args, code,
+                                                   handler_ran):
+        (tmp_path / "run.cfg").write_text(PAIR_CFG)
+        proc = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, *args], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert ("atexit handler ran" in proc.stdout) == handler_ran
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_a_stdout_pipe_with_no_reader_exits_4(self, tmp_path, monkeypatch, unbuffered):
+        # unbuffered, run's print fails; buffered, the flush before the exit does
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        (tmp_path / "run.cfg").write_text(PAIR_CFG)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = cli_process(["bounds", *RUN_ARGS], tmp_path, stdout=write,
+                               stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert proc.returncode == 4
+        assert proc.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+        assert (tmp_path / "out.csv").exists()
+
+    def test_a_closed_stdout_exits_0(self, tmp_path):
+        # with fd 1 closed at start sys.stdout is None: print writes nothing,
+        # and there is no stdout to flush
+        (tmp_path / "run.cfg").write_text(PAIR_CFG)
+        proc = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m",
+                               "distid.cli", "bounds", *RUN_ARGS], cwd=tmp_path,
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert (tmp_path / "out.csv").exists()
 
 
 # Runs in a fresh interpreter: prints the peak RSS in MiB after the call.

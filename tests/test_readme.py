@@ -82,6 +82,19 @@ def test_every_public_name_has_a_caller():
     assert not unused, f"public names with no caller: {unused}"
 
 
+def test_the_console_script_and_python_m_share_one_entry():
+    # both end through the same function, so neither can keep the slow exit
+    tomllib = pytest.importorskip("tomllib")
+    script = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, entry = script["distid"].partition(":")
+    main_block = next(stmt for stmt in ast.parse((SRC / "cli.py").read_text()).body
+                      if isinstance(stmt, ast.If)
+                      and ast.unparse(stmt.test) == "__name__ == '__main__'")
+    assert module == "distid.cli"
+    assert [ast.unparse(stmt) for stmt in main_block.body] == [f"{entry}()"]
+    assert callable(getattr(cli, entry))
+
+
 def test_every_readme_config_validates():
     for command, block in readme_configs().values():
         cfg = cli.build_config(command, cli.parse_config(block))
