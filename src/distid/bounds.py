@@ -24,8 +24,9 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import (_TREND_GRID_MIN, DistributionFamily, _check_family_spec,
-                            _check_grid, _is_real, _ls_slope, _upper_blocks, make_family)
+from .distributions import (_TREND_GRID_MIN, DistributionFamily, _bhattacharyya_block,
+                            _check_family_spec, _check_grid, _is_real, _ls_slope,
+                            _upper_blocks, make_family)
 
 __all__ = [
     "pairwise_sum",
@@ -46,36 +47,161 @@ TREND_SLOPE_TOL = 1e-6
 DEFAULT_PAIRS_BUDGET = 10_000
 
 
+# pairwise_sum exponentiates and sums its terms in nodes of at most this
+# many (256 KiB), each a subtree of numpy's pairwise summation of them all.
+_SUM_NODE = 2**15
+
+# The Gram prepass of pairwise_sum works in row blocks of about this many
+# (row, column, symbol) multiply-adds.
+_GRAM_ENTRIES = 2**17
+
+
 def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
     """(S, log S) for the family at blocklength n.
 
-    Computed by log-sum-exp over the terms -2 n B(P_i, P_j); pairs with
-    infinite distance contribute exactly zero.  log S is -inf when every
-    pair has disjoint support.  Each upper-triangle row block of the
-    distance kernel is scaled straight into one vector of the A(A-1)/2
-    terms (in triu_indices order) and the log-sum-exp runs in place, so
-    the memory is 8 bytes per pair plus one block; the finite terms are
-    copied out only when some term is infinite.
+    Computed by log-sum-exp over the finite terms -2 n B(P_i, P_j) in
+    triu_indices order; pairs with disjoint supports contribute exactly
+    zero, and log S is -inf when every pair has disjoint support.  The
+    result is bitwise that of `np.exp(terms - peak).sum()` on the vector
+    of all finite terms, which is never built: a prepass
+    (`_finite_pairs_and_closest`) finds their count N and the least
+    distance, so the peak term is known before the first exp, and one
+    pass over the distance kernel's row blocks then copies each block's
+    shifted terms into a node of at most 2^15 of them.  The node sizes
+    come from numpy's own recursion over N (`_node_sizes`); each full
+    node is exponentiated and `np.sum`'d in place, and the node sums are
+    added back up that recursion.  So the memory is one kernel block, one
+    node and the node sums (8 bytes per 2^14 pairs or fewer), whatever A.
     """
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    size = len(family)
-    terms = np.empty(size * (size - 1) // 2)
     scale = -2.0 * n
-    pos = 0
-    for _, _, block in _upper_blocks(family):
-        for r, row in enumerate(block):
-            end = pos + row.size - r - 1
-            np.multiply(scale, row[r + 1:], out=terms[pos:end])
-            pos = end
-    peak = float(terms.max())
-    if peak == -math.inf:
+    count, closest = _finite_pairs_and_closest(family)
+    peak = scale * closest   # the largest term, since rounding is monotone
+    if peak == -math.inf:   # every pair disjoint, or every term overflows
         return 0.0, -math.inf
-    if terms.min() == -math.inf:
-        terms = terms[np.isfinite(terms)]
-    terms -= peak
-    log_s = peak + math.log(float(np.exp(terms, out=terms).sum()))
+    masked = bool(family._zero.any())
+    index = np.arange(len(family))
+    sizes = _node_sizes(count)
+    node = np.empty(min(count, _SUM_NODE))
+    want, fill, sums = next(sizes), 0, []
+    for _, _, block in _upper_blocks(family):
+        # the finite entries above the diagonal, row by row: the block's
+        # rows and columns start at the same member
+        keep = index[:block.shape[1]] > index[:len(block), None]
+        if masked:
+            keep &= block < math.inf
+        terms = block[keep]
+        terms *= scale
+        while terms.size:
+            take = min(want - fill, terms.size)
+            np.subtract(terms[:take], peak, out=node[fill:fill + take])
+            fill, terms = fill + take, terms[take:]
+            if fill == want:
+                full = node[:want]
+                sums.append(float(np.exp(full, out=full).sum()))
+                want, fill = next(sizes, 0), 0
+    log_s = peak + math.log(_node_tree_sum(iter(sums), count))
     return math.exp(log_s), log_s
+
+
+def _halves(count: int) -> tuple[int, int]:
+    """How numpy's pairwise summation splits more than 128 terms: at half
+    the count rounded down to a multiple of 8, adding the halves' sums."""
+    half = count // 2 - count // 2 % 8
+    return half, count - half
+
+
+def _node_sizes(count: int):
+    """The lengths, in order, of the subtrees of numpy's pairwise summation
+    of count terms that hold at most _SUM_NODE terms and whose parent holds
+    more."""
+    if count <= _SUM_NODE:
+        yield count
+        return
+    for part in _halves(count):
+        yield from _node_sizes(part)
+
+
+def _node_tree_sum(sums, count: int) -> float:
+    """The node sums (an iterator in `_node_sizes(count)` order) added up
+    numpy's recursion: bitwise the `np.sum` of all count terms, which is
+    0.0 plus that tree, and the 0.0 changes no sum of exponentials."""
+    if count <= _SUM_NODE:
+        return next(sums)
+    left, right = _halves(count)
+    return _node_tree_sum(sums, left) + _node_tree_sum(sums, right)
+
+
+def _finite_pairs_and_closest(family: DistributionFamily) -> tuple[int, float]:
+    """(N, B_min): how many pairs i < j share some support, which are the
+    pairs with a finite distance, and the least such distance bit for bit
+    as the kernel computes it (+inf when N = 0).
+
+    Row blocks of the Gram matrix of the members' square roots, one
+    `np.einsum` each, give every coefficient BC = sum sqrt(p q) to within
+    a relative (m + 2) 2^-53.  (BLAS products were as fast when warm, but
+    in a fresh `sweep` process, while OpenBLAS's helper threads still spin
+    after numpy's import, they took 8 ms under cProfile to einsum's 2.)  A square root of a positive double is at
+    least 2^-537, so a product of two never rounds to 0: BC is exactly 0
+    for disjoint supports and positive otherwise, here and in the kernel.
+    B falls as BC rises.  The kernel's B is -log of its own BC below 1/2
+    and the Hellinger form above, which sees each pmf's deviation from a
+    sum of 1 (up to 1e-12) where the Gram does not; so the pairs closest
+    in B all lie within `slack` of the largest Gram entry, a margin many
+    times those errors.  Pass one keeps each block's largest entry and,
+    when some pmf entry is 0, counts the positive ones; pass two
+    recomputes only the blocks that reach the margin and re-scores the
+    pairs in it with `_bhattacharyya_block`, one call per row.
+    """
+    probs, roots = family._probs, family._roots
+    size, m = probs.shape
+    spans = []
+    lo = 0
+    while lo < size - 1:
+        hi = min(size - 1, lo + max(1, _GRAM_ENTRIES // ((size - lo) * m)))
+        spans.append((lo, hi))
+        lo = hi
+
+    index = np.arange(size)
+    masked = bool(family._zero.any())
+    probs_t, roots_t = probs.T.copy(), roots.T.copy()
+
+    def gram(lo: int, hi: int) -> np.ndarray:
+        """Rows lo..hi of the Gram matrix against columns lo..A, 0 where j <= i."""
+        coeff = np.einsum("ik,kj->ij", roots[lo:hi], roots_t[:, lo:])
+        rows = index[:hi - lo]
+        coeff[:, :hi - lo][rows[:, None] >= rows] = 0.0
+        return coeff
+
+    count, tops = 0, []
+    for lo, hi in spans:
+        coeff = gram(lo, hi)
+        if masked:   # else every pair shares support
+            count += int(np.count_nonzero(coeff))
+        tops.append(float(coeff.max()))
+    if not masked:
+        count = size * (size - 1) // 2
+    if count == 0:
+        return 0, math.inf
+    top = max(tops)
+    slack = (m + 16) * 2.0**-46 * top + (m + 1) * 2.0**-1070
+    if top > 0.25:   # some pair may take the Hellinger form
+        slack += 4.0 * float(np.abs(probs.sum(axis=1) - 1.0).max())
+    floor = max(top - slack, math.ulp(0.0))   # and never a disjoint pair
+    closest = math.inf
+    for (lo, hi), block_top in zip(spans, tops):
+        if block_top < floor:
+            continue
+        rows, cols = np.nonzero(gram(lo, hi) >= floor)
+        starts = np.flatnonzero(np.diff(rows)) + 1
+        for row, row_cols in zip(rows[np.r_[0, starts]], np.split(cols + lo, starts)):
+            i = lo + row
+            dist = _bhattacharyya_block(probs_t[:, i:i + 1], roots_t[:, i:i + 1],
+                                        probs_t[:, row_cols], roots_t[:, row_cols],
+                                        masked)
+            closest = min(closest, float(dist.min()))
+    return count, closest
 
 
 def _unclamped_upper(s: float) -> float | None:

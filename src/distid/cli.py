@@ -390,6 +390,18 @@ def main(argv=None) -> int:
     return run(cfg)
 
 
+def _flush_stdout() -> OSError | None:
+    """Flush sys.stdout, and return the error of a buffered stdout whose
+    reader has gone (None when the flush succeeds, or when fd 1 was closed
+    at start and sys.stdout is None)."""
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        return exc
+    return None
+
+
 def _main_then_exit() -> None:
     """The `distid` console script and `python -m distid.cli`: run `main`,
     flush stdout and stderr, and end the process with its exit code.
@@ -398,15 +410,25 @@ def _main_then_exit() -> None:
     numpy cleanup), which has nothing left to write once the streams are
     flushed: `run` closes the output file, `mc._sum_blocks` joins its
     helper threads, and `distid` registers no `atexit` handler.  Only a
-    normal return ends this way; a `SystemExit` from argparse or an
-    uncaught exception leaves through the usual teardown.
+    normal return ends this way; a `SystemExit` from argparse (`--help`,
+    usage errors) or an uncaught exception leaves through the usual
+    teardown.  Before a `SystemExit` leaves, stdout is flushed, and fd 1
+    is pointed at the null device if that fails, so that the teardown's
+    own flush neither fails nor reports it: help text into a pipe with no
+    reader then ends with argparse's code whether stdout is buffered or
+    not (argparse itself drops the error of an unbuffered write).
     """
-    code = main()
     try:
-        if sys.stdout is not None:   # None when fd 1 was closed at start
-            sys.stdout.flush()
-    except OSError as exc:   # a buffered stdout whose reader has gone
-        print(f"error: cannot write to stdout: {exc}", file=sys.stderr)
+        code = main()
+    except SystemExit:
+        if _flush_stdout() is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.close(devnull)
+        raise
+    error = _flush_stdout()
+    if error is not None:
+        print(f"error: cannot write to stdout: {error}", file=sys.stderr)
         code = 4
     if sys.stderr is not None:
         sys.stderr.flush()

@@ -48,10 +48,19 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import DistributionFamily, FinitePmf, _check_sample_count, philox_stream
-# bench/layers.py traces the fit by this binding; the tracer wraps exact's too
-from .exact import pairwise_error_exponent
 
 __all__ = ["McEstimate", "estimate_error_prob", "permutation_cycles"]
+
+
+def __getattr__(name: str):
+    """`mc.pairwise_error_exponent` is `exact`'s, imported on first access,
+    so that `simulate` does not load `exact`: bench/layers.py traces the
+    fit by this name, and the tracer wraps `exact`'s binding."""
+    if name == "pairwise_error_exponent":
+        from .exact import pairwise_error_exponent
+        return pairwise_error_exponent
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 TRIALS_PER_BLOCK = 4096
 

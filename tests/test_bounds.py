@@ -43,6 +43,17 @@ def dense_pairwise_sum(family, n):
     return math.exp(log_s), log_s
 
 
+def rows_with_zeros(size, alphabet, seed):
+    """About size distinct pmf rows, about 35% of whose entries are 0, in a
+    shuffled order: members with zeros and pairs with disjoint supports."""
+    rng = np.random.default_rng(seed)
+    w = rng.exponential(1.0, size=(size, alphabet))
+    w[rng.random(w.shape) < 0.35] = 0.0
+    w[w.sum(axis=1) == 0, 0] = 1.0
+    rows = np.unique(w / w.sum(axis=1, keepdims=True), axis=0)
+    return rows[rng.permutation(len(rows))].tolist()
+
+
 def equal_angle_binary_pmfs(count, phi0=0.3, dphi=0.2435):
     """Binary pmfs with equal adjacent Bhattacharyya distances.
 
@@ -111,11 +122,30 @@ class TestPairwiseSum:
         # every pair disjoint but one
         [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.5, 0.5],
          [0.0, 0.0, 0.9, 0.1]],
+        # the peak tied by many pairs: 299 adjacent pairs at one distance,
+        # and point masses with neighbours at nearly equal distances
+        equal_angle_binary_pmfs(300),
+        {"kind": "binary-grid", "size": 300, "theta_min": 0.0, "theta_max": 1.0},
+        # zeros and disjoint pairs, with more than 2^15 finite terms
+        rows_with_zeros(400, 4, 3),
+        # fewer than 8 finite terms: N = 1, 2 and 3
+        [[0.5, 0.5], [0.9, 0.1]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.5, 0.5, 0.0]],
+        equal_angle_binary_pmfs(3),
     ])
     def test_streamed_sum_equals_the_dense_reference(self, spec):
         fam = make_family(spec)
         for n in (1, 7, 100, 5000):
             assert pairwise_sum(fam, n) == dense_pairwise_sum(fam, n), n
+
+    @pytest.mark.parametrize("spec", [SOME_DISJOINT, equal_angle_binary_pmfs(40)])
+    def test_terms_that_overflow_match_the_dense_reference(self, spec):
+        # at n = 10^306 the terms of most pairs overflow to -inf: the dense
+        # reference drops them and the stream keeps them as zeros, and since
+        # every other shifted term is exactly 0 or 1 the sums agree
+        fam = make_family(spec)
+        with np.errstate(over="ignore"):
+            assert pairwise_sum(fam, 10**306) == dense_pairwise_sum(fam, 10**306)
 
     def test_every_pair_disjoint(self):
         fam = make_family(np.eye(5).tolist())
@@ -127,12 +157,7 @@ class TestPairwiseSum:
                                                            entries):
         # zeros and disjoint pairs; with the -inf terms left in, the sum
         # rounds differently at n = 1, 7 and 100
-        rng = np.random.default_rng(0)
-        w = rng.exponential(1.0, size=(53, 5))
-        w[rng.random(w.shape) < 0.35] = 0.0
-        w[w.sum(axis=1) == 0, 0] = 1.0
-        rows = np.unique(w / w.sum(axis=1, keepdims=True), axis=0)
-        fam = make_family(rows[rng.permutation(len(rows))].tolist())
+        fam = make_family(rows_with_zeros(53, 5, 0))
         grid = (1, 7, 30, 100)
         want = [pairwise_sum(fam, n) for n in grid]
         assert want == [dense_pairwise_sum(fam, n) for n in grid]
@@ -157,17 +182,45 @@ class TestPairwiseSum:
     def test_pinned_log_s(self, spec, n, log_s):
         assert pairwise_sum(make_family(spec), n)[1].hex() == log_s
 
-    def test_memory_is_the_terms_vector_and_one_block(self):
-        size = 1000
-        fam = make_family({"kind": "random-simplex", "size": size,
-                           "alphabet": 8, "seed": 7})
+    def test_memory_does_not_grow_with_the_pairs(self):
+        # one kernel block, one node and the node sums: about 1.5 MiB here,
+        # where the vector of all 8.0 million terms took 62 MiB
+        fam = make_family({"kind": "random-simplex", "size": 4000,
+                           "alphabet": 3, "seed": 7})
         tracemalloc.start()
         try:
-            pairwise_sum(fam, 100)
+            pairwise_sum(fam, 10**4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.3 * 8 * size * (size - 1) // 2
+        assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("node, gram", [(128, 1), (1000, 64), (2**15, 2**20)])
+    def test_streamed_sum_is_independent_of_the_node_and_gram_sizes(self, monkeypatch,
+                                                                    node, gram):
+        # any node of 128 terms or more is a subtree of numpy's summation
+        families = [make_family(rows_with_zeros(120, 4, 1)),
+                    make_family(equal_angle_binary_pmfs(200))]
+        want = [pairwise_sum(fam, n) for fam in families for n in (1, 30)]
+        monkeypatch.setattr(bounds, "_SUM_NODE", node)
+        monkeypatch.setattr(bounds, "_GRAM_ENTRIES", gram)
+        assert [pairwise_sum(fam, n) for fam in families for n in (1, 30)] == want
+
+
+@pytest.mark.parametrize("node", [128, 2**15])
+def test_numpy_sums_a_vector_in_the_pairwise_order_pinned_here(monkeypatch, node):
+    # pairwise_sum adds np.sum'd nodes up numpy's own recursion, and
+    # distributions._plane_sum adds planes in the same order; a numpy that
+    # sums another way moves their output bits, and fails here first
+    monkeypatch.setattr(bounds, "_SUM_NODE", node)
+    rng = np.random.default_rng(5)
+    for count in (7, 128, 129, 2**15 + 1, 10**6 + 3):
+        values = np.exp(rng.normal(0.0, 8.0, count))
+        ends = np.cumsum(list(bounds._node_sizes(count)))
+        sums = iter([np.sum(part) for part in np.split(values, ends[:-1])])
+        assert np.sum(values) == 0.0 + bounds._node_tree_sum(sums, count), (
+            f"numpy {np.__version__} no longer sums {count} float64 values in "
+            f"the pairwise order that bounds.pairwise_sum reproduces")
 
 
 class TestClosedFormBounds:

@@ -698,7 +698,7 @@ class TestImports:
         ("exponent", TRINOMIAL_EXPONENT, {"distid.exact", "distid.mc"},
          HEAVY - {"distid.mc"} | {"distid.bounds"}),
         ("simulate", VALID["simulate"], {"distid.bounds", "distid.mc", "distid.decoder"},
-         {"fractions"}),
+         {"fractions", "distid.exact"}),
         ("lemma", VALID["lemma"], {"distid.graphs"},
          HEAVY - {"distid.graphs"} | {"distid.bounds", "distid.exact"}),
     ])
@@ -814,6 +814,24 @@ class TestProcessEntry:
         assert proc.returncode == 4
         assert proc.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
         assert (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_help_into_a_stdout_pipe_with_no_reader_exits_0(self, tmp_path, monkeypatch,
+                                                            unbuffered):
+        # unbuffered, argparse drops the failed write; buffered, the flush
+        # before SystemExit leaves fails, and the teardown's flush writes
+        # to the null device instead of reporting "Exception ignored"
+        if unbuffered:
+            monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+        else:
+            monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = cli_process(["--help"], tmp_path, stdout=write, stderr=subprocess.PIPE)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_a_closed_stdout_exits_0(self, tmp_path):
         # with fd 1 closed at start sys.stdout is None: print writes nothing,
