@@ -20,13 +20,13 @@ thousands of members and large n do not underflow.
 from __future__ import annotations
 
 import math
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .distributions import (_TREND_GRID_MIN, DistributionFamily, _bhattacharyya_block,
-                            _check_family_spec, _check_grid, _is_real, _ls_slope,
+from .distributions import (DistributionFamily, _bhattacharyya_block, _ls_slope,
                             _upper_blocks, make_family)
+from .spec import DEFAULT_PAIRS_BUDGET, FamilySequenceSpec, GrowthRule
 
 __all__ = [
     "pairwise_sum",
@@ -43,8 +43,6 @@ __all__ = [
 # Least-squares slope magnitudes below this are treated as flat when
 # classifying a trend; any finite grid check is a heuristic, not a proof.
 TREND_SLOPE_TOL = 1e-6
-
-DEFAULT_PAIRS_BUDGET = 10_000
 
 
 # pairwise_sum exponentiates and sums its terms in nodes of at most this
@@ -140,16 +138,17 @@ def _finite_pairs_and_closest(family: DistributionFamily) -> tuple[int, float]:
 
     Row blocks of the Gram matrix of the members' square roots, one
     `np.einsum` each, give every coefficient BC = sum sqrt(p q) to within
-    a relative (m + 2) 2^-53.  (BLAS products were as fast when warm, but
-    in a fresh `sweep` process, while OpenBLAS's helper threads still spin
-    after numpy's import, they took 8 ms under cProfile to einsum's 2.)  A square root of a positive double is at
-    least 2^-537, so a product of two never rounds to 0: BC is exactly 0
-    for disjoint supports and positive otherwise, here and in the kernel.
-    B falls as BC rises.  The kernel's B is -log of its own BC below 1/2
-    and the Hellinger form above, which sees each pmf's deviation from a
-    sum of 1 (up to 1e-12) where the Gram does not; so the pairs closest
-    in B all lie within `slack` of the largest Gram entry, a margin many
-    times those errors.  Pass one keeps each block's largest entry and,
+    a relative (m + 2) 2^-53.  (einsum sums in numpy's own loop, so the
+    pairs re-scored do not depend on numpy's BLAS or its threads; a BLAS
+    product was 2 ms faster on the `sweep_growing` families, too little
+    for the benchmark to resolve.)  A square root of a positive double is
+    at least 2^-537, so a product of two never rounds to 0: BC is exactly
+    0 for disjoint supports and positive otherwise, here and in the
+    kernel.  B falls as BC rises.  The kernel's B is -log of its own BC
+    below 1/2 and the Hellinger form above, which sees each pmf's
+    deviation from a sum of 1 (up to 1e-12) where the Gram does not; so
+    the pairs closest in B all lie within `slack` of the largest Gram
+    entry, a margin many times those errors.  Pass one keeps each block's largest entry and,
     when some pmf entry is 0, counts the positive ones; pass two
     recomputes only the blocks that reach the margin and re-scores the
     pairs in it with `_bhattacharyya_block`, one call per row.
@@ -263,59 +262,6 @@ class BoundReport(NamedTuple):
         return {**self.row(), "upper_clamped": self.upper_clamped}
 
 
-class _GrowthFields(NamedTuple):
-    kind: str
-    param: float
-
-
-class GrowthRule(_GrowthFields):
-    """How the family size scales with the blocklength.
-
-    kind is one of "constant" (size A), "polynomial" (ceil(n^degree)) or
-    "exponential" (ceil(exp(rate * n))); param is that size, degree or
-    rate, and _PARAM_KEYS names it in a spec.
-    """
-
-    __slots__ = ()
-
-    _PARAM_KEYS = {"constant": "size", "polynomial": "degree", "exponential": "rate"}
-
-    def __new__(cls, kind: str, param: float) -> "GrowthRule":
-        if not isinstance(kind, str) or kind not in cls._PARAM_KEYS:
-            raise ValueError(f"unknown growth kind: {kind!r}")
-        if not _is_real(param):
-            raise ValueError(f"growth param must be a number, got {param!r}")
-        param = float(param)
-        if kind == "constant":
-            if not (param.is_integer() and param >= 2):
-                raise ValueError(f"constant growth needs an integer size >= 2, "
-                                 f"got {param}")
-        elif not (math.isfinite(param) and param > 0):
-            raise ValueError(f"{kind} growth needs a positive rate, got {param}")
-        return super().__new__(cls, kind, param)
-
-    @classmethod
-    def _from_spec(cls, spec: Mapping) -> "GrowthRule":
-        """The rule of a spec that holds "kind" and that kind's parameter key."""
-        kind = spec.get("kind")
-        key = cls._PARAM_KEYS.get(kind) if isinstance(kind, str) else None
-        if key is None or set(spec) != {"kind", key}:
-            raise ValueError(f"growth takes a kind and that kind's parameter key "
-                             f"only ({cls._PARAM_KEYS}), got {dict(spec)}")
-        return cls(kind, spec[key])
-
-    def size_at(self, n: int) -> int:
-        if self.kind == "constant":
-            return int(self.param)
-        try:
-            if self.kind == "polynomial":
-                return math.ceil(n ** self.param)
-            return math.ceil(math.exp(self.param * n))
-        except OverflowError:
-            raise ValueError(f"{self.kind} growth overflows the family size "
-                             f"at n={n}") from None
-
-
 def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     """Build the size-A_n family for one grid point.
 
@@ -325,43 +271,6 @@ def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     if template["kind"] != "explicit":
         return make_family({**template, "size": size})
     return make_family({"kind": "explicit", "pmfs": list(template["pmfs"])[:size]})
-
-
-class _SequenceFields(NamedTuple):
-    growth: GrowthRule
-    template: Mapping
-    n_grid: tuple[int, ...]
-
-
-class FamilySequenceSpec(_SequenceFields):
-    """A growth rule, a family template (a spec without "size"), and the
-    blocklengths to evaluate.
-
-    The family size must be at least 2, and at most an explicit template's
-    member count, at every grid point.  A size that overflows is far above
-    2 and passes here; `size_at` raises for it when a run needs the size.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, growth: GrowthRule, template: Mapping,
-                n_grid: Sequence[int]) -> "FamilySequenceSpec":
-        _check_family_spec(template, template=True)
-        grid = _check_grid(n_grid, _TREND_GRID_MIN)
-        members = (len(template["pmfs"]) if template["kind"] == "explicit"
-                   else math.inf)
-        for n in grid:
-            try:
-                size = growth.size_at(n)
-            except ValueError:   # overflow, the only error size_at raises
-                continue
-            if size < 2:
-                raise ValueError(f"family size at n={n} is {size}; "
-                                 f"need >= 2 everywhere on the grid")
-            if size > members:
-                raise ValueError(f"template provides {members} members but the "
-                                 f"growth rule requires {size} at n={n}")
-        return super().__new__(cls, growth, template, grid)
 
 
 class TrendPoint(NamedTuple):

@@ -44,8 +44,8 @@ lemma r = 7 with k = 4); 3 a run found it (duplicate members, growth
 overflow along the grid, a sweep over pairs_budget, too few exponent fit
 points, a count above 2^63 - 1 that numpy's samplers would draw); 4 I/O,
 a stdout whose reader has gone included.  `python -m distid.cli` and the
-`distid` script end through `_main_then_exit`, which flushes stdout and
-stderr and skips the interpreter's teardown; `main` returns its code.
+`distid` script run `_main_then_exit`, which pins OpenBLAS to one thread,
+flushes stdout and stderr and skips teardown; `main` returns its code.
 
 Each subcommand is one `_COMMANDS` entry: help line, config keys (which
 decide its config rules), runner, fewest n_grid points and family size.
@@ -54,13 +54,13 @@ payload; `run` alone writes one of them, the CSV as a header of the
 first row's keys and one line of `_cell`s per row, with floats at 17
 significant digits so that they round-trip exactly.
 
-Each subcommand imports only the modules it runs: `bounds` in the
-runners that report bounds and, for `sweep`, in `_allowed_keys` (the
-growth keys) and `build_config` (the growth rule); `graphs` in the
-`lemma` runner and in `build_config`, which checks k and r with it;
-`mc` and `exact` in the runners that use them; `json` only for JSON
-output; `argparse` only in `main`.  Importing this module loads
-`distributions` alone.
+Each subcommand imports only the modules it runs: `distributions`, and
+with it numpy, in every runner; `bounds`, `graphs`, `mc` and `exact` in
+the runners that use them; `json` only for JSON output; `argparse` only
+in `main`.  Importing this module loads `spec` alone, whose config rules
+import no numpy: `--help` and the validation of a config, its errors
+included, load none, except where an explicit family's rows are checked
+by `distributions.FinitePmf`.
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ import sys
 from pathlib import Path
 from typing import Callable, NamedTuple
 
-from .distributions import (_FAMILY_KIND_KEYS, _FIT_GRID_MIN, _TREND_GRID_MIN,
-                            _check_family_spec, _check_grid, _check_seed, make_family,
-                            philox_stream)
+from .spec import (_FAMILY_KIND_KEYS, _FIT_GRID_MIN, _TREND_GRID_MIN, DEFAULT_PAIRS_BUDGET,
+                   FamilySequenceSpec, GrowthRule, _check_enumerable, _check_family_spec,
+                   _check_grid, _check_seed)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "run", "main"]
 
@@ -138,24 +138,24 @@ class RunConfig(NamedTuple):
     format: str = "csv"
     workers: int = 1
     family: dict | None = None
-    spec: object = None   # with a growth rule, a bounds.FamilySequenceSpec
+    spec: object = None   # with a growth rule, a FamilySequenceSpec
     n_grid: tuple[int, ...] | None = None   # n = N is stored as (N,)
     trials: int = 10_000   # 1 where the command takes k
     k: int | None = None
     r: object = None  # int or "all"
-    pairs_budget: int | None = None   # bounds.DEFAULT_PAIRS_BUDGET where it is taken
+    pairs_budget: int | None = None   # DEFAULT_PAIRS_BUDGET where it is taken
 
 
 def _run_bounds(cfg: RunConfig):
-    from . import bounds
-    family = make_family(cfg.family)
+    from . import bounds, distributions
+    family = distributions.make_family(cfg.family)
     reports = [bounds.BoundReport.from_family(family, n) for n in cfg.n_grid]
     return [r.row() for r in reports], {"reports": [r.to_json_dict() for r in reports]}
 
 
 def _run_simulate(cfg: RunConfig):
-    from . import bounds, mc
-    family = make_family(cfg.family)
+    from . import bounds, distributions, mc
+    family = distributions.make_family(cfg.family)
     estimates = [mc.estimate_error_prob(family, n, cfg.trials, cfg.seed, workers=cfg.workers)
                  for n in cfg.n_grid]
     reports = [bounds.BoundReport.from_family(family, n) for n in cfg.n_grid]
@@ -166,12 +166,12 @@ def _run_simulate(cfg: RunConfig):
 
 
 def _run_lemma(cfg: RunConfig):
-    from . import graphs
+    from . import distributions, graphs
     k = cfg.k
     rows: list[dict] = []
     for r in range(2, k + 1) if cfg.r == "all" else [cfg.r]:
         for trial in range(cfg.trials):
-            rng = philox_stream(cfg.seed, (r << 32) + trial)
+            rng = distributions.philox_stream(cfg.seed, (r << 32) + trial)
             res = graphs.check_mean_gain_bound(k, rng.random(k * (k - 1) // 2), r)
             rows.append({"kind": "mean-gain", "k": k, "r": r, "trial": trial,
                          "lhs": res.lhs, "rhs": res.rhs, "holds": res.holds})
@@ -180,8 +180,8 @@ def _run_lemma(cfg: RunConfig):
 
 
 def _run_exponent(cfg: RunConfig):
-    from . import exact
-    family = make_family(cfg.family)
+    from . import distributions, exact
+    family = distributions.make_family(cfg.family)
     fit = exact.pairwise_error_exponent(family[0], family[1], cfg.n_grid,
                                         cfg.trials, cfg.seed, workers=cfg.workers)
     return fit.rows(), {"fit": fit.to_json_dict()}
@@ -222,12 +222,12 @@ _COMMANDS = {
 
 
 def _allowed_keys(command: str) -> set[str]:
-    """The config keys a command takes; its growth parameter keys load bounds."""
+    """The config keys a command takes, with the growth parameter keys where
+    it takes growth.kind."""
     keys = _COMMON_KEYS | _COMMANDS[command].keys
     if "growth.kind" not in keys:
         return keys
-    from . import bounds
-    return keys | {f"growth.{key}" for key in bounds.GrowthRule._PARAM_KEYS.values()}
+    return keys | {f"growth.{key}" for key in GrowthRule._PARAM_KEYS.values()}
 
 
 def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunConfig:
@@ -291,17 +291,15 @@ def build_config(command: str, raw: dict, overrides: dict | None = None) -> RunC
             r = cfg["r"] = raw.get("r", "all")
             if r != "all" and (not isinstance(r, int) or isinstance(r, bool)):
                 raise ConfigError(f"key 'r' must be an integer or 'all', got {r!r}")
-            from . import graphs
-            graphs._check_enumerable(k, 2 if r == "all" else r)
+            _check_enumerable(k, 2 if r == "all" else r)
             cfg.setdefault("trials", 1)
         if "growth.kind" in keys:
-            from . import bounds
-            growth = bounds.GrowthRule._from_spec(
+            growth = GrowthRule._from_spec(
                 {key.partition(".")[2]: value for key, value in raw.items()
                  if key.startswith("growth.")})
-            cfg["spec"] = bounds.FamilySequenceSpec(growth, family, cfg["n_grid"])
+            cfg["spec"] = FamilySequenceSpec(growth, family, cfg["n_grid"])
             cfg["pairs_budget"] = (_at_least_one(raw, "pairs_budget")
-                                   if "pairs_budget" in raw else bounds.DEFAULT_PAIRS_BUDGET)
+                                   if "pairs_budget" in raw else DEFAULT_PAIRS_BUDGET)
     except (ValueError, OverflowError) as exc:   # a library check; ConfigError too
         raise ConfigError(str(exc)) from None
     return RunConfig(command, **cfg)
@@ -417,7 +415,11 @@ def _main_then_exit() -> None:
     own flush neither fails nor reports it: help text into a pipe with no
     reader then ends with argparse's code whether stdout is buffered or
     not (argparse itself drops the error of an unbuffered write).
+    OPENBLAS_NUM_THREADS defaults to 1 before numpy loads (a user's value
+    wins): no subcommand needs a threaded BLAS, whose idle helper threads
+    spin on a second CPU.  In-process `main` leaves the environment alone.
     """
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     try:
         code = main()
     except SystemExit:

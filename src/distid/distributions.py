@@ -3,18 +3,19 @@
 Symbols are dense integer indices 0..m-1; there is no named-alphabet
 mapping.  All values are immutable after construction and safe to share
 across threads; every random draw comes from a counter-based stream
-that is a pure function of (seed, stream index).  The blocklength-grid
-check and the least-squares slope that `bounds` and `exact` share live
-here too, since every subcommand loads this module.
+that is a pure function of (seed, stream index).  The least-squares
+slope that `bounds` and `exact` share lives here too; the config-level
+checks of family specs, seeds and grids are `spec`'s.
 """
 
 from __future__ import annotations
 
 import operator
-from numbers import Integral, Real
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
+
+from .spec import _U64_MAX, _check_family_spec, _check_members, _check_seed
 
 __all__ = [
     "FinitePmf",
@@ -31,25 +32,8 @@ __all__ = [
 NORMALIZATION_TOL = 1e-12
 DISTINCT_TOL = 1e-9
 
-_U64_MAX = 2**64 - 1
-
 # The largest count numpy's samplers take: they read counts as C longs.
 _SAMPLE_MAX = 2**63 - 1
-
-# The keys each kind of family spec takes besides "kind"; all are required.
-_FAMILY_KIND_KEYS = {
-    "explicit": {"pmfs"},
-    "binary-grid": {"size", "theta_min", "theta_max"},
-    "random-simplex": {"size", "alphabet", "seed"},
-}
-
-
-def _check_seed(seed: int) -> int:
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= seed <= _U64_MAX:
-        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
-    return int(seed)
 
 
 def philox_stream(seed: int, stream: int = 0) -> np.random.Generator:
@@ -195,14 +179,6 @@ class DistributionFamily:
 
     def __repr__(self) -> str:
         return f"DistributionFamily(size={len(self)}, m={self.alphabet_size})"
-
-
-def _check_members(members: Sequence[FinitePmf], count: bool = True) -> None:
-    """Check that pmf members share one alphabet size and (if count) number 2 or more."""
-    if count and len(members) < 2:
-        raise ValueError(f"family must have at least 2 members, got {len(members)}")
-    if len({p.alphabet_size for p in members}) > 1:
-        raise ValueError("family members must share one alphabet size")
 
 
 def _generated_family(probs: np.ndarray) -> DistributionFamily:
@@ -365,55 +341,6 @@ def _random_simplex(size: int, alphabet_size: int, seed: int) -> np.ndarray:
     return w / w.sum(axis=1, keepdims=True)
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool)
-
-
-def _check_family_spec(spec: Mapping, template: bool = False) -> None:
-    """Check a family spec's kind, exact key set, value types and parameter
-    ranges.  A template (a sweep's family) has every key but "size".  Explicit
-    pmf rows go through FinitePmf and `_check_members` (a template's row
-    count is the growth rule's); only distinctness is left to a run."""
-    kind = spec.get("kind") if isinstance(spec, Mapping) else None
-    if not isinstance(kind, str) or kind not in _FAMILY_KIND_KEYS:
-        raise ValueError(f"family spec kind must be one of {sorted(_FAMILY_KIND_KEYS)}, "
-                         f"got {kind!r}")
-    keys = _FAMILY_KIND_KEYS[kind] - ({"size"} if template else set())
-    extra, missing = set(spec) - keys - {"kind"}, keys - set(spec)
-    if extra:
-        raise ValueError(f"unknown keys for a {kind} family "
-                         f"{'template' if template else 'spec'}: {sorted(extra)}")
-    if missing:
-        raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
-    if kind == "explicit":
-        pmfs, rows = spec["pmfs"], (list, tuple, np.ndarray)
-        if not isinstance(pmfs, rows) or not all(
-                isinstance(row, rows) and all(map(_is_real, row)) for row in pmfs):
-            raise ValueError("family spec key 'pmfs' must be a list of lists of numbers, "
-                             f"got {pmfs!r}")
-        members = []
-        for index, row in enumerate(pmfs):
-            try:
-                members.append(FinitePmf(row))
-            except OverflowError:   # numpy's message names neither the key nor the row
-                raise ValueError(f"family.pmfs row {index} has an entry too large "
-                                 "for a float") from None
-        _check_members(members, count=not template)
-    for key in [key for key in ("size", "alphabet") if key in keys]:
-        # int() would truncate 4.7 to 4 without a word
-        value = spec[key]
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
-            raise ValueError(
-                f"family spec key {key!r} must be an integer >= 2, got {value!r}")
-    if "seed" in keys:
-        _check_seed(spec["seed"])
-    if kind == "binary-grid":
-        lo, hi = spec["theta_min"], spec["theta_max"]
-        if not (_is_real(lo) and _is_real(hi) and 0.0 <= lo < hi <= 1.0):
-            raise ValueError("binary-grid needs numbers 0 <= theta_min < theta_max <= 1, "
-                             f"got theta_min={lo!r}, theta_max={hi!r}")
-
-
 def make_family(spec) -> DistributionFamily:
     """Build a DistributionFamily from a spec.
 
@@ -440,26 +367,6 @@ def make_family(spec) -> DistributionFamily:
         return DistributionFamily([
             row if isinstance(row, FinitePmf) else FinitePmf(row) for row in spec])
     raise ValueError(f"cannot build a family from {type(spec).__name__}")
-
-
-# Fewest blocklengths in the grid of a trend, which fits a slope, and of a
-# pairwise exponent fit (`exact.pairwise_error_exponent`).
-_TREND_GRID_MIN = 2
-_FIT_GRID_MIN = 3
-
-
-def _check_grid(n_grid: Sequence[int], min_points: int) -> tuple[int, ...]:
-    """n_grid as a tuple of ints, after checking that it holds at least
-    min_points strictly increasing positive integers."""
-    grid = tuple(n_grid)
-    if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in grid):
-        raise ValueError(f"n_grid must be a list of integers, got {n_grid!r}")
-    if len(grid) < min_points:
-        raise ValueError(f"n_grid needs at least {min_points} points, got {len(grid)}")
-    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError(
-            f"n_grid must be strictly increasing positive integers, got {list(grid)}")
-    return tuple(map(int, grid))
 
 
 def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:

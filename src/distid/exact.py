@@ -20,8 +20,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import (_FIT_GRID_MIN, FinitePmf, _check_grid, _check_sample_count,
-                            _ls_slope, bhattacharyya, philox_stream)
+from .distributions import (FinitePmf, _check_sample_count, _ls_slope, bhattacharyya,
+                            philox_stream)
+from .spec import _FIT_GRID_MIN, _check_grid
 
 __all__ = ["ExponentFit", "pairwise_error_exponent"]
 

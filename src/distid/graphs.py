@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .spec import _check_cycle_range, _check_enumerable
+
 __all__ = [
     "enumerate_cycles",
     "cycle_count",
@@ -33,7 +35,6 @@ __all__ = [
     "check_mean_gain_bound",
 ]
 
-ENUMERATION_MAX_VERTICES = 10
 MEAN_GAIN_REL_TOL = 1e-12
 
 
@@ -58,19 +59,6 @@ def _edge_weights(k: int, weights) -> np.ndarray:
     if not np.all(np.isfinite(arr)) or np.any(arr < 0):
         raise ValueError("edge weights must be finite and nonnegative")
     return arr
-
-
-def _check_cycle_range(k: int, r: int) -> None:
-    if not 2 <= r <= k:
-        raise ValueError(f"need 2 <= r <= k, got r={r}, k={k}")
-
-
-def _check_enumerable(k: int, r: int) -> None:
-    _check_cycle_range(k, r)
-    if k > ENUMERATION_MAX_VERTICES:
-        raise ValueError(
-            f"cycle enumeration is limited to k <= {ENUMERATION_MAX_VERTICES}, "
-            f"got k={k}")
 
 
 def enumerate_cycles(k: int, r: int) -> tuple[tuple[int, ...], ...]:

@@ -24,12 +24,12 @@ walk).  Blocks are numbered, not listed, and `_sum_blocks` adds each
 block's array to one running total as it ends: memory stays flat in trials.
 With workers > 1 the calling thread runs blocks next to workers - 1
 plain helper threads, so no pool is built or imported.
-The decode of a block is many small numpy steps, which hold the GIL
-between them; two threads speed up `estimate_error_prob` about 1.3x on
-A = 16 blocks and about 1.2x at A = 4, where blocks are short and a
-whole `simulate` call gains nothing, and each thread holds its own
-block's arrays: a `simulate` call at A = 4 peaks at 39.8 MiB with two
-workers against 38.0 MiB with one (2 vCPUs; the README gives the runs).
+On 2 vCPUs, with OpenBLAS on one thread as the CLI runs it, two workers
+speed up `estimate_error_prob` about 1.4x on A = 4 blocks, where a whole
+`simulate` call gains nothing, and the three-symbol swap-event blocks
+of an `exponent` fit about 1.8x (the README gives the runs).  Each
+thread holds its own block's arrays: a `simulate` call at A = 4 peaked
+at 39.8 MiB with two workers against 38.0 MiB with one.
 
 The swap-event blocks of `exact.pairwise_error_exponent` on pairs of
 three or more symbols live here too: they draw multinomial counts in

@@ -1,0 +1,216 @@
+"""Config rules in pure Python: family specs, seeds, grids, growth rules.
+
+Nothing here imports numpy, so the CLI checks a config before loading
+it, except an explicit family's rows: `distributions.FinitePmf` checks
+them, summing in numpy's order.  `bounds` re-exports the growth names.
+"""
+
+from __future__ import annotations
+
+import math
+from numbers import Integral, Real
+from typing import Mapping, NamedTuple, Sequence
+
+__all__ = ["DEFAULT_PAIRS_BUDGET", "FamilySequenceSpec", "GrowthRule"]
+
+_U64_MAX = 2**64 - 1
+
+DEFAULT_PAIRS_BUDGET = 10_000
+
+# The keys each kind of family spec takes besides "kind"; all are required.
+_FAMILY_KIND_KEYS = {
+    "explicit": {"pmfs"},
+    "binary-grid": {"size", "theta_min", "theta_max"},
+    "random-simplex": {"size", "alphabet", "seed"},
+}
+
+# Fewest blocklengths in the grid of a trend, which fits a slope, and of a
+# pairwise exponent fit (`exact.pairwise_error_exponent`).
+_TREND_GRID_MIN = 2
+_FIT_GRID_MIN = 3
+
+ENUMERATION_MAX_VERTICES = 10
+
+
+def _check_seed(seed: int) -> int:
+    if not isinstance(seed, Integral) or isinstance(seed, bool):   # np.integer too
+        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
+    if not 0 <= seed <= _U64_MAX:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+    return int(seed)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _check_members(members: Sequence, count: bool = True) -> None:
+    """Check that pmf members share one alphabet size and (if count) number 2 or more."""
+    if count and len(members) < 2:
+        raise ValueError(f"family must have at least 2 members, got {len(members)}")
+    if len({p.alphabet_size for p in members}) > 1:
+        raise ValueError("family members must share one alphabet size")
+
+
+def _check_family_spec(spec: Mapping, template: bool = False) -> None:
+    """Check a family spec's kind, exact key set, value types and parameter
+    ranges.  A template (a sweep's family) has every key but "size".  Explicit
+    pmf rows go through FinitePmf and `_check_members` (a template's row
+    count is the growth rule's); only distinctness is left to a run."""
+    kind = spec.get("kind") if isinstance(spec, Mapping) else None
+    if not isinstance(kind, str) or kind not in _FAMILY_KIND_KEYS:
+        raise ValueError(f"family spec kind must be one of {sorted(_FAMILY_KIND_KEYS)}, "
+                         f"got {kind!r}")
+    keys = _FAMILY_KIND_KEYS[kind] - ({"size"} if template else set())
+    extra, missing = set(spec) - keys - {"kind"}, keys - set(spec)
+    if extra:
+        raise ValueError(f"unknown keys for a {kind} family "
+                         f"{'template' if template else 'spec'}: {sorted(extra)}")
+    if missing:
+        raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
+    if kind == "explicit":
+        import numpy as np
+        from .distributions import FinitePmf
+        pmfs, rows = spec["pmfs"], (list, tuple, np.ndarray)
+        if not isinstance(pmfs, rows) or not all(
+                isinstance(row, rows) and all(map(_is_real, row)) for row in pmfs):
+            raise ValueError("family spec key 'pmfs' must be a list of lists of numbers, "
+                             f"got {pmfs!r}")
+        members = []
+        for index, row in enumerate(pmfs):
+            try:
+                members.append(FinitePmf(row))
+            except OverflowError:   # numpy's message names neither the key nor the row
+                raise ValueError(f"family.pmfs row {index} has an entry too large "
+                                 "for a float") from None
+        _check_members(members, count=not template)
+    for key in [key for key in ("size", "alphabet") if key in keys]:
+        # int() would truncate 4.7 to 4 without a word
+        value = spec[key]
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 2:
+            raise ValueError(
+                f"family spec key {key!r} must be an integer >= 2, got {value!r}")
+    if "seed" in keys:
+        _check_seed(spec["seed"])
+    if kind == "binary-grid":
+        lo, hi = spec["theta_min"], spec["theta_max"]
+        if not (_is_real(lo) and _is_real(hi) and 0.0 <= lo < hi <= 1.0):
+            raise ValueError("binary-grid needs numbers 0 <= theta_min < theta_max <= 1, "
+                             f"got theta_min={lo!r}, theta_max={hi!r}")
+
+
+def _check_grid(n_grid: Sequence[int], min_points: int) -> tuple[int, ...]:
+    """n_grid as a tuple of ints, after checking that it holds at least
+    min_points strictly increasing positive integers."""
+    grid = tuple(n_grid)
+    if not all(isinstance(n, Integral) and not isinstance(n, bool) for n in grid):
+        raise ValueError(f"n_grid must be a list of integers, got {n_grid!r}")
+    if len(grid) < min_points:
+        raise ValueError(f"n_grid needs at least {min_points} points, got {len(grid)}")
+    if grid[0] < 1 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"n_grid must be strictly increasing positive integers, got {list(grid)}")
+    return tuple(map(int, grid))
+
+
+def _check_cycle_range(k: int, r: int) -> None:
+    if not 2 <= r <= k:
+        raise ValueError(f"need 2 <= r <= k, got r={r}, k={k}")
+
+
+def _check_enumerable(k: int, r: int) -> None:
+    _check_cycle_range(k, r)
+    if k > ENUMERATION_MAX_VERTICES:
+        raise ValueError(
+            f"cycle enumeration is limited to k <= {ENUMERATION_MAX_VERTICES}, "
+            f"got k={k}")
+
+
+class _GrowthFields(NamedTuple):
+    kind: str
+    param: float
+
+
+class GrowthRule(_GrowthFields):
+    """How the family size scales with the blocklength.
+
+    kind is one of "constant" (size A), "polynomial" (ceil(n^degree)) or
+    "exponential" (ceil(exp(rate * n))); param is that size, degree or
+    rate, and _PARAM_KEYS names it in a spec.
+    """
+
+    __slots__ = ()
+
+    _PARAM_KEYS = {"constant": "size", "polynomial": "degree", "exponential": "rate"}
+
+    def __new__(cls, kind: str, param: float) -> "GrowthRule":
+        if not isinstance(kind, str) or kind not in cls._PARAM_KEYS:
+            raise ValueError(f"unknown growth kind: {kind!r}")
+        if not _is_real(param):
+            raise ValueError(f"growth param must be a number, got {param!r}")
+        param = float(param)
+        if kind == "constant":
+            if not (param.is_integer() and param >= 2):
+                raise ValueError(f"constant growth needs an integer size >= 2, "
+                                 f"got {param}")
+        elif not (math.isfinite(param) and param > 0):
+            raise ValueError(f"{kind} growth needs a positive rate, got {param}")
+        return super().__new__(cls, kind, param)
+
+    @classmethod
+    def _from_spec(cls, spec: Mapping) -> "GrowthRule":
+        """The rule of a spec that holds "kind" and that kind's parameter key."""
+        kind = spec.get("kind")
+        key = cls._PARAM_KEYS.get(kind) if isinstance(kind, str) else None
+        if key is None or set(spec) != {"kind", key}:
+            raise ValueError(f"growth takes a kind and that kind's parameter key "
+                             f"only ({cls._PARAM_KEYS}), got {dict(spec)}")
+        return cls(kind, spec[key])
+
+    def size_at(self, n: int) -> int:
+        if self.kind == "constant":
+            return int(self.param)
+        try:
+            if self.kind == "polynomial":
+                return math.ceil(n ** self.param)
+            return math.ceil(math.exp(self.param * n))
+        except OverflowError:
+            raise ValueError(f"{self.kind} growth overflows the family size "
+                             f"at n={n}") from None
+
+
+class _SequenceFields(NamedTuple):
+    growth: GrowthRule
+    template: Mapping
+    n_grid: tuple[int, ...]
+
+
+class FamilySequenceSpec(_SequenceFields):
+    """A growth rule, a family template (a spec without "size"), and the
+    blocklengths to evaluate.
+
+    The family size must be at least 2, and at most an explicit template's
+    member count, at every grid point.  A size that overflows is far above
+    2 and passes here; `size_at` raises for it when a run needs the size.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, growth: GrowthRule, template: Mapping,
+                n_grid: Sequence[int]) -> "FamilySequenceSpec":
+        _check_family_spec(template, template=True)
+        grid = _check_grid(n_grid, _TREND_GRID_MIN)
+        members = (len(template["pmfs"]) if template["kind"] == "explicit"
+                   else math.inf)
+        for n in grid:
+            try:
+                size = growth.size_at(n)
+            except ValueError:   # overflow, the only error size_at raises
+                continue
+            if size < 2:
+                raise ValueError(f"family size at n={n} is {size}; "
+                                 f"need >= 2 everywhere on the grid")
+            if size > members:
+                raise ValueError(f"template provides {members} members but the "
+                                 f"growth rule requires {size} at n={n}")
+        return super().__new__(cls, growth, template, grid)

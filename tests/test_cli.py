@@ -588,7 +588,7 @@ class TestConfigValidation:
                                                            monkeypatch, family):
         def build(spec):
             raise AssertionError("make_family ran")
-        monkeypatch.setattr("distid.cli.make_family", build)
+        monkeypatch.setattr("distid.distributions.make_family", build)
         code, out, err = run_main(tmp_path, capsys, "exponent",
                                   {**family, "n_grid": [2, 4, 6]}, "three")
         assert code == 2
@@ -662,6 +662,32 @@ for module, names in distid._EXPORTS.items():
 print("ok")
 """
 
+# Runs in a fresh interpreter: validates the config with build_config, or
+# runs main on it or on --help, then prints the exit code and whether
+# numpy is loaded.
+VALIDATION_PROBE = """
+import sys
+from pathlib import Path
+from distid import cli
+mode, command, config, out = sys.argv[1:]
+try:
+    if mode == "build_config":
+        cli.build_config(command, cli.parse_config(Path(config).read_text()))
+        code = 0
+    else:
+        code = cli.main([command, "--help"] if mode == "help"
+                        else [command, "--config", config, "--out", out])
+except SystemExit as exc:   # --help
+    code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+# The configs of the benchmark's mc_large_a and sweep_growing workloads.
+MC_LARGE_A = {**BINARY_GRID, "family.size": 32, "n": 40, "trials": 1024}
+SWEEP_GROWING = {"family.kind": "random-simplex", "family.alphabet": 8, "family.seed": 7,
+                 "growth.kind": "polynomial", "growth.degree": 1.5,
+                 "n_grid": [16, 36, 64, 100], "pairs_budget": 500_000}
+
 # Modules that only simulate, lemma and m >= 3 exponent runs need.
 HEAVY = {"distid.mc", "distid.decoder", "distid.graphs"}
 
@@ -671,10 +697,12 @@ NEVER = {"concurrent.futures", "logging", "dataclasses"}
 
 
 def child_env() -> dict:
-    """os.environ with this tree's distid first on PYTHONPATH."""
+    """os.environ with this tree's distid first on PYTHONPATH, and without
+    OPENBLAS_NUM_THREADS, so that a child starts as a user's shell would."""
     src = str(Path(distid.__file__).resolve().parent.parent)
-    return {**os.environ,
-            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return env
 
 
 def fresh_python(code, *args, timeout=120):
@@ -720,10 +748,27 @@ class TestImports:
         assert (code, out) == (0, "[]"), err
 
     def test_importing_the_cli_loads_no_bounds(self):
-        # bounds loads inside the runners and the sweep config branch
+        # distributions, and with it numpy, loads inside the runners
         code, out, err = fresh_python(
-            "import sys, distid.cli; print(sorted(m for m in sys.modules if m.startswith('distid.')))")
-        assert (code, out) == (0, "['distid.cli', 'distid.distributions']"), err
+            "import sys, distid.cli; print(sorted(m for m in sys.modules"
+            " if m.startswith('distid.') or m == 'numpy'))")
+        assert (code, out) == (0, "['distid.cli', 'distid.spec']"), err
+
+    @pytest.mark.parametrize("args, entries, seen", [
+        (["help", "simulate"], None, "0 False"),
+        (["main", "simulate"], {**BINARY_GRID, "family.size": 1}, "2 False"),
+        (["main", "lemma"], {"k": 4, "r": 7}, "2 False"),
+        (["build_config", "simulate"], MC_LARGE_A, "0 False"),
+        (["build_config", "sweep"], SWEEP_GROWING, "0 False"),
+        # the documented exception: FinitePmf sums explicit rows with numpy
+        (["build_config", "bounds"], EXPLICIT, "0 True"),
+    ], ids=["help", "exit-2", "lemma-exit-2", "mc_large_a", "sweep_growing", "explicit"])
+    def test_config_validation_loads_no_numpy(self, tmp_path, args, entries, seen):
+        cfg_path = tmp_path / "run.cfg"
+        cfg_path.write_text(config_text(entries or {}))
+        code, out, err = fresh_python(VALIDATION_PROBE, *args, str(cfg_path),
+                                      str(tmp_path / "out.csv"))
+        assert (code, out) == (0, seen), err
 
     def test_the_package_loads_a_module_on_first_use_of_its_names(self):
         code, out, err = fresh_python(PACKAGE_PROBE)
@@ -741,10 +786,28 @@ runpy.run_module("distid.cli", run_name="__main__")
 RUN_ARGS = ["--config", "run.cfg", "--out", "out.csv"]
 
 
-def cli_process(args, cwd, **popen):
-    """Run `python -m distid.cli` on this tree in cwd, in text mode."""
+# Runs cli._main_then_exit in a fresh interpreter with a main that imports
+# numpy, then prints OPENBLAS_NUM_THREADS as the import of distid.cli left
+# it and as main saw it, and the process's thread count.
+PIN_PROBE = """
+import os
+from distid import cli
+imported = os.environ.get("OPENBLAS_NUM_THREADS")
+def main():
+    import numpy
+    print(imported, os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir("/proc/self/task")))
+    return 0
+cli.main = main
+cli._main_then_exit()
+"""
+
+
+def cli_process(args, cwd, env=None, **popen):
+    """Run `python -m distid.cli` on this tree in cwd, in text mode, with
+    env added to the child's environment."""
     return subprocess.run([sys.executable, "-m", "distid.cli", *args], cwd=cwd,
-                          env=child_env(), text=True, timeout=120, **popen)
+                          env={**child_env(), **(env or {})}, text=True, timeout=120,
+                          **popen)
 
 
 class TestProcessEntry:
@@ -832,6 +895,34 @@ class TestProcessEntry:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (0, "")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    @pytest.mark.parametrize("user, seen", [(None, ["None", "1", "1"]), ("2", ["2", "2"])],
+                             ids=["default", "user-set"])
+    def test_the_entry_pins_one_openblas_thread_unless_the_user_sets_it(self, user, seen):
+        env = dict(child_env(), OPENBLAS_NUM_THREADS=user) if user else child_env()
+        proc = subprocess.run([sys.executable, "-c", PIN_PROBE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # a user-set value wins; its thread count depends on the host's CPUs
+        assert proc.stdout.split()[:len(seen)] == seen
+
+    @pytest.mark.parametrize("command, entries", [
+        ("simulate", MC_LARGE_A),
+        ("exponent", {"family.kind": "explicit",
+                      "family.pmfs": [[0.2, 0.4, 0.4], [0.1, 0.1, 0.8]],
+                      "n_grid": [6, 12, 18, 24], "trials": 400_000}),
+    ], ids=["simulate-A32", "exponent-m3"])
+    def test_output_bytes_do_not_depend_on_blas_threads(self, tmp_path, command, entries):
+        # decoder._settle_classes and mc._swap_event each call a BLAS product
+        (tmp_path / "run.cfg").write_text(config_text(entries))
+        digests = set()
+        for threads in ("1", "2"):
+            proc = cli_process([command, *RUN_ARGS, "--workers", "2"], tmp_path,
+                               env={"OPENBLAS_NUM_THREADS": threads}, capture_output=True)
+            assert proc.returncode == 0, proc.stderr
+            digests.add(hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest())
+        assert len(digests) == 1
 
     def test_a_closed_stdout_exits_0(self, tmp_path):
         # with fd 1 closed at start sys.stdout is None: print writes nothing,
