@@ -26,7 +26,7 @@ import numpy as np
 
 from .distributions import (DistributionFamily, _bhattacharyya_block, _ls_slope,
                             _upper_blocks, make_family)
-from .spec import DEFAULT_PAIRS_BUDGET, FamilySequenceSpec, GrowthRule
+from .spec import DEFAULT_PAIRS_BUDGET, FamilySequenceSpec, GrowthRule, _halves
 
 __all__ = [
     "pairwise_sum",
@@ -101,13 +101,6 @@ def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
                 want, fill = next(sizes, 0), 0
     log_s = peak + math.log(_node_tree_sum(iter(sums), count))
     return math.exp(log_s), log_s
-
-
-def _halves(count: int) -> tuple[int, int]:
-    """How numpy's pairwise summation splits more than 128 terms: at half
-    the count rounded down to a multiple of 8, adding the halves' sums."""
-    half = count // 2 - count // 2 % 8
-    return half, count - half
 
 
 def _node_sizes(count: int):

@@ -58,9 +58,9 @@ Each subcommand imports only the modules it runs: `distributions`, and
 with it numpy, in every runner; `bounds`, `graphs`, `mc` and `exact` in
 the runners that use them; `json` only for JSON output; `argparse` only
 in `main`.  Importing this module loads `spec` alone, whose config rules
-import no numpy: `--help` and the validation of a config, its errors
-included, load none, except where an explicit family's rows are checked
-by `distributions.FinitePmf`.
+import no numpy: `--help` and the validation of any config, its errors
+included, load none.  An explicit family's rows are summed in pure
+Python in numpy's order, so they pass or fail as `FinitePmf` decides.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ mapping.  All values are immutable after construction and safe to share
 across threads; every random draw comes from a counter-based stream
 that is a pure function of (seed, stream index).  The least-squares
 slope that `bounds` and `exact` share lives here too; the config-level
-checks of family specs, seeds and grids are `spec`'s.
+checks of family specs, pmf rows, seeds and grids are `spec`'s.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .spec import _U64_MAX, _check_family_spec, _check_members, _check_seed
+from .spec import (_U64_MAX, _check_family_spec, _check_members, _check_pmf_row, _check_seed,
+                   _halves)
 
 __all__ = [
     "FinitePmf",
@@ -26,10 +27,9 @@ __all__ = [
     "philox_stream",
 ]
 
-# Sum-to-one tolerance for pmfs and the sup-norm distinctness tolerance for
-# family members.  Exact distinctness is not testable in floating point, so
-# members closer than DISTINCT_TOL are rejected as duplicates.
-NORMALIZATION_TOL = 1e-12
+# The sup-norm distinctness tolerance for family members.  Exact
+# distinctness is not testable in floating point, so members closer than
+# DISTINCT_TOL are rejected as duplicates.
 DISTINCT_TOL = 1e-9
 
 # The largest count numpy's samplers take: they read counts as C longs.
@@ -61,8 +61,9 @@ def _check_sample_count(name: str, value: int) -> None:
 class FinitePmf:
     """A probability mass function on the alphabet {0, ..., m-1}, m >= 2.
 
-    Entries are nonnegative and sum to 1 within 1e-12.  The backing array
-    is frozen, so instances can be shared freely.
+    Entries are nonnegative and sum to 1 within 1e-12, checked by
+    `spec._check_pmf_row`, the rule a config's explicit rows pass.  The
+    backing array is frozen, so instances can be shared freely.
     """
 
     __slots__ = ("_probs",)
@@ -72,15 +73,9 @@ class FinitePmf:
                          dtype=np.float64)
         if arr.ndim != 1:
             raise ValueError("probs must be a 1-D vector")
-        if arr.size < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("probs must be finite")
-        if np.any(arr < 0):
-            raise ValueError("probs must be nonnegative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > NORMALIZATION_TOL:
-            raise ValueError(f"probs must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
+        with np.errstate(all="ignore"):   # a total that overflows is reported as inf
+            total = float(arr.sum())
+        _check_pmf_row(arr.tolist(), total)
         arr = arr + 0.0  # a copy, with -0.0 turned into 0.0 so equal pmfs hash equal
         arr.flags.writeable = False
         self._probs = arr
@@ -233,12 +228,12 @@ def _plane_sum(planes: np.ndarray) -> np.ndarray:
     The order is numpy's pairwise summation of a contiguous axis, so the
     result is bitwise `.sum(axis=-1)` of the same values laid out
     symbol-last: left to right below 8 terms, eight running sums added as
-    a fixed tree up to 128, and halves (rounded down to a multiple of 8)
-    summed recursively above 128.  Each step adds whole planes.
+    a fixed tree up to 128, and `_halves` summed recursively above 128, as
+    `spec._row_sum` adds one row.  Each step adds whole planes.
     """
     count = len(planes)
     if count > 128:
-        half = count // 2 - count // 2 % 8
+        half, _ = _halves(count)
         _plane_sum(planes[:half])
         planes[0] += _plane_sum(planes[half:])
         return planes[0]

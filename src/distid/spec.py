@@ -1,14 +1,18 @@
-"""Config rules in pure Python: family specs, seeds, grids, growth rules.
+"""Config rules in pure Python: family specs, pmf rows, seeds, grids, growth rules.
 
-Nothing here imports numpy, so the CLI checks a config before loading
-it, except an explicit family's rows: `distributions.FinitePmf` checks
-them, summing in numpy's order.  `bounds` re-exports the growth names.
+Nothing here imports numpy, so the CLI checks every config before loading
+it.  `FinitePmf` checks its rows by the same rule, `_check_pmf_row`, and
+a config row is summed in numpy's pairwise order (`_row_sum`), so both
+reach one verdict.  `bounds` re-exports the growth names.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from functools import reduce
 from numbers import Integral, Real
+from operator import add
 from typing import Mapping, NamedTuple, Sequence
 
 __all__ = ["DEFAULT_PAIRS_BUDGET", "FamilySequenceSpec", "GrowthRule"]
@@ -16,6 +20,9 @@ __all__ = ["DEFAULT_PAIRS_BUDGET", "FamilySequenceSpec", "GrowthRule"]
 _U64_MAX = 2**64 - 1
 
 DEFAULT_PAIRS_BUDGET = 10_000
+
+# Sum-to-one tolerance for pmfs.
+NORMALIZATION_TOL = 1e-12
 
 # The keys each kind of family spec takes besides "kind"; all are required.
 _FAMILY_KIND_KEYS = {
@@ -44,19 +51,57 @@ def _is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
+def _halves(count: int) -> tuple[int, int]:
+    """How numpy's pairwise summation splits more than 128 terms: at half
+    the count rounded down to a multiple of 8, adding the halves' sums."""
+    half = count // 2 - count // 2 % 8
+    return half, count - half
+
+
+def _row_sum(row: Sequence[float]) -> float:
+    """`np.sum` of a float64 row, bit for bit: left to right below 8 terms,
+    eight running sums added as a fixed tree up to 128, and `_halves`
+    above.  Starting each running sum at 0.0 can only turn a zero total's
+    sign to +, as numpy's own 0.0 + the tree does."""
+    count = len(row)
+    if count > 128:
+        left, _ = _halves(count)
+        return _row_sum(row[:left]) + _row_sum(row[left:])
+    body = count - count % 8
+    r = [reduce(add, row[lane:body:8], 0.0) for lane in range(8)]
+    return reduce(add, row[body:],
+                  ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
+
+
+def _check_pmf_row(values: Sequence[float], total: float | None = None) -> None:
+    """Check that floats are a pmf: 2 or more entries, all finite and
+    nonnegative, whose sum is within NORMALIZATION_TOL of 1.  total, when
+    given, is that sum as `np.sum` gives it, and `_row_sum` otherwise."""
+    if len(values) < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError("probs must be finite")
+    if min(values) < 0:
+        raise ValueError("probs must be nonnegative")
+    total = _row_sum(values) if total is None else total
+    if abs(total - 1.0) > NORMALIZATION_TOL:
+        raise ValueError(f"probs must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
+
+
 def _check_members(members: Sequence, count: bool = True) -> None:
-    """Check that pmf members share one alphabet size and (if count) number 2 or more."""
+    """Check that pmf members (rows or FinitePmfs) share one alphabet size
+    and (if count) number 2 or more."""
     if count and len(members) < 2:
         raise ValueError(f"family must have at least 2 members, got {len(members)}")
-    if len({p.alphabet_size for p in members}) > 1:
+    if len(set(map(len, members))) > 1:
         raise ValueError("family members must share one alphabet size")
 
 
 def _check_family_spec(spec: Mapping, template: bool = False) -> None:
     """Check a family spec's kind, exact key set, value types and parameter
     ranges.  A template (a sweep's family) has every key but "size".  Explicit
-    pmf rows go through FinitePmf and `_check_members` (a template's row
-    count is the growth rule's); only distinctness is left to a run."""
+    pmf rows go through `_check_pmf_row` and `_check_members` (a template's
+    row count is the growth rule's); only distinctness is left to a run."""
     kind = spec.get("kind") if isinstance(spec, Mapping) else None
     if not isinstance(kind, str) or kind not in _FAMILY_KIND_KEYS:
         raise ValueError(f"family spec kind must be one of {sorted(_FAMILY_KIND_KEYS)}, "
@@ -69,9 +114,8 @@ def _check_family_spec(spec: Mapping, template: bool = False) -> None:
     if missing:
         raise ValueError(f"{kind} family spec missing keys: {sorted(missing)}")
     if kind == "explicit":
-        import numpy as np
-        from .distributions import FinitePmf
-        pmfs, rows = spec["pmfs"], (list, tuple, np.ndarray)
+        numpy = sys.modules.get("numpy")   # an ndarray exists only once numpy has loaded
+        pmfs, rows = spec["pmfs"], (list, tuple) + ((numpy.ndarray,) if numpy else ())
         if not isinstance(pmfs, rows) or not all(
                 isinstance(row, rows) and all(map(_is_real, row)) for row in pmfs):
             raise ValueError("family spec key 'pmfs' must be a list of lists of numbers, "
@@ -79,10 +123,11 @@ def _check_family_spec(spec: Mapping, template: bool = False) -> None:
         members = []
         for index, row in enumerate(pmfs):
             try:
-                members.append(FinitePmf(row))
-            except OverflowError:   # numpy's message names neither the key nor the row
+                members.append(list(map(float, row)))
+            except OverflowError:   # float's message names neither the key nor the row
                 raise ValueError(f"family.pmfs row {index} has an entry too large "
                                  "for a float") from None
+            _check_pmf_row(members[-1])
         _check_members(members, count=not template)
     for key in [key for key in ("size", "alphabet") if key in keys]:
         # int() would truncate 4.7 to 4 without a word

@@ -521,6 +521,8 @@ class TestConfigValidation:
                      2, "at least 2 members, got 1", id="simulate-one-member"),
         pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.6], [0.9, 0.1]]}, 2,
                      "probs must sum to 1", id="row-sum"),
+        pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[1e308, 1e308], [0.9, 0.1]]}, 2,
+                     "probs must sum to 1 within 1e-12, got inf", id="row-sum-overflows"),
         pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[0.5, 0.5], [0.2, 0.3, 0.5]]},
                      2, "share one alphabet size", id="row-lengths"),
         pytest.param("bounds", {**EXPLICIT, "family.pmfs": [[1.5, -0.5], [0.9, 0.1]]}, 2,
@@ -566,6 +568,16 @@ class TestConfigValidation:
         assert code == 2
         assert err == "error: family.pmfs row 0 has an entry too large for a float\n"
         assert not out.exists()
+
+    def test_a_row_whose_sum_overflows_prints_one_line(self, tmp_path):
+        # numpy's overflow warning, two lines naming its own source, once
+        # came before the error
+        (tmp_path / "run.cfg").write_text(
+            config_text({**EXPLICIT, "family.pmfs": [[1e308, 1e308], [0.9, 0.1]]}))
+        proc = cli_process(["bounds", *RUN_ARGS], tmp_path, capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: probs must sum to 1 within 1e-12, got inf\n"
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command, entries", [
         ("bounds", {**EXPLICIT, "n": 2**63}),
@@ -682,8 +694,9 @@ except SystemExit as exc:   # --help
 print(code, "numpy" in sys.modules)
 """
 
-# The configs of the benchmark's mc_large_a and sweep_growing workloads.
+# The configs of the benchmark's mc_large_a, exponent_pair and sweep_growing workloads.
 MC_LARGE_A = {**BINARY_GRID, "family.size": 32, "n": 40, "trials": 1024}
+EXPONENT_PAIR = {**VALID["exponent"], "n_grid": list(range(10, 81, 10)), "trials": 1_000_000}
 SWEEP_GROWING = {"family.kind": "random-simplex", "family.alphabet": 8, "family.seed": 7,
                  "growth.kind": "polynomial", "growth.degree": 1.5,
                  "n_grid": [16, 36, 64, 100], "pairs_budget": 500_000}
@@ -760,9 +773,12 @@ class TestImports:
         (["main", "lemma"], {"k": 4, "r": 7}, "2 False"),
         (["build_config", "simulate"], MC_LARGE_A, "0 False"),
         (["build_config", "sweep"], SWEEP_GROWING, "0 False"),
-        # the documented exception: FinitePmf sums explicit rows with numpy
-        (["build_config", "bounds"], EXPLICIT, "0 True"),
-    ], ids=["help", "exit-2", "lemma-exit-2", "mc_large_a", "sweep_growing", "explicit"])
+        (["build_config", "bounds"], EXPLICIT, "0 False"),
+        (["build_config", "exponent"], EXPONENT_PAIR, "0 False"),
+        (["build_config", "sweep"], SWEEP, "0 False"),
+        (["main", "bounds"], {**EXPLICIT, "family.pmfs": [[0.5, 0.6], [0.9, 0.1]]}, "2 False"),
+    ], ids=["help", "exit-2", "lemma-exit-2", "mc_large_a", "sweep_growing", "explicit",
+            "exponent_pair", "explicit-sweep-template", "explicit-row-exit-2"])
     def test_config_validation_loads_no_numpy(self, tmp_path, args, entries, seen):
         cfg_path = tmp_path / "run.cfg"
         cfg_path.write_text(config_text(entries or {}))

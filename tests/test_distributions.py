@@ -14,6 +14,7 @@ from distid import (
 )
 from distid import distributions
 from distid.distributions import DISTINCT_TOL, distance_matrix, philox_stream
+from distid.spec import NORMALIZATION_TOL, _check_pmf_row, _row_sum
 
 
 def random_pmf(rng, m):
@@ -113,6 +114,71 @@ class TestFinitePmf:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
         assert not np.signbit(a.probs).any()
+
+    def test_a_sum_that_overflows_is_reported_not_warned_about(self):
+        # RuntimeWarnings are errors here: numpy's overflow warning once
+        # came out in place of the ValueError
+        with pytest.raises(ValueError, match="got inf"):
+            FinitePmf([1e308, 1e308])
+
+
+def is_pmf_row(check, row) -> bool:
+    try:
+        check(row)
+    except ValueError:
+        return False
+    return True
+
+
+class TestPmfRowRule:
+    """`FinitePmf` and a config's explicit rows pass one rule, `spec._check_pmf_row`;
+    a config row's total is `spec._row_sum`, FinitePmf's is numpy's."""
+
+    def test_numpy_sums_a_row_in_the_order_pinned_here(self):
+        # a numpy that sums another way makes a config's verdict on a row
+        # differ from FinitePmf's, and fails here first
+        rng = np.random.default_rng(34)
+        for count in range(1, 301):
+            for scale in (1.0, 1.0 / count, 1e-300, 1e300):
+                row = rng.exponential(scale, count) * 10.0 ** rng.integers(-8, 8, count)
+                row[rng.random(count) < 0.1] = -0.0
+                for values in (row, -row, np.full(count, -0.0)):
+                    with np.errstate(over="ignore"):
+                        want = float(np.sum(values))
+                    got = _row_sum(values.tolist())
+                    assert got.hex() == want.hex(), (
+                        f"numpy {np.__version__} no longer sums {count} float64 values "
+                        f"in the pairwise order that spec._row_sum reproduces")
+
+    @pytest.mark.parametrize("row", [
+        [1.0], [], [float("nan"), 1.0], [math.inf, 0.0], [1.2, -0.2], [0.5, 0.4],
+        [1e308, 1e308], [-0.0, -0.0], [0.5, 0.5 + 2e-12], [0.3] * 3 + [0.1] * 127,
+    ], ids=["one", "none", "nan", "inf", "negative", "short", "overflow", "zeros",
+            "just-over", "long"])
+    def test_finite_pmf_and_a_config_row_fail_alike(self, row):
+        with pytest.raises(ValueError) as own:
+            FinitePmf(row)
+        with pytest.raises(ValueError) as config:
+            make_family({"kind": "explicit", "pmfs": [row, [0.5, 0.5]]})
+        assert str(own.value) == str(config.value)
+
+    @pytest.mark.parametrize("count", [10, 300])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_a_row_at_the_tolerance_is_decided_in_numpy_order(self, count, sign):
+        # walk the last entry across the edge 1 + sign * tol in steps of
+        # half an ulp of 1: on some steps the correctly rounded sum (fsum)
+        # lands on the other side of the edge from numpy's order, and there
+        # both checks decide as np.sum does
+        weights = [1.0 + (7 * i % 13) / 1000 for i in range(count)]
+        row = [w / math.fsum(weights) for w in weights]
+        edge = row[-1] + sign * NORMALIZATION_TOL + 1.0 - math.fsum(row)
+        split = 0
+        for step in range(-32, 33):
+            row[-1] = edge + step * 2.0**-54
+            by_numpy = abs(float(np.sum(row)) - 1.0) <= NORMALIZATION_TOL
+            split += by_numpy != (abs(math.fsum(row) - 1.0) <= NORMALIZATION_TOL)
+            assert is_pmf_row(_check_pmf_row, row) == is_pmf_row(FinitePmf, row) == by_numpy
+        assert split
 
 
 class TestDistributionFamily:
@@ -443,6 +509,12 @@ class TestMakeFamily:
     def test_explicit_spec_dict(self):
         fam = make_family({"kind": "explicit", "pmfs": [[0.5, 0.5], [0.9, 0.1]]})
         assert len(fam) == 2
+
+    def test_explicit_spec_takes_an_array_of_rows(self):
+        rows = [[0.5, 0.5], [0.9, 0.1]]
+        fam = make_family({"kind": "explicit", "pmfs": np.array(rows)})
+        assert fam == make_family({"kind": "explicit", "pmfs": rows})
+        assert fam == make_family({"kind": "explicit", "pmfs": [np.array(r) for r in rows]})
 
     def test_binary_grid_spacing(self):
         fam = make_family({"kind": "binary-grid", "size": 3,

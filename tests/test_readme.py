@@ -1,6 +1,10 @@
 import ast
 import hashlib
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,10 +99,25 @@ def test_the_console_script_and_python_m_share_one_entry():
     assert callable(getattr(cli, entry))
 
 
+# Validates each (command, config text) given as JSON in a fresh
+# interpreter, then prints whether numpy is loaded.
+VALIDATION_PROBE = """
+import json, sys
+from distid import cli
+for command, text in json.loads(sys.argv[1]):
+    assert cli.build_config(command, cli.parse_config(text)).command == command
+print("numpy" in sys.modules)
+"""
+
+
 def test_every_readme_config_validates():
-    for command, block in readme_configs().values():
-        cfg = cli.build_config(command, cli.parse_config(block))
-        assert cfg.command == command
+    # in a fresh interpreter, so that a config rule that loads numpy shows
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", VALIDATION_PROBE,
+                           json.dumps(list(readme_configs().values()))],
+                          capture_output=True, env=env, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 @pytest.mark.parametrize("name, fmt", sorted(GOLDEN))
