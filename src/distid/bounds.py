@@ -24,8 +24,8 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .distributions import (DistributionFamily, _bhattacharyya_block, _ls_slope,
-                            _upper_blocks, make_family)
+from .distributions import (DistributionFamily, _bhattacharyya_block, _float_blocklength,
+                            _ls_slope, _upper_blocks, make_family)
 from .spec import DEFAULT_PAIRS_BUDGET, FamilySequenceSpec, GrowthRule, _halves
 
 __all__ = [
@@ -45,11 +45,12 @@ __all__ = [
 TREND_SLOPE_TOL = 1e-6
 
 
-# pairwise_sum exponentiates and sums its terms in nodes of at most this
-# many (256 KiB), each a subtree of numpy's pairwise summation of them all.
-_SUM_NODE = 2**15
+# Each grid point's terms are exponentiated and summed in nodes of at most
+# this many (64 KiB), each a subtree of numpy's pairwise summation of them
+# all; a pass over K grid points holds K nodes.
+_SUM_NODE = 2**13
 
-# The Gram prepass of pairwise_sum works in row blocks of about this many
+# The Gram prepass of `_pairwise_sums` works in row blocks of about this many
 # (row, column, symbol) multiply-adds.
 _GRAM_ENTRIES = 2**17
 
@@ -61,46 +62,98 @@ def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
     triu_indices order; pairs with disjoint supports contribute exactly
     zero, and log S is -inf when every pair has disjoint support.  The
     result is bitwise that of `np.exp(terms - peak).sum()` on the vector
-    of all finite terms, which is never built: a prepass
-    (`_finite_pairs_and_closest`) finds their count N and the least
-    distance, so the peak term is known before the first exp, and one
-    pass over the distance kernel's row blocks then copies each block's
-    shifted terms into a node of at most 2^15 of them.  The node sizes
-    come from numpy's own recursion over N (`_node_sizes`); each full
-    node is exponentiated and `np.sum`'d in place, and the node sums are
-    added back up that recursion.  So the memory is one kernel block, one
-    node and the node sums (8 bytes per 2^14 pairs or fewer), whatever A.
+    of all finite terms, which is never built (`_pairwise_sums`, of
+    which this is the one-point call): the memory is one kernel block,
+    one node of at most 2^13 terms and the node sums, whatever A.
     """
+    return _pairwise_sums(family, [(len(family), n)])[0]
+
+
+def _term_scale(n: int) -> float:
+    """-2 n, the factor of B in each term, after checking the blocklength."""
     if n < 1:
         raise ValueError(f"blocklength must be >= 1, got {n}")
-    scale = -2.0 * n
-    count, closest = _finite_pairs_and_closest(family)
-    peak = scale * closest   # the largest term, since rounding is monotone
-    if peak == -math.inf:   # every pair disjoint, or every term overflows
-        return 0.0, -math.inf
-    masked = bool(family._zero.any())
-    index = np.arange(len(family))
-    sizes = _node_sizes(count)
-    node = np.empty(min(count, _SUM_NODE))
-    want, fill, sums = next(sizes), 0, []
-    for _, _, block in _upper_blocks(family):
-        # the finite entries above the diagonal, row by row: the block's
-        # rows and columns start at the same member
-        keep = index[:block.shape[1]] > index[:len(block), None]
-        if masked:
-            keep &= block < math.inf
-        terms = block[keep]
-        terms *= scale
-        while terms.size:
-            take = min(want - fill, terms.size)
-            np.subtract(terms[:take], peak, out=node[fill:fill + take])
-            fill, terms = fill + take, terms[take:]
-            if fill == want:
-                full = node[:want]
-                sums.append(float(np.exp(full, out=full).sum()))
-                want, fill = next(sizes, 0), 0
-    log_s = peak + math.log(_node_tree_sum(iter(sums), count))
-    return math.exp(log_s), log_s
+    return -2.0 * _float_blocklength(n)
+
+
+class _NodeStream:
+    """One point's terms, shifted by its peak into nodes whose sizes come
+    from numpy's own recursion over its N terms (`_node_sizes`); each full
+    node is exponentiated and `np.sum`'d in place, and `result` adds the
+    node sums back up that recursion."""
+
+    __slots__ = ("scale", "peak", "count", "sizes", "node", "want", "fill", "sums")
+
+    def __init__(self, scale: float, peak: float, count: int):
+        self.scale, self.peak, self.count = scale, peak, count
+        self.sizes = _node_sizes(count)
+        self.node = np.empty(min(count, _SUM_NODE))
+        self.want, self.fill, self.sums = next(self.sizes), 0, []
+
+    def push(self, dists: np.ndarray) -> None:
+        """Append the terms of the next finite distances, in order."""
+        while dists.size:
+            take = min(self.want - self.fill, dists.size)
+            part = self.node[self.fill:self.fill + take]
+            np.multiply(dists[:take], self.scale, out=part)
+            part -= self.peak
+            self.fill, dists = self.fill + take, dists[take:]
+            if self.fill == self.want:
+                full = self.node[:self.want]
+                self.sums.append(float(np.exp(full, out=full).sum()))
+                self.want, self.fill = next(self.sizes, 0), 0
+
+    def result(self) -> tuple[float, float]:
+        """(S, log S) once every term has been pushed."""
+        log_s = self.peak + math.log(_node_tree_sum(iter(self.sums), self.count))
+        return math.exp(log_s), log_s
+
+
+def _pairwise_sums(family: DistributionFamily, points) -> list[tuple[float, float]]:
+    """`pairwise_sum` of the family's first A_k members at blocklength n_k,
+    bit for bit, for each (A_k, n_k) in points, from one pass over the
+    distance kernel.
+
+    Per distinct A_k, a prepass (`_finite_pairs_and_closest`) finds the
+    count N of finite terms and the least distance, so each point's peak
+    term is known before the first exp.  One pass over the row blocks of
+    the largest A_k that has a finite term then feeds every point: a
+    point reads each block's rows and columns below its A_k, whose
+    finite entries above the diagonal, row by row, are its own terms in
+    its own order, and streams them into its nodes (`_NodeStream`).  So
+    the memory is one kernel block and, per point, one node of at most
+    2^13 terms (64 KiB) and the node sums (8 bytes per 2^12 pairs or
+    fewer): K nodes for K points.
+    """
+    scales = [_term_scale(n) for _, n in points]
+    found, streams, live = {}, [], {}
+    for (size, _), scale in zip(points, scales):
+        if size not in found:
+            found[size] = _finite_pairs_and_closest(family._head(size))
+        count, closest = found[size]
+        peak = scale * closest   # the largest term, since rounding is monotone
+        # no stream where every pair is disjoint or every term overflows
+        stream = None if peak == -math.inf else _NodeStream(scale, peak, count)
+        streams.append(stream)
+        if stream is not None:
+            live.setdefault(size, []).append(stream)
+    if live:
+        head = family._head(max(live))
+        masked = bool(head._zero.any())
+        index = np.arange(len(head))
+        for lo, hi, block in _upper_blocks(head):
+            # the finite entries above the diagonal: the block's rows and
+            # columns start at the same member
+            keep = index[:block.shape[1]] > index[:len(block), None]
+            if masked:
+                keep &= block < math.inf
+            for size, group in live.items():
+                rows, cols = min(hi, size) - lo, size - lo
+                if rows > 0:
+                    dists = block[:rows, :cols][keep[:rows, :cols]]
+                    for stream in group:
+                        stream.push(dists)
+    return [(0.0, -math.inf) if stream is None else stream.result() for stream in streams]
 
 
 def _node_sizes(count: int):
@@ -235,11 +288,7 @@ class BoundReport(NamedTuple):
 
     @classmethod
     def from_family(cls, family: DistributionFamily, n: int) -> "BoundReport":
-        s, log_s = pairwise_sum(family, n)
-        raw = _unclamped_upper(s)
-        return cls(n=n, family_size=len(family), s=s, log_s=log_s,
-                   lower=lower_bound(s), upper=upper_bound(s),
-                   upper_clamped=raw is not None and raw > 1.0)
+        return _bound_reports(family, (n,))[0]
 
     @property
     def upper_applicable(self) -> bool:
@@ -255,6 +304,17 @@ class BoundReport(NamedTuple):
         return {**self.row(), "upper_clamped": self.upper_clamped}
 
 
+def _bound_reports(family: DistributionFamily, n_grid) -> list[BoundReport]:
+    """The family's BoundReport at each n of n_grid, from one kernel pass."""
+    size, reports = len(family), []
+    for n, (s, log_s) in zip(n_grid, _pairwise_sums(family, [(size, n) for n in n_grid])):
+        raw = _unclamped_upper(s)
+        reports.append(BoundReport(n=n, family_size=size, s=s, log_s=log_s,
+                                   lower=lower_bound(s), upper=upper_bound(s),
+                                   upper_clamped=raw is not None and raw > 1.0))
+    return reports
+
+
 def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     """Build the size-A_n family for one grid point.
 
@@ -264,6 +324,12 @@ def _instantiate_template(template: Mapping, size: int) -> DistributionFamily:
     if template["kind"] != "explicit":
         return make_family({**template, "size": size})
     return make_family({"kind": "explicit", "pmfs": list(template["pmfs"])[:size]})
+
+
+def _extends(family: DistributionFamily, head: DistributionFamily) -> bool:
+    """Whether head's members are family's first members."""
+    return len(family) >= len(head) and np.array_equal(
+        family.prob_matrix()[:len(head)], head.prob_matrix())
 
 
 class TrendPoint(NamedTuple):
@@ -308,6 +374,14 @@ def identifiability_trend(spec: FamilySequenceSpec,
     window is inconclusive.  Families whose pairwise sum is exactly zero
     (all supports disjoint) are identifiable outright.
 
+    The grid's families are built in grid order.  While each holds the
+    last one's members first (equal pmf rows: random-simplex and explicit
+    templates, constant growth), their points wait for one kernel pass
+    over the largest (`_pairwise_sums`), and only it is kept; a family
+    that does not, as in binary-grid templates, whose members move as
+    the grid grows, starts a new pass.  So nested prefixes take one pass
+    and a binary-grid sweep one per point.
+
     Raises when any grid point would need more than pairs_budget pair
     evaluations.
     """
@@ -318,10 +392,18 @@ def identifiability_trend(spec: FamilySequenceSpec,
             raise ValueError(
                 f"n={n} needs {pairs} pair evaluations, over the budget "
                 f"of {pairs_budget}")
-    points = []
+    sums, chain, head = [], [], None
     for n, size in zip(spec.n_grid, sizes):
         family = _instantiate_template(spec.template, size)
-        points.append(TrendPoint(n, size, *pairwise_sum(family, n)))
+        _term_scale(n)   # a bad blocklength fails here, before the next family
+        if head is not None and not _extends(family, head):
+            sums += _pairwise_sums(head, chain)
+            chain = []
+        head = family
+        chain.append((size, n))
+    sums += _pairwise_sums(head, chain)
+    points = [TrendPoint(n, size, *sum_)
+              for n, size, sum_ in zip(spec.n_grid, sizes, sums)]
 
     window = max(2, math.ceil(len(points) / 2))
     tail = points[-window:]

@@ -148,8 +148,7 @@ class RunConfig(NamedTuple):
 
 def _run_bounds(cfg: RunConfig):
     from . import bounds, distributions
-    family = distributions.make_family(cfg.family)
-    reports = [bounds.BoundReport.from_family(family, n) for n in cfg.n_grid]
+    reports = bounds._bound_reports(distributions.make_family(cfg.family), cfg.n_grid)
     return [r.row() for r in reports], {"reports": [r.to_json_dict() for r in reports]}
 
 
@@ -158,7 +157,7 @@ def _run_simulate(cfg: RunConfig):
     family = distributions.make_family(cfg.family)
     estimates = [mc.estimate_error_prob(family, n, cfg.trials, cfg.seed, workers=cfg.workers)
                  for n in cfg.n_grid]
-    reports = [bounds.BoundReport.from_family(family, n) for n in cfg.n_grid]
+    reports = bounds._bound_reports(family, cfg.n_grid)
     # the report's n and A equal the estimate's and keep their place
     rows = [{**est.row(), **rep.row()} for est, rep in zip(estimates, reports)]
     return rows, {"estimates": [e.to_json_dict() for e in estimates],

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .spec import (_U64_MAX, _check_family_spec, _check_members, _check_pmf_row, _check_seed,
+from .spec import (_U64_MAX, _check_family_spec, _check_members, _check_pmf, _check_seed,
                    _halves)
 
 __all__ = [
@@ -58,12 +58,22 @@ def _check_sample_count(name: str, value: int) -> None:
                          f"the largest count numpy's samplers take")
 
 
+def _float_blocklength(n: int) -> float:
+    """float(n), or ValueError naming the blocklength when it is too large
+    for a float (float's own message names neither)."""
+    try:
+        return float(n)
+    except OverflowError:
+        raise ValueError(f"blocklength n = {n} is too large for a float") from None
+
+
 class FinitePmf:
     """A probability mass function on the alphabet {0, ..., m-1}, m >= 2.
 
     Entries are nonnegative and sum to 1 within 1e-12, checked by
-    `spec._check_pmf_row`, the rule a config's explicit rows pass.  The
-    backing array is frozen, so instances can be shared freely.
+    `spec._check_pmf`, the rule a config's explicit rows pass, on numpy's
+    answers: no list of the entries is built.  The backing array is
+    frozen, so instances can be shared freely.
     """
 
     __slots__ = ("_probs",)
@@ -74,8 +84,8 @@ class FinitePmf:
         if arr.ndim != 1:
             raise ValueError("probs must be a 1-D vector")
         with np.errstate(all="ignore"):   # a total that overflows is reported as inf
-            total = float(arr.sum())
-        _check_pmf_row(arr.tolist(), total)
+            _check_pmf(arr.size, bool(np.isfinite(arr).all()),
+                       float(arr.min()) if arr.size else 0.0, float(arr.sum()))
         arr = arr + 0.0  # a copy, with -0.0 turned into 0.0 so equal pmfs hash equal
         arr.flags.writeable = False
         self._probs = arr
@@ -174,6 +184,13 @@ class DistributionFamily:
 
     def __repr__(self) -> str:
         return f"DistributionFamily(size={len(self)}, m={self.alphabet_size})"
+
+    def _head(self, size: int) -> "DistributionFamily":
+        """The first size members, as a family on views of this one's arrays."""
+        head = DistributionFamily.__new__(DistributionFamily)
+        head._probs, head._roots, head._logp, head._zero = (
+            arr[:size] for arr in (self._probs, self._roots, self._logp, self._zero))
+        return head
 
 
 def _generated_family(probs: np.ndarray) -> DistributionFamily:

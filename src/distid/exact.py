@@ -20,8 +20,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import (FinitePmf, _check_sample_count, _ls_slope, bhattacharyya,
-                            philox_stream)
+from .distributions import (FinitePmf, _check_sample_count, _float_blocklength, _ls_slope,
+                            bhattacharyya, philox_stream)
 from .spec import _FIT_GRID_MIN, _check_grid
 
 __all__ = ["ExponentFit", "pairwise_error_exponent"]
@@ -113,9 +113,10 @@ def _binary_swap_prob(p: FinitePmf, q: FinitePmf, n: int) -> float:
     e^(-2 (c - n p[0])^2 / n) <= e^-750 (Hoeffding), so the sums run only
     over the counts within that reach of either mean: every term they
     leave out is 0.0, and the result is the full sum's.  A window of
-    more than _SWAP_WINDOW_MAX counts raises ValueError.
+    more than _SWAP_WINDOW_MAX counts raises ValueError, and so does an n
+    too large for a float.
     """
-    if 2.0 * n * bhattacharyya(p, q) > _LOG_NEGLIGIBLE:
+    if 2.0 * _float_blocklength(n) * bhattacharyya(p, q) > _LOG_NEGLIGIBLE:
         return 0.0
     (p0, p1), (q0, q1) = p.probs.tolist(), q.probs.tolist()
     lo, hi = (p, q) if _exceeds(p0, q1, p1, q0) else (q, p)

@@ -1,9 +1,10 @@
 """Config rules in pure Python: family specs, pmf rows, seeds, grids, growth rules.
 
 Nothing here imports numpy, so the CLI checks every config before loading
-it.  `FinitePmf` checks its rows by the same rule, `_check_pmf_row`, and
-a config row is summed in numpy's pairwise order (`_row_sum`), so both
-reach one verdict.  `bounds` re-exports the growth names.
+it.  `FinitePmf` checks its rows by the same rule, `_check_pmf`, on
+numpy's size, finiteness, minimum and sum; a config row gets them in pure
+Python (`_check_pmf_row`), its sum in numpy's pairwise order (`_row_sum`),
+so both reach one verdict.  `bounds` re-exports the growth names.
 """
 
 from __future__ import annotations
@@ -73,19 +74,25 @@ def _row_sum(row: Sequence[float]) -> float:
                   ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7])))
 
 
-def _check_pmf_row(values: Sequence[float], total: float | None = None) -> None:
-    """Check that floats are a pmf: 2 or more entries, all finite and
-    nonnegative, whose sum is within NORMALIZATION_TOL of 1.  total, when
-    given, is that sum as `np.sum` gives it, and `_row_sum` otherwise."""
-    if len(values) < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {len(values)}")
-    if not all(map(math.isfinite, values)):
+def _check_pmf(size: int, finite: bool, low: float, total: float) -> None:
+    """The pmf rule, on a row's entry count, whether every entry is finite,
+    its least entry and its sum: 2 or more entries, all finite and
+    nonnegative, summing to 1 within NORMALIZATION_TOL.  `FinitePmf`
+    passes numpy's answers, and `_check_pmf_row` pure Python's."""
+    if size < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {size}")
+    if not finite:
         raise ValueError("probs must be finite")
-    if min(values) < 0:
+    if low < 0:
         raise ValueError("probs must be nonnegative")
-    total = _row_sum(values) if total is None else total
     if abs(total - 1.0) > NORMALIZATION_TOL:
         raise ValueError(f"probs must sum to 1 within {NORMALIZATION_TOL}, got {total!r}")
+
+
+def _check_pmf_row(values: Sequence[float]) -> None:
+    """Check that a config's row of floats is a pmf, summed by `_row_sum`."""
+    _check_pmf(len(values), all(map(math.isfinite, values)), min(values, default=0.0),
+               _row_sum(values))
 
 
 def _check_members(members: Sequence, count: bool = True) -> None:

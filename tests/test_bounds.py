@@ -207,6 +207,77 @@ class TestPairwiseSum:
         assert [pairwise_sum(fam, n) for fam in families for n in (1, 30)] == want
 
 
+BINARY_GRID_60 = make_family({"kind": "binary-grid", "size": 60, "theta_min": 0.1,
+                              "theta_max": 0.9}).prob_matrix().tolist()
+
+
+def one_pass_sums(rows, sizes, grid):
+    """`bounds._pairwise_sums` on the family of all rows, at the first
+    `size` rows and blocklength n for each size and n."""
+    return bounds._pairwise_sums(make_family(rows), list(zip(sizes, grid)))
+
+
+class TestPairwiseSums:
+    """`bounds._pairwise_sums`: every point of nested prefix families from
+    one kernel pass, each bit for bit the point's own sum."""
+
+    @pytest.mark.parametrize("rows, sizes, grid", [
+        # zeros and disjoint pairs, more than one node, repeated sizes
+        (rows_with_zeros(400, 4, 3), (2, 40, 40, 130, 300, 300), (1, 1, 30, 7, 1, 5000)),
+        # the first three members are pairwise disjoint: S = 0, log S = -inf,
+        # next to prefixes that are not
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0],
+          [0.2, 0.3, 0.5]], (2, 3, 4, 5, 3), (1, 10, 10, 1, 1)),
+        # every term underflows at n = 10^8: S = 0.0, log S finite
+        (BINARY_GRID_60, (3, 30, 60), (10**8, 10**8, 1)),
+        (make_family({"kind": "random-simplex", "size": 300, "alphabet": 8,
+                      "seed": 7}).prob_matrix().tolist(), (64, 216, 300, 300),
+         (16, 36, 64, 10**6)),
+    ], ids=["zeros", "disjoint-prefix", "underflow", "random-simplex"])
+    def test_each_point_is_its_prefix_familys_own_sum(self, kernel_passes, rows, sizes,
+                                                      grid):
+        prefixes = [make_family(rows[:size]) for size in sizes]
+        want = [dense_pairwise_sum(fam, n) for fam, n in zip(prefixes, grid)]
+        assert [pairwise_sum(fam, n) for fam, n in zip(prefixes, grid)] == want
+        kernel_passes.clear()
+        assert one_pass_sums(rows, sizes, grid) == want
+        assert kernel_passes == [max(sizes)]
+
+    def test_the_cases_reach_their_edges(self):
+        (s3, log_s3), (s4, _) = one_pass_sums(
+            [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]],
+            (3, 4), (10, 10))
+        assert (s3, log_s3) == (0.0, -math.inf) and s4 > 0.0
+        (s, log_s), = one_pass_sums(BINARY_GRID_60, (30,), (10**8,))
+        assert s == 0.0 and math.isfinite(log_s)
+
+    def test_a_pass_stops_at_the_largest_prefix_with_a_finite_term(self, kernel_passes):
+        # at n = 10^308, -2n overflows and so does every term of the full
+        # family, so the pass runs over the 20-member prefix alone
+        rows = equal_angle_binary_pmfs(40)
+        with np.errstate(over="ignore"):
+            want = [dense_pairwise_sum(make_family(rows[:20]), 5),
+                    dense_pairwise_sum(make_family(rows), 10**308)]
+        assert one_pass_sums(rows, (20, 40), (5, 10**308)) == want
+        assert want[1] == (0.0, -math.inf) and kernel_passes == [20]
+
+    def test_no_pass_when_every_pair_is_disjoint(self, kernel_passes):
+        assert one_pass_sums(np.eye(4).tolist(), (2, 4), (1, 9)) == [(0.0, -math.inf)] * 2
+        assert kernel_passes == []
+
+    def test_the_prepass_runs_once_per_size(self, monkeypatch):
+        sizes = []
+
+        def counted(family):
+            sizes.append(len(family))
+            return prepass(family)
+
+        prepass = bounds._finite_pairs_and_closest
+        monkeypatch.setattr(bounds, "_finite_pairs_and_closest", counted)
+        one_pass_sums(equal_angle_binary_pmfs(50), (10, 10, 50, 50), (1, 2, 3, 4))
+        assert sizes == [10, 50]
+
+
 @pytest.mark.parametrize("node", [128, 2**15])
 def test_numpy_sums_a_vector_in_the_pairwise_order_pinned_here(monkeypatch, node):
     # pairwise_sum adds np.sum'd nodes up numpy's own recursion, and
@@ -494,6 +565,48 @@ class TestIdentifiabilityTrend:
         assert built == []
         assert len(identifiability_trend(spec, pairs_budget=2016).points) == 3
         assert len(built) == 3
+
+    @pytest.mark.parametrize("growth, template, grid", [
+        (GrowthRule("constant", 40), {"kind": "explicit", "pmfs": rows_with_zeros(60, 4, 9)},
+         (1, 5, 20, 300)),
+        (GrowthRule("polynomial", 1.0), {"kind": "explicit",
+                                         "pmfs": rows_with_zeros(60, 4, 9)}, (2, 7, 40, 50)),
+        (GrowthRule("polynomial", 1.5), {"kind": "random-simplex", "alphabet": 8,
+                                         "seed": 7}, (16, 36, 64)),
+        (GrowthRule("polynomial", 1.0), {"kind": "binary-grid", "theta_min": 0.1,
+                                         "theta_max": 0.9}, (3, 10, 40)),
+    ], ids=["constant", "explicit-truncated", "random-simplex", "binary-grid"])
+    def test_each_point_is_its_familys_own_sum(self, kernel_passes, growth, template, grid):
+        # nested prefixes take one kernel pass; binary-grid families, whose
+        # members move as the grid grows, one pass per point
+        spec = FamilySequenceSpec(growth, template, grid)
+        sizes = [growth.size_at(n) for n in grid]
+        want = [dense_pairwise_sum(bounds._instantiate_template(template, size), n)
+                for size, n in zip(sizes, grid)]
+        report = identifiability_trend(spec, pairs_budget=10**6)
+        assert [(p.s, p.log_s) for p in report.points] == want
+        assert kernel_passes == (sizes if template["kind"] == "binary-grid"
+                                 else [max(sizes)])
+
+    def test_a_later_prefix_with_a_close_pair_fails_where_it_is_built(self, monkeypatch,
+                                                                      kernel_passes):
+        # members 1 and 3 are 5e-10 apart: the n = 4 family of 4 members is
+        # refused after the n = 2 and n = 3 families are built, and no sum runs
+        built = []
+
+        def counted(spec):
+            built.append(len(spec["pmfs"]))
+            return make_family(spec)
+
+        monkeypatch.setattr(bounds, "make_family", counted)
+        spec = FamilySequenceSpec(
+            GrowthRule("polynomial", 1.0),
+            {"kind": "explicit", "pmfs": [[0.5, 0.5], [0.9, 0.1], [0.2, 0.8],
+                                          [0.9000000005, 0.0999999995]]}, (2, 3, 4))
+        with pytest.raises(ValueError, match=r"^members 1 and 3 are not distinct \(sup-norm "
+                                             r"gap 4.999999997368221e-10 <= 1e-09\)$"):
+            identifiability_trend(spec)
+        assert built == [2, 3, 4] and kernel_passes == []
 
     def test_template_too_small(self):
         # the spec itself is refused, before any run

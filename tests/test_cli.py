@@ -552,6 +552,17 @@ class TestConfigValidation:
         pytest.param("exponent", {**TRINOMIAL_EXPONENT, "n_grid": [2, 4, 2**63]}, 3,
                      "n_grid entry = 9223372036854775808 is above 2^63 - 1",
                      id="trinomial-exponent-n-2^63"),
+        # a blocklength too large for a float, named where float's own
+        # message named neither the key nor the value
+        pytest.param("bounds", {**EXPLICIT, "n": 10**400}, 3,
+                     f"error: blocklength n = {10**400} is too large for a float\n",
+                     id="bounds-n-too-large-for-a-float"),
+        pytest.param("sweep", {**VALID["sweep"], "n_grid": [5, 10**400]}, 3,
+                     f"error: blocklength n = {10**400} is too large for a float\n",
+                     id="sweep-n-too-large-for-a-float"),
+        pytest.param("exponent", {**VALID["exponent"], "n_grid": [2, 4, 10**400]}, 3,
+                     f"error: blocklength n = {10**400} is too large for a float\n",
+                     id="binary-exponent-n-too-large-for-a-float"),
     ])
     def test_exit_code_table(self, tmp_path, capsys, command, entries, code, named):
         got, out, err = run_main(tmp_path, capsys, command, entries, "table")

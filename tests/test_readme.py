@@ -128,3 +128,12 @@ def test_readme_example_bytes(tmp_path, name, fmt):
     assert cli.main([command, "--config", str(cfg_path), "--out", str(out),
                      "--format", fmt]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[name, fmt]
+
+
+def test_the_bounds_example_makes_one_kernel_pass(tmp_path, kernel_passes):
+    # every blocklength of the grid is fed from one pass over the family
+    command, text = readme_configs()["bounds.cfg"]
+    (tmp_path / "bounds.cfg").write_text(text)
+    assert cli.main([command, "--config", str(tmp_path / "bounds.cfg"),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+    assert kernel_passes == [2]
