@@ -24,9 +24,9 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .distributions import (DistributionFamily, _bhattacharyya_block, _float_blocklength,
-                            _ls_slope, _upper_blocks, make_family)
-from .spec import DEFAULT_PAIRS_BUDGET, FamilySequenceSpec, GrowthRule, _halves
+from .distributions import (DistributionFamily, _float_blocklength, _ls_slope, _upper_blocks,
+                            make_family)
+from .spec import DEFAULT_PAIRS_BUDGET, FamilySequenceSpec, GrowthRule
 
 __all__ = [
     "pairwise_sum",
@@ -45,26 +45,16 @@ __all__ = [
 TREND_SLOPE_TOL = 1e-6
 
 
-# Each grid point's terms are exponentiated and summed in nodes of at most
-# this many (64 KiB), each a subtree of numpy's pairwise summation of them
-# all; a pass over K grid points holds K nodes.
-_SUM_NODE = 2**13
-
-# The Gram prepass of `_pairwise_sums` works in row blocks of about this many
-# (row, column, symbol) multiply-adds.
-_GRAM_ENTRIES = 2**17
-
-
 def pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
     """(S, log S) for the family at blocklength n.
 
-    Computed by log-sum-exp over the finite terms -2 n B(P_i, P_j) in
-    triu_indices order; pairs with disjoint supports contribute exactly
-    zero, and log S is -inf when every pair has disjoint support.  The
-    result is bitwise that of `np.exp(terms - peak).sum()` on the vector
-    of all finite terms, which is never built (`_pairwise_sums`, of
-    which this is the one-point call): the memory is one kernel block,
-    one node of at most 2^13 terms and the node sums, whatever A.
+    A log-sum-exp over the finite terms -2 n B(P_i, P_j); pairs with
+    disjoint supports contribute exactly zero, and log S is -inf when
+    every pair has disjoint support.  This is the one-point call of
+    `_pairwise_sums`, whose online pass never builds the vector of
+    terms: the memory is one kernel block and two floats, whatever A.
+    log S is within 1 ulp of max(|log S|, 1) of the exact sum of the
+    rounded exponentials on every family the tests measure.
     """
     return _pairwise_sums(family, [(len(family), n)])[0]
 
@@ -76,67 +66,65 @@ def _term_scale(n: int) -> float:
     return -2.0 * _float_blocklength(n)
 
 
-class _NodeStream:
-    """One point's terms, shifted by its peak into nodes whose sizes come
-    from numpy's own recursion over its N terms (`_node_sizes`); each full
-    node is exponentiated and `np.sum`'d in place, and `result` adds the
-    node sums back up that recursion."""
+class _LogSumExp:
+    """A log-sum-exp fed one array of log-domain terms at a time.
 
-    __slots__ = ("scale", "peak", "count", "sizes", "node", "want", "fill", "sums")
+    The total is kept relative to the largest term so far, `peak`.  An
+    array whose largest term passes it first raises the peak and rescales
+    the total by exp(old peak - new peak), so no exp overflows and the
+    terms near the peak keep their precision.  Terms of -inf add nothing.
+    """
 
-    def __init__(self, scale: float, peak: float, count: int):
-        self.scale, self.peak, self.count = scale, peak, count
-        self.sizes = _node_sizes(count)
-        self.node = np.empty(min(count, _SUM_NODE))
-        self.want, self.fill, self.sums = next(self.sizes), 0, []
+    __slots__ = ("peak", "total")
 
-    def push(self, dists: np.ndarray) -> None:
-        """Append the terms of the next finite distances, in order."""
-        while dists.size:
-            take = min(self.want - self.fill, dists.size)
-            part = self.node[self.fill:self.fill + take]
-            np.multiply(dists[:take], self.scale, out=part)
-            part -= self.peak
-            self.fill, dists = self.fill + take, dists[take:]
-            if self.fill == self.want:
-                full = self.node[:self.want]
-                self.sums.append(float(np.exp(full, out=full).sum()))
-                self.want, self.fill = next(self.sizes, 0), 0
+    def __init__(self):
+        self.peak, self.total = -math.inf, 0.0
+
+    def add(self, terms: np.ndarray) -> None:
+        """Add exp(t) for each t of terms, which it overwrites."""
+        peak = max(self.peak, float(terms.max(initial=-math.inf)))
+        if peak == -math.inf:
+            return
+        terms -= peak
+        self.total = (self.total * math.exp(self.peak - peak)
+                      + float(np.exp(terms, out=terms).sum()))
+        self.peak = peak
 
     def result(self) -> tuple[float, float]:
-        """(S, log S) once every term has been pushed."""
-        log_s = self.peak + math.log(_node_tree_sum(iter(self.sums), self.count))
+        """(sum, log sum); (0.0, -inf) when no finite term was added."""
+        if self.peak == -math.inf:
+            return 0.0, -math.inf
+        log_s = self.peak + math.log(self.total)
         return math.exp(log_s), log_s
 
 
 def _pairwise_sums(family: DistributionFamily, points) -> list[tuple[float, float]]:
     """`pairwise_sum` of the family's first A_k members at blocklength n_k,
-    bit for bit, for each (A_k, n_k) in points, from one pass over the
-    distance kernel.
+    for each (A_k, n_k) in points, from one online pass over the distance
+    kernel's row blocks.
 
-    Per distinct A_k, a prepass (`_finite_pairs_and_closest`) finds the
-    count N of finite terms and the least distance, so each point's peak
-    term is known before the first exp.  One pass over the row blocks of
-    the largest A_k that has a finite term then feeds every point: a
-    point reads each block's rows and columns below its A_k, whose
-    finite entries above the diagonal, row by row, are its own terms in
-    its own order, and streams them into its nodes (`_NodeStream`).  So
-    the memory is one kernel block and, per point, one node of at most
-    2^13 terms (64 KiB) and the node sums (8 bytes per 2^12 pairs or
-    fewer): K nodes for K points.
+    A point whose prefix has no two members sharing a symbol, or whose
+    -2 n_k overflows, has no finite term and is (0.0, -inf) at once.  One
+    pass over the blocks of the largest prefix left feeds the others: a
+    point reads each block's finite entries above the diagonal in its
+    rows and columns below A_k, which are its distances, and adds -2 n_k
+    times them to its own `_LogSumExp`.  So the memory is one kernel
+    block and two floats per point.  The block sums add up in block
+    order, which rounds differently from one `np.sum` of all the terms,
+    and a point's blocks are the largest prefix's, so its last bits can
+    differ from its own `pairwise_sum`; against the exact sum of the
+    rounded exponentials (math.fsum) both were within 1 ulp of
+    max(|log S|, 1) on every family the tests measure, and within 4 with
+    blocks of one row.
     """
     scales = [_term_scale(n) for _, n in points]
-    found, streams, live = {}, [], {}
-    for (size, _), scale in zip(points, scales):
-        if size not in found:
-            found[size] = _finite_pairs_and_closest(family._head(size))
-        count, closest = found[size]
-        peak = scale * closest   # the largest term, since rounding is monotone
-        # no stream where every pair is disjoint or every term overflows
-        stream = None if peak == -math.inf else _NodeStream(scale, peak, count)
-        streams.append(stream)
-        if stream is not None:
-            live.setdefault(size, []).append(stream)
+    # shared[k]: whether two of the first k + 1 members share a symbol
+    shared = np.cumsum(~family._zero, axis=0).max(axis=1) >= 2
+    sums = [_LogSumExp() for _ in points]
+    live = {}
+    for (size, _), scale, acc in zip(points, scales, sums):
+        if shared[size - 1] and scale > -math.inf:
+            live.setdefault(size, []).append((scale, acc))
     if live:
         head = family._head(max(live))
         masked = bool(head._zero.any())
@@ -151,102 +139,11 @@ def _pairwise_sums(family: DistributionFamily, points) -> list[tuple[float, floa
                 rows, cols = min(hi, size) - lo, size - lo
                 if rows > 0:
                     dists = block[:rows, :cols][keep[:rows, :cols]]
-                    for stream in group:
-                        stream.push(dists)
-    return [(0.0, -math.inf) if stream is None else stream.result() for stream in streams]
-
-
-def _node_sizes(count: int):
-    """The lengths, in order, of the subtrees of numpy's pairwise summation
-    of count terms that hold at most _SUM_NODE terms and whose parent holds
-    more."""
-    if count <= _SUM_NODE:
-        yield count
-        return
-    for part in _halves(count):
-        yield from _node_sizes(part)
-
-
-def _node_tree_sum(sums, count: int) -> float:
-    """The node sums (an iterator in `_node_sizes(count)` order) added up
-    numpy's recursion: bitwise the `np.sum` of all count terms, which is
-    0.0 plus that tree, and the 0.0 changes no sum of exponentials."""
-    if count <= _SUM_NODE:
-        return next(sums)
-    left, right = _halves(count)
-    return _node_tree_sum(sums, left) + _node_tree_sum(sums, right)
-
-
-def _finite_pairs_and_closest(family: DistributionFamily) -> tuple[int, float]:
-    """(N, B_min): how many pairs i < j share some support, which are the
-    pairs with a finite distance, and the least such distance bit for bit
-    as the kernel computes it (+inf when N = 0).
-
-    Row blocks of the Gram matrix of the members' square roots, one
-    `np.einsum` each, give every coefficient BC = sum sqrt(p q) to within
-    a relative (m + 2) 2^-53.  (einsum sums in numpy's own loop, so the
-    pairs re-scored do not depend on numpy's BLAS or its threads; a BLAS
-    product was 2 ms faster on the `sweep_growing` families, too little
-    for the benchmark to resolve.)  A square root of a positive double is
-    at least 2^-537, so a product of two never rounds to 0: BC is exactly
-    0 for disjoint supports and positive otherwise, here and in the
-    kernel.  B falls as BC rises.  The kernel's B is -log of its own BC
-    below 1/2 and the Hellinger form above, which sees each pmf's
-    deviation from a sum of 1 (up to 1e-12) where the Gram does not; so
-    the pairs closest in B all lie within `slack` of the largest Gram
-    entry, a margin many times those errors.  Pass one keeps each block's largest entry and,
-    when some pmf entry is 0, counts the positive ones; pass two
-    recomputes only the blocks that reach the margin and re-scores the
-    pairs in it with `_bhattacharyya_block`, one call per row.
-    """
-    probs, roots = family._probs, family._roots
-    size, m = probs.shape
-    spans = []
-    lo = 0
-    while lo < size - 1:
-        hi = min(size - 1, lo + max(1, _GRAM_ENTRIES // ((size - lo) * m)))
-        spans.append((lo, hi))
-        lo = hi
-
-    index = np.arange(size)
-    masked = bool(family._zero.any())
-    probs_t, roots_t = probs.T.copy(), roots.T.copy()
-
-    def gram(lo: int, hi: int) -> np.ndarray:
-        """Rows lo..hi of the Gram matrix against columns lo..A, 0 where j <= i."""
-        coeff = np.einsum("ik,kj->ij", roots[lo:hi], roots_t[:, lo:])
-        rows = index[:hi - lo]
-        coeff[:, :hi - lo][rows[:, None] >= rows] = 0.0
-        return coeff
-
-    count, tops = 0, []
-    for lo, hi in spans:
-        coeff = gram(lo, hi)
-        if masked:   # else every pair shares support
-            count += int(np.count_nonzero(coeff))
-        tops.append(float(coeff.max()))
-    if not masked:
-        count = size * (size - 1) // 2
-    if count == 0:
-        return 0, math.inf
-    top = max(tops)
-    slack = (m + 16) * 2.0**-46 * top + (m + 1) * 2.0**-1070
-    if top > 0.25:   # some pair may take the Hellinger form
-        slack += 4.0 * float(np.abs(probs.sum(axis=1) - 1.0).max())
-    floor = max(top - slack, math.ulp(0.0))   # and never a disjoint pair
-    closest = math.inf
-    for (lo, hi), block_top in zip(spans, tops):
-        if block_top < floor:
-            continue
-        rows, cols = np.nonzero(gram(lo, hi) >= floor)
-        starts = np.flatnonzero(np.diff(rows)) + 1
-        for row, row_cols in zip(rows[np.r_[0, starts]], np.split(cols + lo, starts)):
-            i = lo + row
-            dist = _bhattacharyya_block(probs_t[:, i:i + 1], roots_t[:, i:i + 1],
-                                        probs_t[:, row_cols], roots_t[:, row_cols],
-                                        masked)
-            closest = min(closest, float(dist.min()))
-    return count, closest
+                    # another per-pair log-domain sum would add its own
+                    # terms of these pairs to an accumulator of its own here
+                    for scale, acc in group:
+                        acc.add(np.multiply(dists, scale))
+    return [acc.result() for acc in sums]
 
 
 def _unclamped_upper(s: float) -> float | None:

@@ -276,8 +276,8 @@ def _bhattacharyya_block(probs_i: np.ndarray, roots_i: np.ndarray,
     elementwise square roots of probs_*.  Each symbol's terms form one
     (r, c) plane of an (m, r, c) array, and `_plane_sum` adds the planes
     in numpy's pairwise order.  Where the coefficient BC = sum sqrt(p q)
-    is below 1/2 the distance is -log BC, which keeps its relative
-    accuracy as BC -> 0 (+inf exactly when the supports are disjoint).
+    is below 1/2 the distance is -log BC, taken on those pairs alone, which
+    keeps its relative accuracy as BC -> 0 (+inf exactly when supports are disjoint).
     Elsewhere it is the Hellinger form -log1p(-h) with
     h = 1/2 ||sqrt p - sqrt q||^2 and sqrt p - sqrt q taken as
     (q - p) / (sqrt p + sqrt q), so close pmfs keep full relative
@@ -293,8 +293,11 @@ def _bhattacharyya_block(probs_i: np.ndarray, roots_i: np.ndarray,
     diff *= diff
     half_sq = 0.5 * _plane_sum(diff)
     coeff = _plane_sum(np.multiply(root_q, root_p, out=denom))
+    far = coeff < 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(coeff < 0.5, -np.log(coeff), -np.log1p(-half_sq))
+        dist = -np.log1p(-half_sq)
+        dist[far] = -np.log(coeff[far])
+    return dist
 
 
 def bhattacharyya(p: FinitePmf, q: FinitePmf) -> float:

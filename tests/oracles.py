@@ -21,6 +21,7 @@ from fractions import Fraction
 import numpy as np
 
 from distid import DistributionFamily, NoFeasibleAssignmentError, enumerate_cycles
+from distid.distributions import _upper_blocks
 
 
 def binomial_pmf(n: int, p: float) -> list[float]:
@@ -258,3 +259,28 @@ def edge_incidence_loop(k: int, r: int) -> list[int]:
         for a, b in zip(cycle, cycle[1:] + cycle[:1]):
             counts[position[min(a, b), max(a, b)]] += 1
     return counts
+
+
+def fsum_pairwise_sum(family: DistributionFamily, n: int) -> tuple[float, float]:
+    """(S, log S) from the exact sum of the rounded terms' exponentials.
+
+    The terms -2 n B are the finite distances above the diagonal, row by
+    row, of the kernel's row blocks (`distance_matrix` mirrors the same
+    blocks into its (A, A) result, which is not built here); each is
+    shifted by the largest, exponentiated by math.exp and added by
+    math.fsum, so the sum carries one rounding.  (0.0, -inf) when no
+    term is finite.
+    """
+    scale = -2.0 * n
+
+    def terms():
+        for lo, hi, block in _upper_blocks(family):
+            for row in range(hi - lo):
+                yield from (scale * d for d in block[row, row + 1:].tolist()
+                            if d < math.inf)
+
+    peak = max(terms(), default=-math.inf)
+    if peak == -math.inf:
+        return 0.0, -math.inf
+    log_s = peak + math.log(math.fsum(math.exp(t - peak) for t in terms()))
+    return math.exp(log_s), log_s

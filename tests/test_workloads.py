@@ -35,7 +35,7 @@ GOLDEN = {
     "mc_small_a": "1ec13650c541748a1be094134ce08d4399edafecce4cd1f78664075a0ab58641",
     "mc_large_a": "96fd2df03de1b0b77219d1413329af2beb6cd8c03e000947e3a2f2931bd0bac0",
     "exponent_pair": "25e541d7f7db7f40340f6ae009098899ebb4ad847f83bab9032837aff31af8c5",
-    "sweep_growing": "939c9a65ed176195a45f9c477a40c0c4f380b2a4dc22bc4f292bf624712754e7",
+    "sweep_growing": "193389d7f7d8c6f139aa0eb83737704864d162aebdbe38c6c10d1041a8c6c14e",
 }
 
 
